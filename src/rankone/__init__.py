@@ -24,6 +24,7 @@ from .construction import (
     heights,
     params_from_json,
     params_to_json,
+    recheck_gates,
     sample_spacers,
     truncate_admissible,
     validate_params,

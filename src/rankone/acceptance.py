@@ -32,6 +32,7 @@ from .construction import (
     gen_p_construction,
     generator_series,
     heights,
+    recheck_gates,
 )
 from .series import (
     AdmissibleSeries,
@@ -227,8 +228,6 @@ def check_frequency_gate(cache: dict | None = None) -> CriterionResult:
     verify_frequencies at every stage.  At least 18/20 must pass;
     the pinned seed 0 must be among them.
     """
-    from .construction import verify_frequencies
-
     t0 = time.perf_counter()
     P = _coin()
     n_pass = 0
@@ -238,16 +237,7 @@ def check_frequency_gate(cache: dict | None = None) -> CriterionResult:
             params = gen_p_construction([P], J=6, seed=seed)
         except GenerationError:
             continue
-        all_ok = True
-        for rec, st in zip(params.meta["stages"], params.stages):
-            draws = list(st.spacers)
-            for i, v in zip(rec["sidon_indices"], rec["pre_sidon"]):
-                draws[i - 1] = v
-            rep = verify_frequencies(draws, P, rec["max_m"], Fraction(rec["eps"]))
-            if not rep.passed:
-                all_ok = False
-                break
-        if all_ok:
+        if all(rep.passed for _, rep in recheck_gates(params)):
             n_pass += 1
             if seed == 0:
                 seed0_ok = True

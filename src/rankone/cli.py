@@ -23,8 +23,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -41,8 +39,8 @@ from .construction import (
     heights,
     params_from_json,
     params_to_json,
+    recheck_gates,
     validate_params,
-    verify_frequencies,
 )
 from .series import enumerate_semigroup, make_admissible
 from .weaktop import (
@@ -50,6 +48,7 @@ from .weaktop import (
     default_panel,
     sample_gap_shifts,
     scan_limits,
+    timestamp_header,
     write_scan_csv,
 )
 
@@ -78,12 +77,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _err_line("usage", message)
         raise SystemExit(EXIT_CONFIG)
-
-
-def _timestamp_header(enabled: bool) -> str:
-    if not enabled:
-        return ""
-    return f"# generated {datetime.now(timezone.utc).isoformat()}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +213,19 @@ def cmd_build(args) -> int:
         starts = {int(k): int(v) for k, v in cfg.get("starts", {}).items()}
         growth = ColumnGrowthPolicy(
             start=(lambda j: starts.get(j, max(2 * j, 16))) if starts else None)
-        try:
-            params = gen_p_construction(series, stages, seed,
-                                        eps_schedule=eps, r_policy=growth,
-                                        sidon_policy=sidon)
-        except GenerationError as exc:
-            _err_line("generation",
-                      f"stage {exc.stage_j} gate failed at r={exc.r_final}")
-            print(exc.report.summary(), file=sys.stderr)
-            return EXIT_GENERATION
+        params = gen_p_construction(series, stages, seed,
+                                    eps_schedule=eps, r_policy=growth,
+                                    sidon_policy=sidon)
     else:
         raise CliError("usage", "need --example KIND or --p COEFFS",
                        EXIT_CONFIG)
 
     hs = heights(params)
     out = Path(args.out or "params.json")
-    header = _timestamp_header(not args.no_timestamp)
+    header = timestamp_header(not args.no_timestamp)
     out.write_text(header + params_to_json(params) + "\n")
     csv_path = out.with_name(out.stem + "_heights.csv")
-    lines = [header + "j,height,columns,spacer_sum" if header
-             else "j,height,columns,spacer_sum"]
+    lines = [header + "j,height,columns,spacer_sum"]
     for j, h in enumerate(hs, start=1):
         if j <= len(params.stages):
             st = params.stages[j - 1]
@@ -341,21 +327,11 @@ def cmd_verify(args) -> int:
 
     if args.params:
         params = _load_params_file(args.params)
-        recs = params.meta.get("stages") if isinstance(params.meta, dict) else None
-        if recs:
-            series = generator_series(params)
-            for rec, st in zip(recs, params.stages):
-                draws = list(st.spacers)
-                for i, v in zip(rec["sidon_indices"], rec["pre_sidon"]):
-                    draws[i - 1] = v
-                P = series[rec["q"]].renormalized()
-                rep = verify_frequencies(draws, P, rec["max_m"],
-                                         Fraction(rec["eps"]))
-                if not rep.passed:
-                    _err_line("assertion",
-                              f"artifact stage {rec['j']} gate recheck failed")
-                    print(rep.summary(), file=sys.stderr)
-                    return EXIT_ASSERTION
+        for j, rep in recheck_gates(params):
+            if not rep.passed:
+                _err_line("assertion", f"artifact stage {j} gate recheck failed")
+                print(rep.summary(), file=sys.stderr)
+                return EXIT_ASSERTION
         print(f"artifact {args.params}: parameters valid, stage gates re-pass")
 
     try:
@@ -393,7 +369,7 @@ def cmd_semigroup(args) -> int:
                      f"{float(el.mass):.6f},{float(mc):.6f}")
     body = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(_timestamp_header(not args.no_timestamp) + body)
+        Path(args.out).write_text(timestamp_header(not args.no_timestamp) + body)
         print(f"{len(elems)} elements (degree<={degree}, |z|<={z_range}) "
               f"-> {args.out}")
     else:

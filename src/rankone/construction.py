@@ -29,11 +29,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .series import AdmissibleSeries, make_admissible
+from .series import AdmissibleSeries, FormalElement, convolve, make_admissible
 
 __all__ = [
     "ColumnGrowthPolicy",
@@ -51,6 +52,7 @@ __all__ = [
     "heights",
     "params_from_json",
     "params_to_json",
+    "recheck_gates",
     "sample_spacers",
     "truncate_admissible",
     "validate_params",
@@ -61,7 +63,6 @@ __all__ = [
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
 _JSON_INT_LIMIT = 1 << 53
-_U64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,6 @@ class LevelOccupancy:
     window: int
     copy_starts: object  # np.ndarray (int64 path) or tuple[int, ...]
     _pair_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _aux: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def uses_int64(self) -> bool:
@@ -188,6 +188,10 @@ class LevelOccupancy:
         self._pair_cache[k] = count
         return count
 
+    @cached_property
+    def _start_set(self) -> frozenset:
+        return frozenset(self.copy_starts)
+
     def _count_pairs(self, k: int) -> int:
         if self.uses_int64:
             starts = self.copy_starts
@@ -195,7 +199,8 @@ class LevelOccupancy:
             idx = np.searchsorted(starts, shifted)
             valid = idx < starts.size
             return int(np.count_nonzero(starts[idx[valid]] == shifted[valid]))
-        return self._count_pairs_bigint(k)
+        start_set = self._start_set
+        return sum(1 for s in self.copy_starts if s + k in start_set)
 
     def warm_shift_window(self, center: int, radius: int) -> None:
         """Precompute pair counts for every k in [center-radius, center+radius].
@@ -232,26 +237,6 @@ class LevelOccupancy:
             if k == 0:
                 continue
             self._pair_cache.setdefault(k, int(counts[d + radius]))
-
-    def _count_pairs_bigint(self, k: int) -> int:
-        aux = self._aux
-        if "fp" not in aux:
-            fp = np.array([s & _U64 for s in self.copy_starts], dtype=np.uint64)
-            aux["fp"] = fp
-            aux["fp_injective"] = bool(np.unique(fp).size == fp.size)
-            aux["start_set"] = frozenset(self.copy_starts)
-        start_set = aux["start_set"]
-        if not aux["fp_injective"]:
-            # pathological 64-bit collision between copy starts: count exactly
-            return sum(1 for s in self.copy_starts if s + k in start_set)
-        fp = aux["fp"]
-        shifted = fp + np.uint64(k & _U64)  # wraps mod 2^64, as intended
-        mask = np.isin(shifted, fp)
-        if not mask.any():
-            return 0
-        # verify candidates exactly (the fingerprint can alias across 2^64)
-        starts = self.copy_starts
-        return sum(1 for i in np.nonzero(mask)[0] if starts[int(i)] + k in start_set)
 
 
 def expand_occupancy(params: ConstructionParams, base_stage: int,
@@ -398,17 +383,6 @@ class FrequencyReport:
                 f"worst m={worst.m} k={worst.k} dev={float(worst.relative_deviation):.4f}")
 
 
-def _series_power_coeffs(P: AdmissibleSeries, m: int) -> dict[int, Fraction]:
-    out = {0: Fraction(1)}
-    for _ in range(m):
-        nxt: dict[int, Fraction] = {}
-        for u, x in out.items():
-            for v, y in P.coeffs:
-                nxt[u + v] = nxt.get(u + v, Fraction(0)) + x * y
-        out = nxt
-    return out
-
-
 def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
                        max_m: int, eps) -> FrequencyReport:
     """Exact window-sum frequency check against the powers of ``P``.
@@ -429,7 +403,10 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     rows = []
     passed = True
     values = [int(s) for s in spacers]
+    gen = FormalElement.from_series(P)
+    power_m = FormalElement.identity()
     for m in range(1, max_m + 1):
+        power_m = convolve(power_m, gen)
         sums: dict[int, int] = {}
         window = sum(values[:m])
         sums[window] = 1
@@ -437,9 +414,7 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
             window += values[i + m - 1] - values[i - 1]
             sums[window] = sums.get(window, 0) + 1
         denom = r - m + 1
-        for k, c in sorted(_series_power_coeffs(P, m).items()):
-            if c <= 0:
-                continue
+        for k, c in power_m.coeffs:  # sorted by k, every c > 0
             observed = Fraction(sums.get(k, 0), denom)
             row = FrequencyRow(m, k, c, observed)
             rows.append(row)
@@ -456,22 +431,12 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
 class SidonPolicy:
     """Growth policy for overridden spacer values.
 
-    ``base_multiplier`` is a function of the stage (default: the stage number
-    itself); the chain starts at multiplier*h_j + increment and each later
-    value is multiplier*previous + increment.  A ``cap`` clamps values for
-    desk-scale builds; clamped results are flagged non-conforming.
+    At stage j the chain starts at j*h_j + 1 and each later value is
+    j*previous + 1.  A ``cap`` clamps values for desk-scale builds; clamped
+    results are flagged non-conforming.
     """
 
-    base_multiplier: Callable[[int], int] | int | None = None
-    increment: int = 1
     cap: int | None = None
-
-    def multiplier(self, stage_j: int) -> int:
-        if self.base_multiplier is None:
-            return stage_j
-        if callable(self.base_multiplier):
-            return int(self.base_multiplier(stage_j))
-        return int(self.base_multiplier)
 
 
 @dataclass(frozen=True)
@@ -479,57 +444,57 @@ class SidonResult:
     spacers: tuple[int, ...]
     indices: tuple[int, ...]  # 1-based positions that were overridden
     conforming: bool
-
-
-def _sidon_chain(n_values: int, stage_j: int, h_j: int,
-                 policy: SidonPolicy) -> tuple[list[int], bool]:
-    mult = policy.multiplier(stage_j)
-    inc = policy.increment
-    if mult < 1 or inc < 1:
-        raise ValueError("sidon multiplier and increment must be >= 1")
-    values = []
-    conforming = True
-    v = mult * h_j + inc
-    for _ in range(n_values):
-        if policy.cap is not None and v > policy.cap:
-            v = policy.cap
-            conforming = False
-        values.append(v)
-        v = mult * v + inc
-    return values, conforming
+    tail_from: int | None = None  # first low-mass tail index, None at mass 1
 
 
 def apply_sidon(spacers: Sequence[int], stage_j: int, h_j: int,
-                policy: SidonPolicy | None = None) -> SidonResult:
+                policy: SidonPolicy | None = None, mass=1) -> SidonResult:
     """Override entries at 1-based indices j, 2j, 3j, ... with a growth chain.
 
-    The chain values are the minimal ones keeping each overridden entry more
-    than ``multiplier`` times the previous scale (first value past
-    multiplier*h_j, then multiplier*previous + increment), so sums involving
-    an overridden column are separated from all small spacer sums.
+    When the series mass ``mass`` is below 1, every index from
+    floor(mass * r) + 1 on is overridden as well; one ascending chain covers
+    the sorted union of both index sets.  The chain values are the minimal
+    ones keeping each overridden entry more than j times the previous scale
+    (first value past j*h_j, then j*previous + 1), so sums involving an
+    overridden column are separated from all small spacer sums.
     """
     if stage_j < 1:
         raise ValueError("stage_j >= 1 required")
     policy = policy or SidonPolicy()
     out = [int(s) for s in spacers]
-    indices = list(range(stage_j, len(out) + 1, stage_j))
-    values, conforming = _sidon_chain(len(indices), stage_j, h_j, policy)
-    for i, v in zip(indices, values):
+    r = len(out)
+    override = set(range(stage_j, r + 1, stage_j))
+    tail_from = None
+    if mass < 1:
+        tail_from = math.floor(mass * r) + 1
+        override.update(range(tail_from, r + 1))
+    indices = sorted(override)
+    conforming = True
+    v = stage_j * h_j + 1
+    for i in indices:
+        if policy.cap is not None and v > policy.cap:
+            v = policy.cap
+            conforming = False
         out[i - 1] = v
-    return SidonResult(tuple(out), tuple(indices), conforming)
+        v = stage_j * v + 1
+    return SidonResult(tuple(out), tuple(indices), conforming, tail_from)
 
 
 # ---------------------------------------------------------------------------
 # Randomized construction generator
 # ---------------------------------------------------------------------------
 
+# Column growth doubles r_j at most this many times; the gate checks window
+# orders up to min(j, _MAX_M).
+_MAX_DOUBLINGS = 14
+_MAX_M = 4
+
+
 @dataclass(frozen=True)
 class ColumnGrowthPolicy:
-    """How the column count r_j grows until the frequency gate passes."""
+    """Where the column count r_j starts before it doubles until the gate passes."""
 
     start: Callable[[int], int] | None = None  # default max(2j, 16)
-    max_doublings: int = 14
-    max_m_cap: int = 4
 
     def start_columns(self, stage_j: int) -> int:
         if self.start is None:
@@ -563,10 +528,9 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
     renormalized distribution; the column count starts at max(2j, 16) and
     doubles (with a fresh draw) until :func:`verify_frequencies` passes at
     tolerance ``eps_schedule(j)`` (default 1/(j+1)) with window order
-    min(j, max_m_cap).  Afterwards, if the series mass c is below 1, all
-    indices i > floor(c * r_j) are overridden, and indices that are
-    multiples of j always are; one ascending growth chain covers the sorted
-    union of both index sets.  Deterministic given ``seed``: stage j,
+    min(j, 4).  Afterwards :func:`apply_sidon` overrides the indices that
+    are multiples of j and, if the series mass c is below 1, all indices
+    i > floor(c * r_j).  Deterministic given ``seed``: stage j,
     attempt t draws from the seed sequence (seed, j, t).
 
     The pre-override draws at overridden indices are recorded per stage in
@@ -590,10 +554,10 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
         c = P.declared_mass
         P_norm = P.renormalized()
         eps = eps_schedule(j)
-        max_m = min(j, r_policy.max_m_cap)
+        max_m = min(j, _MAX_M)
         r = r_policy.start_columns(j)
         report = None
-        for attempt in range(r_policy.max_doublings + 1):
+        for attempt in range(_MAX_DOUBLINGS + 1):
             draws = sample_spacers(P_norm, r, [seed, j, attempt])
             report = verify_frequencies(draws, P_norm, max_m, eps)
             if report.passed:
@@ -602,28 +566,16 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
         else:
             raise GenerationError(j, r // 2, report)
 
-        # override index set: multiples of j, plus the tail when mass < 1
-        override = set(range(j, r + 1, j))
-        tail_from = None
-        if c < 1:
-            tail_from = math.floor(c * r) + 1
-            override.update(range(tail_from, r + 1))
-        indices = sorted(override)
-        values, conforming = _sidon_chain(len(indices), j, h, sidon_policy)
-        spacers = list(draws)
-        pre_override = [draws[i - 1] for i in indices]
-        for i, v in zip(indices, values):
-            spacers[i - 1] = v
-
-        stages.append(StageParams(r, tuple(spacers)))
+        over = apply_sidon(draws, j, h, sidon_policy, mass=c)
+        stages.append(StageParams(r, over.spacers))
         stage_meta.append({
             "j": j, "q": q, "r": r, "attempts": attempt + 1, "eps": str(eps),
-            "max_m": max_m, "sidon_indices": indices, "pre_sidon": pre_override,
-            "tail_from": tail_from, "conforming": conforming,
+            "max_m": max_m, "sidon_indices": list(over.indices),
+            "pre_sidon": [draws[i - 1] for i in over.indices],
+            "tail_from": over.tail_from, "conforming": over.conforming,
         })
-        h = h * r + sum(spacers)
+        h = h * r + sum(over.spacers)
 
-    cap = sidon_policy.cap
     meta = {
         "generator": "p-construction",
         "seed": seed,
@@ -632,12 +584,8 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
         "series": [[[kk, v.numerator, v.denominator] for kk, v in P.coeffs]
                    for P in P_list],
         "rng": "numpy-philox4x64 inverse-cdf; stream (seed, stage, attempt)",
-        "sidon_policy": {
-            "base_multiplier": "stage" if sidon_policy.base_multiplier is None
-                               else repr(sidon_policy.base_multiplier),
-            "increment": sidon_policy.increment,
-            "cap": cap,
-        },
+        "sidon_policy": {"base_multiplier": "stage", "increment": 1,
+                         "cap": sidon_policy.cap},
         "stages": stage_meta,
     }
     return ConstructionParams(h1, tuple(stages), meta)
@@ -650,6 +598,28 @@ def generator_series(params: ConstructionParams) -> list[AdmissibleSeries]:
         raise ValueError("params carry no generator series metadata")
     return [make_admissible({kk: Fraction(num, den) for kk, num, den in blob})
             for blob in blobs]
+
+
+def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport]]:
+    """Re-run each stage's frequency gate on its recorded pre-override draws.
+
+    Returns one (stage j, report) pair per stage record in ``params.meta``;
+    the list is empty for params without stage records (hand-written or
+    example builds), which have no gate to re-check.
+    """
+    recs = params.meta.get("stages") if isinstance(params.meta, dict) else None
+    if not recs:
+        return []
+    series = generator_series(params)
+    out = []
+    for rec, st in zip(recs, params.stages):
+        draws = list(st.spacers)
+        for i, v in zip(rec["sidon_indices"], rec["pre_sidon"]):
+            draws[i - 1] = v
+        P = series[rec["q"]].renormalized()
+        out.append((rec["j"], verify_frequencies(draws, P, rec["max_m"],
+                                                 Fraction(rec["eps"]))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +686,34 @@ def params_to_json(params: ConstructionParams, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def _dec_meta(obj):
-    if isinstance(obj, dict):
-        return {k: _dec_meta(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_dec_meta(v) for v in obj]
-    if isinstance(obj, str) and (obj.lstrip("-").isdigit() and len(obj) > 15):
-        return int(obj)
-    return obj
+def _dec_fields(rec: dict, scalars: Sequence[str] = (),
+                lists: Sequence[str] = ()) -> dict:
+    out = dict(rec)
+    for key in scalars:
+        if out.get(key) is not None:
+            out[key] = _dec_int(out[key])
+    for key in lists:
+        if key in out:
+            out[key] = [_dec_int(v) for v in out[key]]
+    return out
+
+
+def _dec_meta(meta):
+    """Restore the integer fields the generators write; all else is kept as is."""
+    if not isinstance(meta, dict):
+        return meta
+    out = _dec_fields(meta, ("seed", "h1", "k"))
+    if isinstance(out.get("sidon_policy"), dict):
+        out["sidon_policy"] = _dec_fields(out["sidon_policy"], ("cap", "increment"))
+    if "series" in out:
+        out["series"] = [[[_dec_int(x) for x in triple] for triple in blob]
+                         for blob in out["series"]]
+    if "stages" in out:
+        out["stages"] = [
+            _dec_fields(rec, ("j", "q", "r", "attempts", "max_m", "tail_from"),
+                        ("sidon_indices", "pre_sidon"))
+            for rec in out["stages"]]
+    return out
 
 
 def params_from_json(text: str) -> ConstructionParams:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -47,6 +46,7 @@ __all__ = [
     "sample_gap_shifts",
     "scan_limits",
     "strong_norm_sq",
+    "timestamp_header",
     "weak_discrepancy",
     "write_scan_csv",
 ]
@@ -535,13 +535,19 @@ def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
 # CSV emission
 # ---------------------------------------------------------------------------
 
+def timestamp_header(enabled: bool = True) -> str:
+    """The ``# generated <UTC time>`` header line of output files, or ""."""
+    if not enabled:
+        return ""
+    stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+    return f"# generated {stamp}\n"
+
+
 def write_scan_csv(report: ScanReport, path=None,
                    include_timestamp: bool = True) -> str:
     """Render a scan report as CSV; optionally write it to ``path``."""
     buf = io.StringIO()
-    if include_timestamp:
-        stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-        buf.write(f"# generated {stamp}\n")
+    buf.write(timestamp_header(include_timestamp))
     buf.write(f"# base_stage={report.base_stage} top_stage={report.top_stage} "
               f"tol={report.tol:.6g}\n")
     buf.write("m,id,count,normalized,delta,boundary_loss,best_match_word\n")

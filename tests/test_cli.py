@@ -1,18 +1,28 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rankone
 from rankone.cli import main
 from rankone.construction import params_from_json
 
+# the directory holding the imported package, so a subprocess started in any
+# working directory imports the same code
+SRC_DIR = str(Path(rankone.__file__).resolve().parent.parent)
+
 
 def run_cli(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "rankone.cli", *args],
-        capture_output=True, text=True, cwd=cwd)
+        capture_output=True, text=True, cwd=cwd, env=env)
 
 
 # --- build --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from rankone.construction import (
     heights,
     params_from_json,
     params_to_json,
+    recheck_gates,
     sample_spacers,
     truncate_admissible,
     validate_params,
@@ -161,6 +163,23 @@ def test_expand_rejects_bad_stage_range():
         expand_occupancy(params, 3, 2)
 
 
+@pytest.mark.parametrize("h1, int64", [(1, True), (2 ** 62, False)])
+def test_pair_shift_count_matches_all_pairs(h1, int64):
+    """Pair counts equal a brute-force tally over all copy-start pairs."""
+    occ = expand_occupancy(gen_example("two-column", 6, h1=h1), 1, 6)
+    assert occ.n_copies == 32 and occ.uses_int64 is int64
+    assert occ.window.bit_length() == (12 if int64 else 74)
+    starts = [int(s) for s in occ.copy_starts]
+    diffs = Counter(b - a for a in starts for b in starts)
+    for k, n in diffs.items():
+        assert occ.pair_shift_count(k) == n
+    near = {k + d for k in diffs for d in (-1, 1)} | {occ.window - 1, occ.window}
+    empty = sorted(near - set(diffs), key=abs)
+    assert len(empty) > 20
+    for k in empty:
+        assert occ.pair_shift_count(k) == occ.pair_shift_count(-k) == 0
+
+
 # --- spacer sampling and the frequency gate ----------------------------------
 
 def test_sample_spacers_regression_pin():
@@ -257,6 +276,14 @@ def test_apply_sidon_cap_clamps_and_flags():
     assert not out.conforming
 
 
+def test_apply_sidon_low_mass_tail_joins_the_chain():
+    out = apply_sidon([0] * 8, 3, 5, mass=F(1, 2))
+    assert out.tail_from == 5
+    assert out.indices == (3, 5, 6, 7, 8)
+    assert out.spacers == (0, 0, 16, 0, 49, 148, 445, 1336)
+    assert apply_sidon([0] * 8, 3, 5).tail_from is None
+
+
 # --- generated constructions ---------------------------------------------------
 
 def test_gen_p_construction_deterministic():
@@ -295,6 +322,14 @@ def test_gen_p_construction_low_mass_marks_upper_half():
         assert set(range(tail, r + 1)) <= set(rec["sidon_indices"])
 
 
+def test_recheck_gates_on_generated_and_example_builds():
+    params = gen_p_construction([P({0: F(1, 4), 1: F(1, 4)})], 4, seed=1)
+    checks = recheck_gates(params)
+    assert [j for j, _ in checks] == [1, 2, 3]
+    assert all(rep.passed for _, rep in checks)
+    assert recheck_gates(gen_example("two-column", 4)) == []
+
+
 def test_gen_p_construction_failure_carries_report():
     policy_fail = F(1, 10 ** 6)
     with pytest.raises(GenerationError) as exc:
@@ -328,3 +363,10 @@ def test_json_roundtrip_with_big_integers():
     assert back == params
     assert back.meta == params.meta
     assert heights(back) == heights(params)
+
+
+def test_json_meta_keeps_digit_strings():
+    meta = {"note": "12345678901234567", "h1": 2 ** 62}
+    params = ConstructionParams(2 ** 62, (StageParams(2, (0, 1)),), meta)
+    back = params_from_json(params_to_json(params))
+    assert back.meta == meta  # the digit string stays a string

@@ -25,6 +25,7 @@ series coefficients at later stages.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -131,31 +132,52 @@ def heights(params: ConstructionParams) -> list[int]:
 # Occupancy: where the base-stage levels sit inside a taller tower
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelOccupancy:
     """Sparse labeling of the stage-J tower by stage-j0 levels.
 
     Every copy of the stage-j0 tower occupies ``base_height`` consecutive
-    positions starting at one of ``copy_starts``; label b therefore sits at
+    positions starting at a copy start; label b therefore sits at
     ``copy_starts + b``.  Positions not covered by any copy are spacers.
-    ``copy_starts`` is strictly increasing with gaps >= base_height, which
-    keeps the per-label position lists sorted and disjoint.
+
+    The copy starts are the mixed-radix sumset ``sum_j O_j[i_j]`` of the
+    per-stage offsets in ``stage_offsets`` (base stage first), so they are
+    stored as those offsets alone: O(sum r_j) numbers for prod r_j copies.
+    ``copy_starts`` materializes the sumset, strictly increasing with gaps
+    >= base_height, only when something reads it.  Offsets are stored as
+    int64 while the window is below 2**62 and as Python ints (object arrays)
+    beyond.  Instances compare by identity.
     """
 
     base_stage: int
     top_stage: int
     base_height: int
     window: int
-    copy_starts: object  # np.ndarray (int64 path) or tuple[int, ...]
-    _pair_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    stage_offsets: tuple  # tuple[np.ndarray, ...], one per composed stage
+    _pair_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        dtype = np.int64 if self.uses_int64 else object
+        object.__setattr__(self, "stage_offsets", tuple(
+            np.asarray(offs, dtype=dtype) for offs in self.stage_offsets))
 
     @property
     def uses_int64(self) -> bool:
-        return isinstance(self.copy_starts, np.ndarray)
+        return self.window < _INT64_SAFE_WINDOW
 
     @property
     def n_copies(self) -> int:
-        return len(self.copy_starts)
+        return math.prod(offs.size for offs in self.stage_offsets)
+
+    @cached_property
+    def copy_starts(self):
+        """Every copy start, increasing: an int64 array, or a tuple of ints past 2**62."""
+        starts = np.zeros(1, dtype=np.int64 if self.uses_int64 else object)
+        for offs in self.stage_offsets:
+            # offset-major order keeps the result sorted: gaps between
+            # consecutive offsets are >= h_j while lower starts stay below h_j
+            starts = (offs[:, None] + starts[None, :]).ravel()
+        return starts if self.uses_int64 else tuple(starts.tolist())
 
     def positions(self, label: int):
         """Strictly increasing positions of base label ``label``."""
@@ -174,79 +196,81 @@ class LevelOccupancy:
     # The number of copy-start pairs (s, s') with s' - s = k determines every
     # level correlation: positions of label b are copy_starts + b, so
     # |positions(b) ∩ (positions(a) + d)| = pair_shift_count(b - a - d) ... the
-    # callers in weaktop assemble those. Counting is exact on both paths.
+    # callers in weaktop assemble those.
+    #
+    # Let S_L be the starts of the lowest L composed stages (S_0 = {0}); they
+    # lie in [0, reach_L].  A start of S_L is O_L[i] + t with t in S_{L-1},
+    # uniquely, because consecutive offsets differ by more than reach_{L-1}.
+    # Hence count_L(k) = sum over offset pairs (i, i') with
+    # |k - (O_L[i'] - O_L[i])| <= reach_{L-1} of count_{L-1}(k - O_L[i'] + O_L[i]),
+    # with count_0(k) = [k == 0] and count_L(-k) = count_L(k).  Each level
+    # memoizes on |k|; the top level's memo is the pair cache.
 
     def pair_shift_count(self, k: int) -> int:
+        """Number of copy-start pairs (s, s') with s' - s = k, exact."""
+        k = abs(int(k))
         if k == 0:
             return self.n_copies
-        if abs(k) >= self.window:
+        if k >= self.window:
             return 0
         cached = self._pair_cache.get(k)
         if cached is not None:
             return cached
-        count = self._count_pairs(k)
-        self._pair_cache[k] = count
-        return count
-
-    @cached_property
-    def _start_set(self) -> frozenset:
-        return frozenset(self.copy_starts)
+        return self._count_pairs(k)
 
     def _count_pairs(self, k: int) -> int:
-        if self.uses_int64:
-            starts = self.copy_starts
-            shifted = starts + np.int64(k)  # |k| < window < 2^62: no overflow
-            idx = np.searchsorted(starts, shifted)
-            valid = idx < starts.size
-            return int(np.count_nonzero(starts[idx[valid]] == shifted[valid]))
-        start_set = self._start_set
-        return sum(1 for s in self.copy_starts if s + k in start_set)
+        return self._level_count(len(self.stage_offsets), abs(k))
+
+    @cached_property
+    def _reach(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(
+            (int(offs[-1]) for offs in self.stage_offsets), initial=0))
+
+    @cached_property
+    def _memos(self) -> tuple[dict, ...]:
+        lower = tuple({} for _ in self.stage_offsets[1:])
+        return lower + (self._pair_cache,) if self.stage_offsets else ()
+
+    def _level_count(self, level: int, k: int) -> int:
+        """count_level(k) for k >= 0, through the per-level memos."""
+        if level == 0:
+            return int(k == 0)
+        if k > self._reach[level]:
+            return 0
+        memo = self._memos[level - 1]
+        count = memo.get(k)
+        if count is not None:
+            return count
+        offs = self.stage_offsets[level - 1]
+        below = self._reach[level - 1]
+        # for each i, the targets i' in [lo, hi) leave a residual in [-below, below]
+        # (no int64 overflow: offs + k + below < 2 * window <= 2**63)
+        lo = np.searchsorted(offs, offs + (k - below))
+        hi = np.searchsorted(offs, offs + (k + below), side="right")
+        lens = hi - lo
+        src = np.repeat(np.arange(offs.size), lens)
+        tgt = np.arange(src.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        residuals, mult = np.unique(k - (offs[tgt] - offs[src]), return_counts=True)
+        count = sum(m * self._level_count(level - 1, abs(d))
+                    for d, m in zip(residuals.tolist(), mult.tolist()))
+        memo[k] = count
+        return count
 
     def warm_shift_window(self, center: int, radius: int) -> None:
-        """Precompute pair counts for every k in [center-radius, center+radius].
-
-        One batched pass (two sorted searches plus a ragged gather) fills the
-        cache for the whole window, including zero counts, so scans that probe
-        many nearby shifts touch the position array once per window.  No-op on
-        the exact-integer path, where counts stay per-shift.
-        """
-        if not self.uses_int64 or radius < 0:
-            return
-        center = int(center)
-        lo, hi = center - radius, center + radius
-        if lo > self.window or hi < -self.window:
-            for k in range(lo, hi + 1):
-                self._pair_cache.setdefault(k, 0)
-            return
-        starts = self.copy_starts
-        counts = np.zeros(2 * radius + 1, dtype=np.int64)
-        i_lo = np.searchsorted(starts, starts + np.int64(lo))
-        i_hi = np.searchsorted(starts, starts + np.int64(hi), side="right")
-        lens = i_hi - i_lo
-        mask = lens > 0
-        if mask.any():
-            lens = lens[mask]
-            total = int(lens.sum())
-            # ragged gather: for source copy s, matched targets starts[i_lo:i_hi]
-            flat = np.repeat(i_lo[mask], lens) + (
-                np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens))
-            offsets = starts[flat] - np.repeat(starts[mask], lens) - np.int64(center)
-            counts = np.bincount(offsets + radius, minlength=2 * radius + 1)
-        for d in range(-radius, radius + 1):
-            k = center + d
-            if k == 0:
-                continue
-            self._pair_cache.setdefault(k, int(counts[d + radius]))
+        """Fill the pair cache for every k in [center-radius, center+radius]."""
+        for k in range(int(center) - radius, int(center) + radius + 1):
+            self.pair_shift_count(k)
 
 
 def expand_occupancy(params: ConstructionParams, base_stage: int,
                      top_stage: int) -> LevelOccupancy:
-    """Compose per-stage copy offsets from base_stage up to top_stage.
+    """Per-stage copy offsets from base_stage up to top_stage.
 
     Within one stage j -> j+1, copy i of the stage-j tower starts at O_i with
     O_1 = 0 and O_{i+1} = O_i + h_j + s_j(i); composing those offset maps
     across stages gives every copy start of the base tower inside the top
-    tower.  The result has exactly prod(r_j, j = base..top-1) copies.
+    tower.  The result has exactly prod(r_j, j = base..top-1) copies, but
+    holds only the sum(r_j) offsets until ``copy_starts`` is read.
     """
     n = len(params.stages)
     if not (1 <= base_stage <= top_stage <= n + 1):
@@ -256,30 +280,11 @@ def expand_occupancy(params: ConstructionParams, base_stage: int,
     window = hs[top_stage - 1]
     base_height = hs[base_stage - 1]
 
-    if window < _INT64_SAFE_WINDOW:
-        starts = np.zeros(1, dtype=np.int64)
-        for j in range(base_stage, top_stage):
-            st = params.stages[j - 1]
-            offs = np.empty(st.r, dtype=np.int64)
-            acc = 0
-            for i in range(st.r):
-                offs[i] = acc
-                acc += hs[j - 1] + st.spacers[i]
-            # offset-major order keeps the result sorted: gaps between
-            # consecutive offsets are >= h_j while starts stay below h_j
-            starts = (offs[:, None] + starts[None, :]).ravel()
-        return LevelOccupancy(base_stage, top_stage, base_height, window, starts)
-
-    starts = [0]
-    for j in range(base_stage, top_stage):
-        st = params.stages[j - 1]
-        offs = []
-        acc = 0
-        for i in range(st.r):
-            offs.append(acc)
-            acc += hs[j - 1] + st.spacers[i]
-        starts = [o + s for o in offs for s in starts]
-    return LevelOccupancy(base_stage, top_stage, base_height, window, tuple(starts))
+    stage_offsets = tuple(
+        list(itertools.accumulate(
+            (hs[j - 1] + s for s in params.stages[j - 1].spacers[:-1]), initial=0))
+        for j in range(base_stage, top_stage))
+    return LevelOccupancy(base_stage, top_stage, base_height, window, stage_offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Everything here is exact integer combinatorics on the sparse occupancy
 representation.  The correlation of two label sets under a shift reduces to
-counting copy-start pairs at prescribed differences, so a shift probe costs
-a handful of sorted-array intersections regardless of the tower height.
+counting copy-start pairs at prescribed differences.  The occupancy counts
+each difference by a memoized recursion over its per-stage offsets, so a
+shift probe makes numpy passes over the r_j offsets of each stage rather
+than over the prod r_j copy starts, and no copy start is materialized.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -178,19 +180,13 @@ class DiscrepancyReport:
     rows: tuple[PairRow, ...]
 
 
-def _panel_span(panel: CorrelationPanel) -> int:
-    return max(abs(a - b) for A, B in panel.pairs for a in A for b in B)
-
-
 def _panel_profile(occ: LevelOccupancy, m: int,
                    panel: CorrelationPanel) -> list[Fraction]:
-    occ.warm_shift_window(m, _panel_span(panel))
     return [corr(occ, m, A, B).normalized_exact for A, B in panel.pairs]
 
 
 def _panel_model(occ: LevelOccupancy, Q: FormalElement,
                  panel: CorrelationPanel) -> list[Fraction]:
-    occ.warm_shift_window(0, _panel_span(panel) + Q.max_abs_exponent)
     out = []
     for A, B in panel.pairs:
         acc = Fraction(0)
@@ -232,7 +228,6 @@ def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
     """
     _check_support(occ, Q)
     A = _label_set(A)
-    occ.warm_shift_window(0, 2 * Q.max_abs_exponent + max(A) - min(A))
     acc = Fraction(0)
     for z, qz in Q.coeffs:
         for w, qw in Q.coeffs:

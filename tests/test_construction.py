@@ -180,6 +180,26 @@ def test_pair_shift_count_matches_all_pairs(h1, int64):
         assert occ.pair_shift_count(k) == occ.pair_shift_count(-k) == 0
 
 
+def test_occupancies_compare_by_identity():
+    params = gen_example("two-column", 4)
+    occ = expand_occupancy(params, 1, 3)
+    assert occ == occ and occ != expand_occupancy(params, 1, 3)
+
+
+def test_uncapped_stage_seven_counts_without_materializing():
+    """67,108,864 copies in an 870-bit window, counted from 1,664 offsets."""
+    params = gen_p_construction([P()], J=7, seed=0,
+                                eps_schedule=lambda j: F(2, j + 1))
+    occ = expand_occupancy(params, 4, 7)
+    assert occ.n_copies == 67_108_864 and occ.window.bit_length() == 870
+    assert not occ.uses_int64
+    h5, h6 = heights(params)[4:6]
+    assert occ.pair_shift_count(0) == occ.n_copies
+    for k in (h6, 2 * h6, h6 + h5):
+        assert occ.pair_shift_count(-k) == occ.pair_shift_count(k) > 0
+    assert "copy_starts" not in occ.__dict__
+
+
 # --- spacer sampling and the frequency gate ----------------------------------
 
 def test_sample_spacers_regression_pin():

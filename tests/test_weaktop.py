@@ -95,14 +95,15 @@ def test_corr_rejects_out_of_range_labels():
 
 
 def test_warm_window_matches_scalar_counts(small_build):
+    """Warmed counts equal an all-pairs tally over the materialized starts."""
     _, _, occ = small_build
     center = 54321
     occ.warm_shift_window(center, 40)
-    fresh = expand_occupancy(
-        gen_p_construction([coin()], 4, seed=3,
-                           sidon_policy=SidonPolicy(cap=4099)), 2, 4)
+    starts = occ.copy_starts
     for d in range(-40, 41):
-        assert occ.pair_shift_count(center + d) == fresh.pair_shift_count(center + d)
+        k = center + d
+        expected = int(np.intersect1d(starts, starts + k, assume_unique=True).size)
+        assert occ.pair_shift_count(k) == expected
 
 
 # --- panel discrepancies -------------------------------------------------------
@@ -237,6 +238,21 @@ def test_scan_identifies_trivial_shifts(small_build):
     assert rep.entry(1).best_word == "T" and rep.entry(1).best_delta == 0
     assert rep.entry(-1).best_word == "T^-1"
     assert rep.passed
+
+
+def test_counting_never_materializes_copy_starts():
+    params = gen_p_construction([coin()], 4, seed=3,
+                                sidon_policy=SidonPolicy(cap=4099))
+    hs = heights(params)
+    occ = expand_occupancy(params, 2, 4)
+    panel = default_panel(occ)
+    sg = enumerate_semigroup(generator_series(params), 1, 1)
+    scan_limits(occ, hs, sg, [hs[-2], -hs[-2] + 1], tol=F(1, 4), panel=panel,
+                params=params)
+    gen = FormalElement.from_series(generator_series(params)[0])
+    weak_discrepancy(occ, -hs[-2], gen, panel)
+    assert occ._pair_cache
+    assert "copy_starts" not in occ.__dict__
 
 
 def test_scan_matches_late_stage_powers(small_build):

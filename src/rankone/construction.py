@@ -63,6 +63,9 @@ __all__ = [
 # Positions are kept in numpy int64 while every coordinate stays below this;
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
+# Elements of the (rows x offsets) search arrays, and of the summed rows, that
+# one step of a window query holds at once; this caps its temporary memory.
+_WINDOW_BLOCK = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
 
 
@@ -157,9 +160,8 @@ class LevelOccupancy:
     _pair_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        dtype = np.int64 if self.uses_int64 else object
         object.__setattr__(self, "stage_offsets", tuple(
-            np.asarray(offs, dtype=dtype) for offs in self.stage_offsets))
+            np.asarray(offs, dtype=self._dtype) for offs in self.stage_offsets))
 
     @property
     def uses_int64(self) -> bool:
@@ -172,7 +174,7 @@ class LevelOccupancy:
     @cached_property
     def copy_starts(self):
         """Every copy start, increasing: an int64 array, or a tuple of ints past 2**62."""
-        starts = np.zeros(1, dtype=np.int64 if self.uses_int64 else object)
+        starts = np.zeros(1, dtype=self._dtype)
         for offs in self.stage_offsets:
             # offset-major order keeps the result sorted: gaps between
             # consecutive offsets are >= h_j while lower starts stay below h_j
@@ -203,63 +205,110 @@ class LevelOccupancy:
     # uniquely, because consecutive offsets differ by more than reach_{L-1}.
     # Hence count_L(k) = sum over offset pairs (i, i') with
     # |k - (O_L[i'] - O_L[i])| <= reach_{L-1} of count_{L-1}(k - O_L[i'] + O_L[i]),
-    # with count_0(k) = [k == 0] and count_L(-k) = count_L(k).  Each level
-    # memoizes on |k|; the top level's memo is the pair cache.
+    # with count_0(k) = [k == 0].  A window query evaluates this for a whole
+    # row of differences at once: level L takes rows starting at c_1 < c_2 < ...,
+    # all of one width, gathers every offset pair that reaches any of them,
+    # merges the residual starts c - (O_L[i'] - O_L[i]) across all rows and
+    # recurses once on those, then sums the returned rows by multiplicity.
+    # Only the top-level results are kept, in the pair cache keyed on |k|
+    # (count_L(-k) = count_L(k)).
 
     def pair_shift_count(self, k: int) -> int:
         """Number of copy-start pairs (s, s') with s' - s = k, exact."""
-        k = abs(int(k))
-        if k == 0:
-            return self.n_copies
-        if k >= self.window:
-            return 0
-        cached = self._pair_cache.get(k)
+        cached = self._pair_cache.get(abs(int(k)))
         if cached is not None:
             return cached
         return self._count_pairs(k)
 
     def _count_pairs(self, k: int) -> int:
-        return self._level_count(len(self.stage_offsets), abs(k))
+        return self.pair_shift_window(k, k)[0]
+
+    def pair_shift_window(self, lo: int, hi: int) -> list[int]:
+        """pair_shift_count(k) for every k in [lo, hi], from one recursion.
+
+        Differences already in the pair cache at either end of the window
+        are not recounted; every count lands in the cache.
+        """
+        lo, hi = int(lo), int(hi)
+        cache = self._pair_cache
+        a, b = lo, hi
+        while a <= b and abs(a) in cache:
+            a += 1
+        while b >= a and abs(b) in cache:
+            b -= 1
+        if a <= b:
+            # no two starts differ by more than the top reach
+            reach = self._reach[-1]
+            a_in, b_in = max(a, -reach), min(b, reach)
+            row = [0] * (b - a + 1)
+            if a_in <= b_in:
+                row[a_in - a:b_in - a + 1] = self._window_rows(
+                    len(self.stage_offsets), np.array([a_in], dtype=self._dtype),
+                    b_in - a_in + 1)[0].tolist()
+            for k, n in zip(range(a, b + 1), row):
+                cache[abs(k)] = n
+        return [cache[abs(k)] for k in range(lo, hi + 1)]
+
+    @cached_property
+    def _dtype(self):
+        return np.int64 if self.uses_int64 else object
 
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(
             (int(offs[-1]) for offs in self.stage_offsets), initial=0))
 
-    @cached_property
-    def _memos(self) -> tuple[dict, ...]:
-        lower = tuple({} for _ in self.stage_offsets[1:])
-        return lower + (self._pair_cache,) if self.stage_offsets else ()
+    def _window_rows(self, level: int, starts: np.ndarray, width: int) -> np.ndarray:
+        """rows[c, t] = count_level(starts[c] + t) for t in [0, width), exact.
 
-    def _level_count(self, level: int, k: int) -> int:
-        """count_level(k) for k >= 0, through the per-level memos."""
+        ``starts`` is sorted and unique, and each row meets
+        [-reach_level, reach_level].  Counts never exceed n_copies, so int64
+        rows are exact whenever the offsets are int64.
+        """
+        rows = np.zeros((starts.size, width), dtype=self._dtype)
         if level == 0:
-            return int(k == 0)
-        if k > self._reach[level]:
-            return 0
-        memo = self._memos[level - 1]
-        count = memo.get(k)
-        if count is not None:
-            return count
+            t = -starts
+            hit = np.flatnonzero((t >= 0) & (t < width))
+            rows[hit, t[hit].astype(np.int64)] = 1
+            return rows
         offs = self.stage_offsets[level - 1]
-        below = self._reach[level - 1]
-        # for each i, the targets i' in [lo, hi) leave a residual in [-below, below]
-        # (no int64 overflow: offs + k + below < 2 * window <= 2**63)
-        lo = np.searchsorted(offs, offs + (k - below))
-        hi = np.searchsorted(offs, offs + (k + below), side="right")
-        lens = hi - lo
-        src = np.repeat(np.arange(offs.size), lens)
-        tgt = np.arange(src.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-        residuals, mult = np.unique(k - (offs[tgt] - offs[src]), return_counts=True)
-        count = sum(m * self._level_count(level - 1, abs(d))
-                    for d, m in zip(residuals.tolist(), mult.tolist()))
-        memo[k] = count
-        return count
+        reach, below = self._reach[level], self._reach[level - 1]
+        row_idx, residual = [], []
+        step = max(1, _WINDOW_BLOCK // offs.size)
+        for first in range(0, starts.size, step):
+            blk = starts[first:first + step]
+            # clip each row to [-reach, reach], where the counts live; the top
+            # row's width is at most 2 * reach + 1, so every int64 value below
+            # stays within [-2 * reach, 2 * reach] and cannot wrap
+            row_lo = np.maximum(blk, -reach) - below
+            row_hi = np.minimum(blk, reach - width + 1) + (width - 1) + below
+            # for each (row, i), the targets i' in [lo, hi) leave a residual
+            # row that meets [-below, below]
+            lo = np.searchsorted(offs, (offs[None, :] + row_lo[:, None]).ravel())
+            hi = np.searchsorted(offs, (offs[None, :] + row_hi[:, None]).ravel(),
+                                 side="right")
+            lens = hi - lo
+            src = np.repeat(np.arange(lens.size), lens)
+            tgt = np.arange(src.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+            row_idx.append(first + src // offs.size)
+            residual.append(blk[src // offs.size] - (offs[tgt] - offs[src % offs.size]))
+        residual = np.concatenate(residual)
+        if residual.size == 0:
+            return rows
+        sub_starts, inv = np.unique(residual, return_inverse=True)
+        keys, mult = np.unique(np.concatenate(row_idx) * sub_starts.size + inv,
+                               return_counts=True)
+        sub = self._window_rows(level - 1, sub_starts, width)
+        step = max(1, _WINDOW_BLOCK // width)
+        for first in range(0, keys.size, step):
+            part = keys[first:first + step]
+            np.add.at(rows, part // sub_starts.size,
+                      mult[first:first + step, None] * sub[part % sub_starts.size])
+        return rows
 
     def warm_shift_window(self, center: int, radius: int) -> None:
         """Fill the pair cache for every k in [center-radius, center+radius]."""
-        for k in range(int(center) - radius, int(center) + radius + 1):
-            self.pair_shift_count(k)
+        self.pair_shift_window(int(center) - radius, int(center) + radius)
 
 
 def expand_occupancy(params: ConstructionParams, base_stage: int,

@@ -2,10 +2,13 @@
 
 Everything here is exact integer combinatorics on the sparse occupancy
 representation.  The correlation of two label sets under a shift reduces to
-counting copy-start pairs at prescribed differences.  The occupancy counts
-each difference by a memoized recursion over its per-stage offsets, so a
-shift probe makes numpy passes over the r_j offsets of each stage rather
-than over the prod r_j copy starts, and no copy start is materialized.
+counting copy-start pairs at prescribed differences.  A shift m probes the
+differences m + a - b of its panel pairs, so each shift asks the occupancy
+for one window [m + min(a - b), m + max(a - b)] of counts, and each model
+element one window over its support; the occupancy answers a window with a
+single recursion over its per-stage offsets (numpy passes over the r_j
+offsets of each stage, never over the prod r_j copy starts, none of which
+is materialized), and the correlations then read its pair cache.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -124,6 +127,16 @@ class CorrelationPanel:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    @property
+    def diff_range(self) -> tuple[int, int]:
+        """Smallest and largest a - b over a in A, b in B of every pair.
+
+        A shift m probes copy-start differences m + a - b, so its panel is one
+        window [m + lo, m + hi] of pair counts.
+        """
+        diffs = [a - b for A, B in self.pairs for a in A for b in B]
+        return min(diffs), max(diffs)
+
 
 def default_panel(occ: LevelOccupancy, span: int = 6,
                   controls: Sequence[int] = (97,),
@@ -182,11 +195,16 @@ class DiscrepancyReport:
 
 def _panel_profile(occ: LevelOccupancy, m: int,
                    panel: CorrelationPanel) -> list[Fraction]:
+    lo, hi = panel.diff_range
+    occ.pair_shift_window(m + lo, m + hi)
     return [corr(occ, m, A, B).normalized_exact for A, B in panel.pairs]
 
 
 def _panel_model(occ: LevelOccupancy, Q: FormalElement,
                  panel: CorrelationPanel) -> list[Fraction]:
+    if Q.coeffs:
+        lo, hi = panel.diff_range
+        occ.pair_shift_window(Q.coeffs[0][0] + lo, Q.coeffs[-1][0] + hi)
     out = []
     for A, B in panel.pairs:
         acc = Fraction(0)
@@ -228,6 +246,9 @@ def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
     """
     _check_support(occ, Q)
     A = _label_set(A)
+    if Q.coeffs:
+        spread = Q.coeffs[-1][0] - Q.coeffs[0][0] + A[-1] - A[0]
+        occ.pair_shift_window(-spread, spread)
     acc = Fraction(0)
     for z, qz in Q.coeffs:
         for w, qw in Q.coeffs:
@@ -450,7 +471,8 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
         scored = []
         for el, model in zip(semigroup, models):
             d_raw = max(abs(p - v) for p, v in zip(profile, model))
-            d_cor = max(abs(p - v) for p, v in zip(corrected, model))
+            d_cor = d_raw if factor == 1 else max(
+                abs(p - v) for p, v in zip(corrected, model))
             scored.append((d_cor, d_raw, el, model))
         scored.sort(key=lambda t: (t[0], t[1], t[2].word))
         d_cor, d_raw, best, best_model = scored[0]

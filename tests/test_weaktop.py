@@ -5,6 +5,7 @@ import pytest
 
 from rankone.construction import (
     ConstructionParams,
+    LevelOccupancy,
     SidonPolicy,
     StageParams,
     expand_occupancy,
@@ -253,6 +254,33 @@ def test_counting_never_materializes_copy_starts():
     weak_discrepancy(occ, -hs[-2], gen, panel)
     assert occ._pair_cache
     assert "copy_starts" not in occ.__dict__
+
+
+def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
+    """One pair-count window per semigroup element, then one per gap shift.
+
+    Counting each difference of a shift's panel on its own would add a
+    width-1 query per difference.
+    """
+    params, hs, _ = small_build
+    occ = expand_occupancy(params, 2, 4)
+    panel = default_panel(occ)
+    sg = enumerate_semigroup(generator_series(params), 2, 1)
+    gaps = sample_gap_shifts(hs, 6, rng_seed=5, lo=hs[2], hi=hs[3] // 2,
+                             extra_lattice=(4099,))
+    calls = []
+    window = LevelOccupancy.pair_shift_window
+
+    def counting_window(self, lo, hi):
+        calls.append((lo, hi))
+        return window(self, lo, hi)
+
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
+    rep = scan_limits(occ, hs, sg, gaps, tol=0.1, panel=panel, params=params)
+    lo, hi = panel.diff_range
+    models = [(el.coeffs[0][0] + lo, el.coeffs[-1][0] + hi) for el in sg if el.coeffs]
+    assert calls == models + [(m + lo, m + hi) for m in gaps]
+    assert all(e.best_word == "0" for e in rep.entries)
 
 
 def test_scan_matches_late_stage_powers(small_build):

@@ -13,6 +13,7 @@ and all tolerances are written out literally below.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -139,9 +140,30 @@ def twogen_build(cache: dict | None = None):
 # the nine checks
 # ---------------------------------------------------------------------------
 
-def check_height_recurrence(cache: dict | None = None) -> CriterionResult:
+CRITERIA: dict[str, Callable[[dict | None], CriterionResult]] = {}
+
+
+def _criterion(name: str, budget_s: float):
+    """Register a check under ``name``, timed and held to ``budget_s`` seconds.
+
+    The decorated body returns (ok, detail); the registered check returns a
+    :class:`CriterionResult` that passes when ok and within budget.
+    """
+    def register(body: Callable[[dict | None], tuple[bool, str]]):
+        @functools.wraps(body)
+        def check(cache: dict | None = None) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail = body(cache)
+            dt = time.perf_counter() - t0
+            return CriterionResult(name, ok and dt < budget_s, detail, dt, budget_s)
+        CRITERIA[name] = check
+        return check
+    return register
+
+
+@_criterion("height-recurrence", 1.0)
+def check_height_recurrence(cache: dict | None = None) -> tuple[bool, str]:
     """1: heights follow the stacking recurrence exactly on random input."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260814)
     n_sets, bad = 200, 0
     for _ in range(n_sets):
@@ -161,15 +183,12 @@ def check_height_recurrence(cache: dict | None = None) -> CriterionResult:
             expect.append(h)
         if got != expect:
             bad += 1
-    dt = time.perf_counter() - t0
-    ok = bad == 0 and dt < 1.0
-    return CriterionResult(
-        "height-recurrence", ok,
-        f"{n_sets - bad}/{n_sets} random parameter sets satisfy "
-        f"h_next = h*r + sum(spacers) exactly", dt, 1.0)
+    return bad == 0, (f"{n_sets - bad}/{n_sets} random parameter sets satisfy "
+                      f"h_next = h*r + sum(spacers) exactly")
 
 
-def check_level_return_identities(cache: dict | None = None) -> CriterionResult:
+@_criterion("level-returns", 10.0)
+def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]:
     """2: mix-identity family, exact disjointness and return fractions.
 
     On the J=5 member with column counts (3,4,5,6) and base stage 2:
@@ -178,7 +197,6 @@ def check_level_return_identities(cache: dict | None = None) -> CriterionResult:
     shifting by two tower heights returns at least 1 - 1/r_j - 2*boundary
     loss of each level to itself.
     """
-    t0 = time.perf_counter()
     params = gen_example("mix-identity", 5)
     hs = heights(params)
     occ = expand_occupancy(params, 2, 5)
@@ -209,16 +227,13 @@ def check_level_return_identities(cache: dict | None = None) -> CriterionResult:
                     worst_ret_margin = margin
                 if v < floor:
                     ok = False
-    dt = time.perf_counter() - t0
-    ok = ok and dt < 10.0
-    return CriterionResult(
-        "level-returns", ok,
+    return ok, (
         f"{n_pairs} disjointness pairs, worst correlation {float(worst_disj):.4f}; "
-        f"worst return margin {float(worst_ret_margin):+.4f} over floor 1-1/r-2*bloss",
-        dt, 10.0)
+        f"worst return margin {float(worst_ret_margin):+.4f} over floor 1-1/r-2*bloss")
 
 
-def check_frequency_gate(cache: dict | None = None) -> CriterionResult:
+@_criterion("frequency-gate", 60.0)
+def check_frequency_gate(cache: dict | None = None) -> tuple[bool, str]:
     """3: pre-override draws re-pass the per-stage frequency gate.
 
     Twenty seeded J=6 builds of the (1/2, 1/2) construction with the
@@ -228,7 +243,6 @@ def check_frequency_gate(cache: dict | None = None) -> CriterionResult:
     verify_frequencies at every stage.  At least 18/20 must pass;
     the pinned seed 0 must be among them.
     """
-    t0 = time.perf_counter()
     P = _coin()
     n_pass = 0
     seed0_ok = False
@@ -241,23 +255,19 @@ def check_frequency_gate(cache: dict | None = None) -> CriterionResult:
             n_pass += 1
             if seed == 0:
                 seed0_ok = True
-    dt = time.perf_counter() - t0
-    ok = n_pass >= 18 and seed0_ok and dt < 60.0
-    return CriterionResult(
-        "frequency-gate", ok,
+    return n_pass >= 18 and seed0_ok, (
         f"{n_pass}/20 seeds rebuild and re-pass the stage gates "
-        f"(eps_j = 1/(j+1), order min(j,4)); seed 0 {'ok' if seed0_ok else 'FAILED'}",
-        dt, 60.0)
+        f"(eps_j = 1/(j+1), order min(j,4)); seed 0 {'ok' if seed0_ok else 'FAILED'}")
 
 
-def check_single_power_limits(cache: dict | None = None) -> CriterionResult:
+@_criterion("single-power-limits", 120.0)
+def check_single_power_limits(cache: dict | None = None) -> tuple[bool, str]:
     """4: T^{-m h_j} tracks P(T)^m and T^{+m h_j} tracks P(T*)^m.
 
     Capped build, the two largest expanded stages (4 and 5), m = 1 and 2,
     both shift signs.  The panel discrepancy must stay below the build's
     own stage gate tolerance plus three boundary losses.
     """
-    t0 = time.perf_counter()
     params, hs, occ = capped_build(cache)
     panel = default_panel(occ)
     gen = FormalElement.from_series(generator_series(params)[0])
@@ -279,15 +289,12 @@ def check_single_power_limits(cache: dict | None = None) -> CriterionResult:
                     worst, worst_tag = gap, f"m={sign * m_abs}*h{j} vs {Q.word}"
                 if rep.delta >= tol:
                     ok = False
-    dt = time.perf_counter() - t0
-    ok = ok and dt < 120.0
-    return CriterionResult(
-        "single-power-limits", ok,
-        f"8 shift/power pairs on stages 4,5; worst delta/tol = {worst:.3f} "
-        f"({worst_tag})", dt, 120.0)
+    return ok, (f"8 shift/power pairs on stages 4,5; worst delta/tol = {worst:.3f} "
+                f"({worst_tag})")
 
 
-def check_gap_shifts(cache: dict | None = None) -> CriterionResult:
+@_criterion("gap-shifts", 120.0)
+def check_gap_shifts(cache: dict | None = None) -> tuple[bool, str]:
     """5: shifts away from the height lattice match the zero element.
 
     32 rejection-sampled gap shifts per tested stage (4 and 5) on the
@@ -295,7 +302,6 @@ def check_gap_shifts(cache: dict | None = None) -> CriterionResult:
     with discrepancy below 0.1.  The rejection lattice includes the
     spacer cap so cap-echo alignments are excluded too.
     """
-    t0 = time.perf_counter()
     params, hs, occ = capped_build(cache)
     panel = default_panel(occ)
     gen = generator_series(params)[0]
@@ -313,15 +319,12 @@ def check_gap_shifts(cache: dict | None = None) -> CriterionResult:
             if e.best_word == "0" and e.best_delta < 0.1:
                 n_zero += 1
             worst = max(worst, e.best_delta)
-    dt = time.perf_counter() - t0
-    ok = n_zero == 64 and dt < 120.0
-    return CriterionResult(
-        "gap-shifts", ok,
-        f"{n_zero}/64 gap shifts best-match the zero element; "
-        f"worst delta {worst:.4f} (< 0.1)", dt, 120.0)
+    return n_zero == 64, (f"{n_zero}/64 gap shifts best-match the zero element; "
+                          f"worst delta {worst:.4f} (< 0.1)")
 
 
-def check_strong_decay(cache: dict | None = None) -> CriterionResult:
+@_criterion("strong-decay", 60.0)
+def check_strong_decay(cache: dict | None = None) -> tuple[bool, str]:
     """6: squared strong distance of P(T)^n from 0 decays on a base level.
 
     Exact rational values for n = 1..32 on the capped build with
@@ -330,7 +333,6 @@ def check_strong_decay(cache: dict | None = None) -> CriterionResult:
     measured values coincide with binom(2n, n)/4^n exactly, which is
     pinned as well.
     """
-    t0 = time.perf_counter()
     params, hs, occ = capped_build(cache)
     gen = FormalElement.from_series(generator_series(params)[0])
     vals: list[Fraction] = []
@@ -351,16 +353,13 @@ def check_strong_decay(cache: dict | None = None) -> CriterionResult:
     max_coeff = max(c for _, c in p32.coeffs)
     if max_coeff >= Fraction(15, 100):
         ok = False
-    dt = time.perf_counter() - t0
-    ok = ok and dt < 60.0
-    return CriterionResult(
-        "strong-decay", ok,
+    return ok, (
         f"norm^2 at n=32 is {float(vals[-1]):.4f} (= binom(64,32)/4^32 exactly), "
-        f"monotone within 0.05; max coefficient of P^32 = {float(max_coeff):.4f}",
-        dt, 60.0)
+        f"monotone within 0.05; max coefficient of P^32 = {float(max_coeff):.4f}")
 
 
-def check_algebra_properties(cache: dict | None = None) -> CriterionResult:
+@_criterion("algebra-properties", 5.0)
+def check_algebra_properties(cache: dict | None = None) -> tuple[bool, str]:
     """7: exact-rational semigroup algebra invariants on random elements.
 
     1000 random elements with small support and Fraction coefficients;
@@ -368,7 +367,6 @@ def check_algebra_properties(cache: dict | None = None) -> CriterionResult:
     adjoint is an involution that distributes over products.  All
     comparisons are exact; zero failures allowed.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(1729)
 
     def rand_elem() -> FormalElement:
@@ -396,14 +394,11 @@ def check_algebra_properties(cache: dict | None = None) -> CriterionResult:
             bad += 1
         if adjoint(ab) != convolve(adjoint(a), adjoint(b)):
             bad += 1
-    dt = time.perf_counter() - t0
-    ok = bad == 0 and dt < 5.0
-    return CriterionResult(
-        "algebra-properties", ok,
-        f"333 random triples x 5 exact identities, {bad} failures", dt, 5.0)
+    return bad == 0, f"333 random triples x 5 exact identities, {bad} failures"
 
 
-def check_sparse_vs_naive(cache: dict | None = None) -> CriterionResult:
+@_criterion("sparse-vs-naive", 10.0)
+def check_sparse_vs_naive(cache: dict | None = None) -> tuple[bool, str]:
     """8: sparse pair counting agrees exactly with a dense label array.
 
     Two small builds (window <= 10^4).  The oracle lays every copy of
@@ -411,7 +406,6 @@ def check_sparse_vs_naive(cache: dict | None = None) -> CriterionResult:
     shifted boolean masks; the library counts them from sorted copy
     starts.  100 random (m, A, B) triples must agree exactly.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(4242)
     builds = [
         (gen_example("mix-identity", 4), 2),
@@ -440,15 +434,12 @@ def check_sparse_vs_naive(cache: dict | None = None) -> CriterionResult:
             if naive != corr(occ, m, A, B).count:
                 bad += 1
             n_checked += 1
-    dt = time.perf_counter() - t0
-    ok = bad == 0 and dt < 10.0
-    return CriterionResult(
-        "sparse-vs-naive", ok,
-        f"{n_checked - bad}/{n_checked} random (m, A, B) agree exactly "
-        f"across {len(builds)} small builds", dt, 10.0)
+    return bad == 0, (f"{n_checked - bad}/{n_checked} random (m, A, B) agree exactly "
+                      f"across {len(builds)} small builds")
 
 
-def check_compound_limits(cache: dict | None = None) -> CriterionResult:
+@_criterion("compound-limits", 300.0)
+def check_compound_limits(cache: dict | None = None) -> tuple[bool, str]:
     """9: compound shifts best-match products of adjoint generator powers.
 
     Two-generator build; m = a1*h5 + a2*h4 with a_i in {0, 1, 2} (both
@@ -458,7 +449,6 @@ def check_compound_limits(cache: dict | None = None) -> CriterionResult:
     powers for negative), with raw discrepancy below 1/3 + 3*boundary
     loss.  Identity and single-power rows repeat the check-4 contract.
     """
-    t0 = time.perf_counter()
     params, hs, occ = twogen_build(cache)
     gens = generator_series(params)
     sg = enumerate_semigroup(gens, 4, 1)
@@ -476,30 +466,15 @@ def check_compound_limits(cache: dict | None = None) -> CriterionResult:
     worst_margin = min((e.margin for e in rep.entries if e.margin is not None),
                        default=float("nan"))
     worst_raw = max(e.best_delta for e in rep.entries)
-    dt = time.perf_counter() - t0
-    ok = rep.passed and n_pred == len(rep.entries) and dt < 300.0
-    return CriterionResult(
-        "compound-limits", ok,
+    return rep.passed and n_pred == len(rep.entries), (
         f"{n_pred}/{len(rep.entries)} shifts best-match their predicted "
         f"product form; worst raw delta {worst_raw:.4f} (tol 1/3 + 3*bloss), "
-        f"worst id margin {worst_margin:.4f}", dt, 300.0)
+        f"worst id margin {worst_margin:.4f}")
 
 
 # ---------------------------------------------------------------------------
 # registry / driver
 # ---------------------------------------------------------------------------
-
-CRITERIA: dict[str, Callable[[dict | None], CriterionResult]] = {
-    "height-recurrence": check_height_recurrence,
-    "level-returns": check_level_return_identities,
-    "frequency-gate": check_frequency_gate,
-    "single-power-limits": check_single_power_limits,
-    "gap-shifts": check_gap_shifts,
-    "strong-decay": check_strong_decay,
-    "algebra-properties": check_algebra_properties,
-    "sparse-vs-naive": check_sparse_vs_naive,
-    "compound-limits": check_compound_limits,
-}
 
 _ALIASES = {
     "example1": "level-returns",

@@ -23,6 +23,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -44,7 +45,6 @@ from .construction import (
 )
 from .series import enumerate_semigroup, make_admissible
 from .weaktop import (
-    SupportTooWideError,
     default_panel,
     sample_gap_shifts,
     scan_limits,
@@ -64,6 +64,15 @@ class CliError(Exception):
         self.code = code
         self.detail = detail
         self.status = status
+
+
+@contextmanager
+def _rejected_as(code: str):
+    """Report a ValueError raised on user input as a CliError (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(code, str(exc), EXIT_CONFIG) from None
 
 
 def _err_line(code: str, detail: str) -> None:
@@ -201,10 +210,8 @@ def cmd_build(args) -> int:
         raise CliError("usage", "choose either --example or --p, not both",
                        EXIT_CONFIG)
     if example:
-        try:
+        with _rejected_as("usage"):
             params = gen_example(example, stages)
-        except ValueError as exc:
-            raise CliError("usage", str(exc), EXIT_CONFIG)
     elif p_texts:
         series = [_parse_series_text(t) for t in p_texts]
         cap = args.cap if args.cap is not None else cfg.get("cap")
@@ -221,6 +228,9 @@ def cmd_build(args) -> int:
                        EXIT_CONFIG)
 
     hs = heights(params)
+    base = args.base_stage or max(1, stages - 2)
+    with _rejected_as("usage"):
+        occ = expand_occupancy(params, base, stages)
     out = Path(args.out or "params.json")
     header = timestamp_header(not args.no_timestamp)
     out.write_text(header + params_to_json(params) + "\n")
@@ -233,9 +243,6 @@ def cmd_build(args) -> int:
         else:
             lines.append(f"{j},{h},,")
     csv_path.write_text("\n".join(lines) + "\n")
-
-    base = args.base_stage or max(1, stages - 2)
-    occ = expand_occupancy(params, base, stages)
     print(f"window h_{stages}={hs[-1]} base_stage={base} "
           f"labels={occ.base_height} copies_per_label={occ.n_copies}")
     print(f"wrote {out} and {csv_path}")
@@ -257,12 +264,12 @@ def cmd_scan(args) -> int:
     J = len(hs)
     base = args.base_stage or cfg.get("base_stage") or max(1, J - 2)
     top = cfg.get("top_stage") or J
-    occ = expand_occupancy(params, base, top)
-
     pan_cfg = cfg.get("panel", {})
-    panel = default_panel(occ, span=pan_cfg.get("span", 6),
-                          controls=tuple(pan_cfg.get("controls", (97,))),
-                          include_union=pan_cfg.get("include_union", True))
+    with _rejected_as("config"):
+        occ = expand_occupancy(params, base, top)
+        panel = default_panel(occ, span=pan_cfg.get("span", 6),
+                              controls=tuple(pan_cfg.get("controls", (97,))),
+                              include_union=pan_cfg.get("include_union", True))
 
     m_set: list[int] = []
     skipped: list[int] = []
@@ -275,26 +282,25 @@ def cmd_scan(args) -> int:
             m_set.append(m)
     gap_cfg = cfg.get("gaps")
     if gap_cfg:
-        m_set += sample_gap_shifts(
-            hs, int(gap_cfg.get("n", 8)),
-            rng_seed=gap_cfg.get("seed", 1),
-            lo=gap_cfg.get("lo"), hi=gap_cfg.get("hi"),
-            extra_lattice=tuple(gap_cfg.get("extra_lattice", ())))
+        with _rejected_as("config"):
+            m_set += sample_gap_shifts(
+                hs, int(gap_cfg.get("n", 8)),
+                rng_seed=gap_cfg.get("seed", 1),
+                lo=gap_cfg.get("lo"), hi=gap_cfg.get("hi"),
+                extra_lattice=tuple(gap_cfg.get("extra_lattice", ())))
     if not m_set:
         raise CliError("config", "no feasible shifts configured", EXIT_CONFIG)
 
     tol = _parse_tol(args.tol if args.tol is not None else cfg.get("tol", "1/4"))
     sg_cfg = cfg.get("semigroup", {})
-    sg = enumerate_semigroup(generator_series(params),
-                             int(sg_cfg.get("degree", 2)),
-                             int(sg_cfg.get("z", 1)))
-    try:
+    with _rejected_as("config"):
+        sg = enumerate_semigroup(generator_series(params),
+                                 int(sg_cfg.get("degree", 2)),
+                                 int(sg_cfg.get("z", 1)))
         report = scan_limits(occ, hs, sg, m_set, tol=tol, panel=panel,
                              params=params,
                              a_bound=int(cfg.get("a_bound", 3)),
                              z_bound=int(cfg.get("z_bound", 4)))
-    except SupportTooWideError as exc:
-        raise CliError("config", f"panel/support too wide: {exc}", EXIT_CONFIG)
 
     out = args.out or cfg.get("out", "scan.csv")
     write_scan_csv(report, out, include_timestamp=not args.no_timestamp)
@@ -339,8 +345,7 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         raise CliError("usage", f"unknown criterion {exc.args[0]!r}",
                        EXIT_CONFIG)
-    cache: dict = {}
-    results = [acceptance.CRITERIA[n](cache) for n in names]
+    results = acceptance.run_all(names)
     for res in results:
         print(res.line())
     n_fail = sum(1 for r in results if not r.passed)
@@ -359,9 +364,10 @@ def cmd_semigroup(args) -> int:
     cfg = _load_config(args.config)
     p_texts = list(args.p or []) or list(cfg.get("p", ["1/2,1/2"]))
     series = [_parse_series_text(t) for t in p_texts]
-    degree = args.degree if args.degree is not None else int(cfg.get("degree", 2))
-    z_range = args.z if args.z is not None else int(cfg.get("z", 1))
-    elems = enumerate_semigroup(series, degree, z_range)
+    with _rejected_as("usage"):
+        degree = args.degree if args.degree is not None else int(cfg.get("degree", 2))
+        z_range = args.z if args.z is not None else int(cfg.get("z", 1))
+        elems = enumerate_semigroup(series, degree, z_range)
     lines = ["index,word,support,mass,max_coeff"]
     for i, el in enumerate(elems):
         mc = max((c for _, c in el.coeffs), default=Fraction(0))

@@ -157,7 +157,6 @@ class LevelOccupancy:
     base_height: int
     window: int
     stage_offsets: tuple  # tuple[np.ndarray, ...], one per composed stage
-    _pair_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stage_offsets", tuple(
@@ -210,44 +209,26 @@ class LevelOccupancy:
     # all of one width, gathers every offset pair that reaches any of them,
     # merges the residual starts c - (O_L[i'] - O_L[i]) across all rows and
     # recurses once on those, then sums the returned rows by multiplicity.
-    # Only the top-level results are kept, in the pair cache keyed on |k|
-    # (count_L(-k) = count_L(k)).
+    # Nothing is kept between queries: a window's counts are its return value.
 
     def pair_shift_count(self, k: int) -> int:
         """Number of copy-start pairs (s, s') with s' - s = k, exact."""
-        cached = self._pair_cache.get(abs(int(k)))
-        if cached is not None:
-            return cached
-        return self._count_pairs(k)
-
-    def _count_pairs(self, k: int) -> int:
         return self.pair_shift_window(k, k)[0]
 
-    def pair_shift_window(self, lo: int, hi: int) -> list[int]:
-        """pair_shift_count(k) for every k in [lo, hi], from one recursion.
+    # perfbench/spans.py wraps _count_pairs and warm_shift_window by name
+    _count_pairs = pair_shift_count
 
-        Differences already in the pair cache at either end of the window
-        are not recounted; every count lands in the cache.
-        """
+    def pair_shift_window(self, lo: int, hi: int) -> list[int]:
+        """pair_shift_count(k) for every k in [lo, hi], from one recursion."""
         lo, hi = int(lo), int(hi)
-        cache = self._pair_cache
-        a, b = lo, hi
-        while a <= b and abs(a) in cache:
-            a += 1
-        while b >= a and abs(b) in cache:
-            b -= 1
-        if a <= b:
-            # no two starts differ by more than the top reach
-            reach = self._reach[-1]
-            a_in, b_in = max(a, -reach), min(b, reach)
-            row = [0] * (b - a + 1)
-            if a_in <= b_in:
-                row[a_in - a:b_in - a + 1] = self._window_rows(
-                    len(self.stage_offsets), np.array([a_in], dtype=self._dtype),
-                    b_in - a_in + 1)[0].tolist()
-            for k, n in zip(range(a, b + 1), row):
-                cache[abs(k)] = n
-        return [cache[abs(k)] for k in range(lo, hi + 1)]
+        # no two starts differ by more than the top reach
+        reach = self._reach[-1]
+        a, b = max(lo, -reach), min(hi, reach)
+        if a > b:
+            return [0] * (hi - lo + 1)
+        row = self._window_rows(len(self.stage_offsets),
+                                np.array([a], dtype=self._dtype), b - a + 1)[0]
+        return [0] * (a - lo) + row.tolist() + [0] * (hi - b)
 
     @cached_property
     def _dtype(self):
@@ -307,7 +288,7 @@ class LevelOccupancy:
         return rows
 
     def warm_shift_window(self, center: int, radius: int) -> None:
-        """Fill the pair cache for every k in [center-radius, center+radius]."""
+        """Count every k in [center-radius, center+radius] and discard the counts."""
         self.pair_shift_window(int(center) - radius, int(center) + radius)
 
 

@@ -4,11 +4,12 @@ Everything here is exact integer combinatorics on the sparse occupancy
 representation.  The correlation of two label sets under a shift reduces to
 counting copy-start pairs at prescribed differences.  A shift m probes the
 differences m + a - b of its panel pairs, so each shift asks the occupancy
-for one window [m + min(a - b), m + max(a - b)] of counts, and each model
-element one window over its support; the occupancy answers a window with a
-single recursion over its per-stage offsets (numpy passes over the r_j
-offsets of each stage, never over the prod r_j copy starts, none of which
-is materialized), and the correlations then read its pair cache.
+for one window [m + min(a - b), m + max(a - b)] of counts, and a scan one
+window for the models of all its elements; the occupancy answers a window
+with a single recursion over its per-stage offsets (numpy passes over the
+r_j offsets of each stage, never over the prod r_j copy starts, none of
+which is materialized) and returns the counts, which every caller indexes
+directly.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -27,7 +28,7 @@ import datetime as _dt
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -91,6 +92,17 @@ class CorrCount:
         return float(self.normalized_exact)
 
 
+def _window(occ: LevelOccupancy, lo: int,
+            hi: int) -> Callable[[int, Sequence[int], Sequence[int]], int]:
+    """Count the differences [lo, hi] once; return count(z, A, B) over them.
+
+    count(z, A, B) sums the copy-start pairs at a + z - b over a in A and b
+    in B, which must all lie in the window.
+    """
+    row = occ.pair_shift_window(lo, hi)
+    return lambda z, A, B: sum(row[z + a - b - lo] for a in A for b in B)
+
+
 def corr(occ: LevelOccupancy, m: int, A, B) -> CorrCount:
     """corr(m; A, B) = #{x : x in positions(A), x + m in positions(B)}.
 
@@ -102,12 +114,10 @@ def corr(occ: LevelOccupancy, m: int, A, B) -> CorrCount:
     bad = [b for b in A + B if not 0 <= b < occ.base_height]
     if bad:
         raise ValueError(f"labels outside [0, {occ.base_height}): {bad}")
-    count = 0
-    for a in A:
-        for b in B:
-            count += occ.pair_shift_count(a + int(m) - b)
+    m = int(m)
+    count = _window(occ, m + A[0] - B[-1], m + A[-1] - B[0])(m, A, B)
     n = occ.n_copies
-    return CorrCount(int(m), count, len(A) * n, len(B) * n)
+    return CorrCount(m, count, len(A) * n, len(B) * n)
 
 
 @dataclass(frozen=True)
@@ -194,24 +204,33 @@ class DiscrepancyReport:
 
 
 def _panel_profile(occ: LevelOccupancy, m: int,
-                   panel: CorrelationPanel) -> list[Fraction]:
+                   panel: CorrelationPanel) -> tuple[list[int], list[Fraction]]:
+    """corr(m; A, B) for every panel pair, raw and over mu(A): one window."""
     lo, hi = panel.diff_range
-    occ.pair_shift_window(m + lo, m + hi)
-    return [corr(occ, m, A, B).normalized_exact for A, B in panel.pairs]
+    count = _window(occ, m + lo, m + hi)
+    counts = [count(m, A, B) for A, B in panel.pairs]
+    return counts, [Fraction(c, len(A) * occ.n_copies)
+                    for c, (A, _) in zip(counts, panel.pairs)]
 
 
-def _panel_model(occ: LevelOccupancy, Q: FormalElement,
-                 panel: CorrelationPanel) -> list[Fraction]:
-    if Q.coeffs:
-        lo, hi = panel.diff_range
-        occ.pair_shift_window(Q.coeffs[0][0] + lo, Q.coeffs[-1][0] + hi)
-    out = []
-    for A, B in panel.pairs:
-        acc = Fraction(0)
-        for z, q in Q.coeffs:
-            acc += q * corr(occ, z, A, B).normalized_exact
-        out.append(acc)
-    return out
+def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
+                  panel: CorrelationPanel) -> list[list[Fraction]]:
+    """sum_z Q(z) corr(z; A, B)/mu(A) per element Q and panel pair: one window."""
+    zs = [z for Q in elements for z, _ in Q.coeffs]
+    if not zs:  # zero elements only
+        return [[Fraction(0)] * len(panel) for _ in elements]
+    lo, hi = panel.diff_range
+    count = _window(occ, min(zs) + lo, max(zs) + hi)
+    return [[sum((q * count(z, A, B) for z, q in Q.coeffs), Fraction(0))
+             / (len(A) * occ.n_copies) for A, B in panel.pairs]
+            for Q in elements]
+
+
+def _pair_rows(panel: CorrelationPanel, counts: Sequence[int],
+               profile: Sequence[Fraction],
+               model: Sequence[Fraction]) -> tuple[PairRow, ...]:
+    return tuple(PairRow(name, c, float(p), float(v), float(abs(p - v)))
+                 for name, c, p, v in zip(panel.names, counts, profile, model))
 
 
 def _check_support(occ: LevelOccupancy, Q: FormalElement) -> None:
@@ -225,17 +244,12 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
                      panel: CorrelationPanel) -> DiscrepancyReport:
     """delta = max over panel pairs of |corr(m)/mu(A) - sum_z Q(z) corr(z)/mu(A)|."""
     _check_support(occ, Q)
-    profile = _panel_profile(occ, m, panel)
-    model = _panel_model(occ, Q, panel)
-    rows = []
-    delta = Fraction(0)
-    for name, (A, B), emp, mod in zip(panel.names, panel.pairs, profile, model):
-        d = abs(emp - mod)
-        delta = max(delta, d)
-        cnt = emp * len(A) * occ.n_copies
-        rows.append(PairRow(name, int(cnt), float(emp), float(mod), float(d)))
+    counts, profile = _panel_profile(occ, m, panel)
+    [model] = _panel_models(occ, [Q], panel)
+    delta = max(abs(p - v) for p, v in zip(profile, model))
     return DiscrepancyReport(int(m), Q.word, float(delta), delta,
-                             float(boundary_loss(m, occ.window)), tuple(rows))
+                             float(boundary_loss(m, occ.window)),
+                             _pair_rows(panel, counts, profile, model))
 
 
 def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
@@ -246,14 +260,13 @@ def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
     """
     _check_support(occ, Q)
     A = _label_set(A)
-    if Q.coeffs:
-        spread = Q.coeffs[-1][0] - Q.coeffs[0][0] + A[-1] - A[0]
-        occ.pair_shift_window(-spread, spread)
-    acc = Fraction(0)
-    for z, qz in Q.coeffs:
-        for w, qw in Q.coeffs:
-            acc += qz * qw * corr(occ, z - w, A, A).normalized_exact
-    return acc
+    if not Q.coeffs:
+        return Fraction(0)
+    spread = Q.coeffs[-1][0] - Q.coeffs[0][0] + A[-1] - A[0]
+    count = _window(occ, -spread, spread)
+    return sum((qz * qw * count(z - w, A, A)
+                for z, qz in Q.coeffs for w, qw in Q.coeffs),
+               Fraction(0)) / (len(A) * occ.n_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +470,7 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     for el in semigroup:
         _check_support(occ, el)
 
-    models = [_panel_model(occ, el, panel) for el in semigroup]
+    models = _panel_models(occ, semigroup, panel)
     entries = []
     for m in m_set:
         dec = hadic_decompose(m, heights, a_bound, z_bound)
@@ -465,7 +478,7 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
         if dec is not None and params is not None and dec.terms and \
                 min(dec.stages) >= occ.base_stage:
             factor = excision_factor(params, dec.terms)
-        profile = _panel_profile(occ, m, panel)
+        counts, profile = _panel_profile(occ, m, panel)
         corrected = [p / factor for p in profile] if factor != 1 else profile
 
         scored = []
@@ -495,11 +508,6 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
 
         bloss = boundary_loss(m, occ.window)
         tol_eff = Fraction(tol).limit_denominator(10**9) + 3 * bloss
-        rows = tuple(
-            PairRow(name, int(p * len(A) * occ.n_copies), float(p), float(v),
-                    float(abs(p - v)))
-            for name, (A, B), p, v in zip(panel.names, panel.pairs, profile,
-                                          best_model))
         entries.append(ScanEntry(
             m=int(m), best_word=best.word, best_delta=float(d_raw),
             best_delta_corrected=float(d_cor), tol_effective=float(tol_eff),
@@ -510,7 +518,7 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
             predicted_is_best=predicted_is_best,
             runner_up_word=None if runner is None else runner[2].word,
             margin=None if runner is None else float(runner[0] - d_cor),
-            rows=rows))
+            rows=_pair_rows(panel, counts, profile, best_model)))
     return ScanReport(occ.base_stage, occ.top_stage, float(tol), tuple(entries))
 
 

@@ -156,6 +156,27 @@ def test_scan_missing_params_config_error(built):
     assert res.stderr.startswith("error code=config")
 
 
+@pytest.mark.parametrize("args, cfg", [
+    (["scan", "--base-stage", "9"], {}),
+    (["scan"], {"base_stage": 2, "panel": {"span": 500}}),
+    (["scan"], {"gaps": {"lo": 50, "hi": 10}}),
+    (["build", "--example", "two-column", "--stages", "5", "--base-stage", "9",
+      "--out", "bad.json"], None),
+    (["semigroup", "--degree", "-1"], None),
+], ids=["scan-base-stage", "scan-panel-span", "scan-gap-range",
+        "build-base-stage", "semigroup-degree"])
+def test_bad_input_is_a_single_line_config_error(built, args, cfg):
+    """Inputs the library rejects exit 2 with one error line, no traceback."""
+    if cfg is not None:
+        args = [*args, "--config", str(scan_cfg(built, **cfg)), "--out", "bad.csv"]
+    res = run_cli(*args, cwd=built)
+    assert res.returncode == 2
+    lines = res.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error code="), res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (built / "bad.json").exists()
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_single_fast_criterion(tmp_path):

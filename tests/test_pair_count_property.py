@@ -65,7 +65,7 @@ def test_window_queries_match_materialized_starts(occ, data):
     Anchors include 0 and both signs of every difference, and the window
     can reach up to 24 past either side, so windows are negative, straddle
     0, have width 1 or run past +-window.  Queries share one occupancy, so
-    later ones also start from a partly filled pair cache.
+    none may depend on the ones asked before it.
     """
     diffs = _all_pairs(occ)
     w = occ.window
@@ -96,8 +96,8 @@ def test_window_queries_match_materialized_starts(occ, data):
 def test_windows_at_the_dtype_edges(params, base, top):
     """Each window on a fresh occupancy and, in sequence, on one per anchor.
 
-    On the one per anchor, later windows overlap counts already cached at
-    either end.
+    On the one per anchor, later windows overlap earlier ones at either end,
+    and must not depend on them.
     """
     occ = expand_occupancy(params, base, top)
     diffs = _all_pairs(occ)

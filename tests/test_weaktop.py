@@ -96,15 +96,16 @@ def test_corr_rejects_out_of_range_labels():
 
 
 def test_warm_window_matches_scalar_counts(small_build):
-    """Warmed counts equal an all-pairs tally over the materialized starts."""
+    """Window and single counts equal an all-pairs tally over the materialized starts."""
     _, _, occ = small_build
     center = 54321
     occ.warm_shift_window(center, 40)
+    window = occ.pair_shift_window(center - 40, center + 40)
     starts = occ.copy_starts
     for d in range(-40, 41):
         k = center + d
         expected = int(np.intersect1d(starts, starts + k, assume_unique=True).size)
-        assert occ.pair_shift_count(k) == expected
+        assert window[d + 40] == occ.pair_shift_count(k) == expected
 
 
 # --- panel discrepancies -------------------------------------------------------
@@ -252,12 +253,11 @@ def test_counting_never_materializes_copy_starts():
                 params=params)
     gen = FormalElement.from_series(generator_series(params)[0])
     weak_discrepancy(occ, -hs[-2], gen, panel)
-    assert occ._pair_cache
     assert "copy_starts" not in occ.__dict__
 
 
 def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
-    """One pair-count window per semigroup element, then one per gap shift.
+    """One pair-count window for all element models, then one per gap shift.
 
     Counting each difference of a shift's panel on its own would add a
     width-1 query per difference.
@@ -278,9 +278,37 @@ def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
     monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
     rep = scan_limits(occ, hs, sg, gaps, tol=0.1, panel=panel, params=params)
     lo, hi = panel.diff_range
-    models = [(el.coeffs[0][0] + lo, el.coeffs[-1][0] + hi) for el in sg if el.coeffs]
-    assert calls == models + [(m + lo, m + hi) for m in gaps]
+    zs = [z for el in sg for z, _ in el.coeffs]
+    assert calls == [(min(zs) + lo, max(zs) + hi)] + [(m + lo, m + hi) for m in gaps]
     assert all(e.best_word == "0" for e in rep.entries)
+
+
+def test_row_counts_match_corr_and_materialized_starts(small_build):
+    """Every PairRow.count of a scan and a discrepancy is the exact pair count.
+
+    Each equals corr(m, A, B).count and a recount by intersecting the
+    materialized starts, the multi-label union01 row included.
+    """
+    params, hs, occ = small_build
+    panel = default_panel(occ)
+    assert "union01" in panel.names
+    sg = enumerate_semigroup(generator_series(params), 2, 1)
+    gen = FormalElement.from_series(generator_series(params)[0])
+    ms = [0, 3, hs[-2], -hs[-2] + 1, 2 * hs[-2]]
+    scan = scan_limits(occ, hs, sg, ms, tol=F(1, 3), panel=panel, params=params)
+    reports = [(e.m, e.rows) for e in scan.entries] + [
+        (m, weak_discrepancy(occ, m, gen, panel).rows) for m in (-hs[-2], 7)]
+    starts = occ.copy_starts
+
+    def recount(m, A, B):
+        return sum(int(np.intersect1d(starts + a + m, starts + b,
+                                      assume_unique=True).size)
+                   for a in A for b in B)
+
+    for m, rows in reports:
+        assert [row.name for row in rows] == list(panel.names)
+        for row, (A, B) in zip(rows, panel.pairs):
+            assert row.count == corr(occ, m, A, B).count == recount(m, A, B), (m, row)
 
 
 def test_scan_matches_late_stage_powers(small_build):

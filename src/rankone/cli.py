@@ -75,6 +75,10 @@ def _rejected_as(code: str):
         raise CliError(code, str(exc), EXIT_CONFIG) from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _err_line(code: str, detail: str) -> None:
     detail = detail.replace('"', "'").replace("\n", "; ")
     print(f'error code={code} detail="{detail}"', file=sys.stderr)
@@ -200,8 +204,9 @@ def _eps_schedule_from_text(text: str | None):
 def cmd_build(args) -> int:
     cfg = _load_config(args.config)
     stages = args.stages or cfg.get("stages")
-    if not stages or stages < 2:
-        raise CliError("usage", "--stages N (>= 2) is required", EXIT_CONFIG)
+    if not _is_int(stages) or stages < 2:
+        raise CliError("usage", f"--stages N (an integer >= 2) is required, "
+                       f"got {stages!r}", EXIT_CONFIG)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     example = args.example or cfg.get("example")
     p_texts = list(args.p or []) or list(cfg.get("p", []))
@@ -265,9 +270,13 @@ def cmd_scan(args) -> int:
     base = args.base_stage or cfg.get("base_stage") or max(1, J - 2)
     top = cfg.get("top_stage") or J
     pan_cfg = cfg.get("panel", {})
+    span = pan_cfg.get("span", 6)
+    if not _is_int(span):
+        raise CliError("config", f"panel span must be an integer, got {span!r}",
+                       EXIT_CONFIG)
     with _rejected_as("config"):
         occ = expand_occupancy(params, base, top)
-        panel = default_panel(occ, span=pan_cfg.get("span", 6),
+        panel = default_panel(occ, span=span,
                               controls=tuple(pan_cfg.get("controls", (97,))),
                               include_union=pan_cfg.get("include_union", True))
 

@@ -92,17 +92,6 @@ class AdmissibleSeries:
     coeffs: tuple[tuple[int, Fraction], ...]
     declared_mass: Fraction
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
-    @property
-    def mass(self) -> Fraction:
-        return self.declared_mass
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.coeffs)
-
     @property
     def max_exponent(self) -> int:
         return self.coeffs[-1][0]
@@ -209,9 +198,6 @@ class FormalElement:
         fact = (0, ((gen_index, 1, 0),))
         return cls(tuple(series.coeffs), _render_word(fact, ""), fact)
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
     @property
     def mass(self) -> Fraction:
         return sum((v for _, v in self.coeffs), Fraction(0))
@@ -219,10 +205,6 @@ class FormalElement:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(z for z, _ in self.coeffs)
 
     @property
     def max_abs_exponent(self) -> int:

@@ -11,21 +11,32 @@ r_j offsets of each stage, never over the prod r_j copy starts, none of
 which is materialized) and returns the counts, which every caller indexes
 directly.
 
+Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
+sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
+(L the lcm of the elements' coefficient denominators, n the copies per
+label), so a scan holds them as integer numerators over D and scores every
+element against a shift with one integer (elements x pairs) matrix: int64
+where a bound from the actual maxima proves it fits, Python ints otherwise.
+A :class:`~fractions.Fraction` or float is built only where a report needs a
+value.
+
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
 generator power per stage, direct for negative shifts, adjoint for
 positive), and the measured correlation profile is compared against every
 enumerated element.  Constructions with override metadata also expose the
-exact fraction of stage windows untouched by overrides; dividing the profile
-by that factor removes the (known, deterministic) damping the overrides
-cause before ranking candidates.  Tolerances are always checked against the
-uncorrected discrepancy.
+exact fraction f = N/Dn of stage windows untouched by overrides; dividing
+the profile by that factor removes the (known, deterministic) damping the
+overrides cause before ranking candidates, which in integers is the score
+max |N * model - Dn * profile| over D * N.  Tolerances are always checked
+against the uncorrected discrepancy.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -40,6 +51,7 @@ __all__ = [
     "CorrelationPanel",
     "DiscrepancyReport",
     "HadicDecomposition",
+    "PanelModels",
     "ScanEntry",
     "ScanReport",
     "SupportTooWideError",
@@ -51,6 +63,7 @@ __all__ = [
     "predicted_element",
     "sample_gap_shifts",
     "scan_limits",
+    "score_elements",
     "strong_norm_sq",
     "timestamp_header",
     "weak_discrepancy",
@@ -86,10 +99,6 @@ class CorrCount:
     @property
     def normalized_exact(self) -> Fraction:
         return Fraction(self.count, self.mu_a)
-
-    @property
-    def normalized(self) -> float:
-        return float(self.normalized_exact)
 
 
 def _window(occ: LevelOccupancy, lo: int,
@@ -204,33 +213,105 @@ class DiscrepancyReport:
 
 
 def _panel_profile(occ: LevelOccupancy, m: int,
-                   panel: CorrelationPanel) -> tuple[list[int], list[Fraction]]:
-    """corr(m; A, B) for every panel pair, raw and over mu(A): one window."""
+                   panel: CorrelationPanel) -> list[int]:
+    """corr(m; A, B) for every panel pair: one window."""
     lo, hi = panel.diff_range
     count = _window(occ, m + lo, m + hi)
-    counts = [count(m, A, B) for A, B in panel.pairs]
-    return counts, [Fraction(c, len(A) * occ.n_copies)
-                    for c, (A, _) in zip(counts, panel.pairs)]
+    return [count(m, A, B) for A, B in panel.pairs]
+
+
+def _integer_coeffs(elements: Sequence[FormalElement]):
+    """L, the lcm of the elements' coefficient denominators, and each
+    element's coefficients times L as (z, integer) pairs."""
+    L = math.lcm(*(q.denominator for Q in elements for _, q in Q.coeffs))
+    return L, [[(z, q.numerator * (L // q.denominator)) for z, q in Q.coeffs]
+               for Q in elements]
+
+
+def _int_dtype(bound: int):
+    """int64 when ``bound`` caps every |value|, else object (Python ints)."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+@dataclass(frozen=True)
+class PanelModels:
+    """The panel models of a list of elements, as integers over one denominator.
+
+    With L the lcm of the elements' coefficient denominators, LA the lcm of
+    the panel's |A| and n the copies per label, ``values[e, i]`` is
+    sum_z Q_e(z) corr(z; A_i, B_i)/mu(A_i) times ``denominator`` D = L*LA*n,
+    and a shift's profile entry corr(m; A_i, B_i)/mu(A_i) is its count times
+    ``weights[i]`` = L*LA/|A_i| over the same D.  ``values`` is int64 when
+    ``peak``, its largest entry, provably fits, else an object array.
+    """
+
+    denominator: int
+    weights: tuple[int, ...]
+    values: np.ndarray
+    peak: int
 
 
 def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
-                  panel: CorrelationPanel) -> list[list[Fraction]]:
-    """sum_z Q(z) corr(z; A, B)/mu(A) per element Q and panel pair: one window."""
-    zs = [z for Q in elements for z, _ in Q.coeffs]
+                  panel: CorrelationPanel) -> PanelModels:
+    """Every element's model on every panel pair: one window."""
+    L, scaled = _integer_coeffs(elements)
+    LA = math.lcm(*(len(A) for A, _ in panel.pairs))
+    denominator = L * LA * occ.n_copies
+    weights = tuple(L * (LA // len(A)) for A, _ in panel.pairs)
+    zs = sorted({z for Q in elements for z, _ in Q.coeffs})
     if not zs:  # zero elements only
-        return [[Fraction(0)] * len(panel) for _ in elements]
+        return PanelModels(denominator, weights,
+                           np.zeros((len(elements), len(panel)), np.int64), 0)
     lo, hi = panel.diff_range
-    count = _window(occ, min(zs) + lo, max(zs) + hi)
-    return [[sum((q * count(z, A, B) for z, q in Q.coeffs), Fraction(0))
-             / (len(A) * occ.n_copies) for A, B in panel.pairs]
-            for Q in elements]
+    count = _window(occ, zs[0] + lo, zs[-1] + hi)
+    # (zs x pairs) counts times LA/|A|, and (elements x zs) coefficients times L
+    counts = [[count(z, A, B) * (LA // len(A)) for A, B in panel.pairs]
+              for z in zs]
+    col = {z: k for k, z in enumerate(zs)}
+    coeffs = [[0] * len(zs) for _ in elements]
+    for row, qs in zip(coeffs, scaled):
+        for z, q in qs:
+            row[col[z]] = q
+    # every entry is nonnegative, so no model exceeds this
+    dtype = _int_dtype(max(1, *map(sum, coeffs)) * max(1, *map(max, counts)))
+    values = np.array(coeffs, dtype=dtype) @ np.array(counts, dtype=dtype)
+    return PanelModels(denominator, weights, values, int(values.max()))
+
+
+def _max_abs_diff(models: PanelModels, profile: Sequence[int], a: int,
+                  b: int) -> list[int]:
+    """max over pairs i of |a * values[e, i] - b * profile[i]|, per element e."""
+    dtype = _int_dtype(max(a, b) * max(models.peak, *profile, 1))
+    diff = (a * models.values.astype(dtype, copy=False)
+            - b * np.array(profile, dtype=dtype))
+    return np.abs(diff).max(axis=1).tolist()
+
+
+def score_elements(models: PanelModels, counts: Sequence[int],
+                   factor: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
+    """Corrected and raw scores of every element against one shift's counts.
+
+    With p_i = counts[i]/mu(A_i), v the element's model and the excision
+    factor f = N/Dn, corrected[e]/(D*N) is max_i |p_i/f - v_i| and
+    raw[e]/D is max_i |p_i - v_i|, D being ``models.denominator``.  Both
+    share their denominator across elements, so ranking on the integer pair
+    (corrected, raw) is ranking on the exact discrepancies.
+    """
+    profile = [c * w for c, w in zip(counts, models.weights)]
+    raw = _max_abs_diff(models, profile, 1, 1)
+    if factor == 1:
+        return raw, raw
+    return _max_abs_diff(models, profile, factor.numerator,
+                         factor.denominator), raw
 
 
 def _pair_rows(panel: CorrelationPanel, counts: Sequence[int],
-               profile: Sequence[Fraction],
-               model: Sequence[Fraction]) -> tuple[PairRow, ...]:
-    return tuple(PairRow(name, c, float(p), float(v), float(abs(p - v)))
-                 for name, c, p, v in zip(panel.names, counts, profile, model))
+               models: PanelModels, e: int) -> tuple[PairRow, ...]:
+    """The report rows of one shift's counts against element ``e``'s model."""
+    D = models.denominator
+    return tuple(PairRow(name, c, c * w / D, v / D, abs(c * w - v) / D)
+                 for name, c, w, v in zip(panel.names, counts, models.weights,
+                                          models.values[e].tolist()))
 
 
 def _check_support(occ: LevelOccupancy, Q: FormalElement) -> None:
@@ -244,12 +325,13 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
                      panel: CorrelationPanel) -> DiscrepancyReport:
     """delta = max over panel pairs of |corr(m)/mu(A) - sum_z Q(z) corr(z)/mu(A)|."""
     _check_support(occ, Q)
-    counts, profile = _panel_profile(occ, m, panel)
-    [model] = _panel_models(occ, [Q], panel)
-    delta = max(abs(p - v) for p, v in zip(profile, model))
+    counts = _panel_profile(occ, m, panel)
+    models = _panel_models(occ, [Q], panel)
+    _, [raw] = score_elements(models, counts)
+    delta = Fraction(raw, models.denominator)
     return DiscrepancyReport(int(m), Q.word, float(delta), delta,
                              float(boundary_loss(m, occ.window)),
-                             _pair_rows(panel, counts, profile, model))
+                             _pair_rows(panel, counts, models, 0))
 
 
 def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
@@ -262,11 +344,11 @@ def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
     A = _label_set(A)
     if not Q.coeffs:
         return Fraction(0)
-    spread = Q.coeffs[-1][0] - Q.coeffs[0][0] + A[-1] - A[0]
+    L, [qs] = _integer_coeffs([Q])
+    spread = qs[-1][0] - qs[0][0] + A[-1] - A[0]
     count = _window(occ, -spread, spread)
-    return sum((qz * qw * count(z - w, A, A)
-                for z, qz in Q.coeffs for w, qw in Q.coeffs),
-               Fraction(0)) / (len(A) * occ.n_copies)
+    total = sum(qz * qw * count(z - w, A, A) for z, qz in qs for w, qw in qs)
+    return Fraction(total, L * L * len(A) * occ.n_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +540,11 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     """Match each shift in m_set against every enumerated element.
 
     Ranking minimizes the corrected panel deviation (profile divided by the
-    exact clean-window factor when ``params`` carries override metadata and
-    the shift decomposes over stages >= base_stage); ties break toward
-    smaller words.  ``tol`` is checked against the best match's uncorrected
-    delta, loosened by 3x the boundary loss of the shift.
+    exact clean-window factor when ``params`` carries override metadata,
+    the shift decomposes over stages >= base_stage and the factor is not
+    zero), then the raw one; ties break toward smaller words.  ``tol`` is
+    checked against the best match's uncorrected delta, loosened by 3x the
+    boundary loss of the shift.
     """
     if not semigroup:
         raise ValueError("semigroup must be nonempty")
@@ -471,54 +554,47 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
         _check_support(occ, el)
 
     models = _panel_models(occ, semigroup, panel)
+    D = models.denominator
+    words = [el.word for el in semigroup]
+    tol_exact = Fraction(tol).limit_denominator(10**9)
     entries = []
     for m in m_set:
         dec = hadic_decompose(m, heights, a_bound, z_bound)
         factor = Fraction(1)
         if dec is not None and params is not None and dec.terms and \
                 min(dec.stages) >= occ.base_stage:
-            factor = excision_factor(params, dec.terms)
-        counts, profile = _panel_profile(occ, m, panel)
-        corrected = [p / factor for p in profile] if factor != 1 else profile
-
-        scored = []
-        for el, model in zip(semigroup, models):
-            d_raw = max(abs(p - v) for p, v in zip(profile, model))
-            d_cor = d_raw if factor == 1 else max(
-                abs(p - v) for p, v in zip(corrected, model))
-            scored.append((d_cor, d_raw, el, model))
-        scored.sort(key=lambda t: (t[0], t[1], t[2].word))
-        d_cor, d_raw, best, best_model = scored[0]
-        runner = scored[1] if len(scored) > 1 else None
+            # a zero factor (no copy pair clear of overrides) corrects nothing
+            factor = excision_factor(params, dec.terms) or Fraction(1)
+        counts = _panel_profile(occ, m, panel)
+        cor, raw = score_elements(models, counts, factor)
+        DN = D * factor.numerator  # the corrected scores' denominator
+        order = sorted(range(len(semigroup)),
+                       key=lambda e: (cor[e], raw[e], words[e]))
+        best = order[0]
+        runner = order[1] if len(order) > 1 else None
 
         predicted = None
         predicted_delta = None
         predicted_is_best = None
         if dec is not None and params is not None and params.meta.get("series"):
             predicted = predicted_element(dec, params)
-            try:
-                idx = [el == predicted for _, _, el, _ in scored].index(True)
-            except ValueError:
-                idx = -1
-            if idx >= 0:
-                predicted_delta = float(scored[idx][1])
-                predicted_is_best = bool(best == predicted)
-            else:
-                predicted_is_best = False
+            hits = [e for e, el in enumerate(semigroup) if el == predicted]
+            predicted_delta = raw[hits[0]] / D if hits else None
+            predicted_is_best = semigroup[best] == predicted
 
         bloss = boundary_loss(m, occ.window)
-        tol_eff = Fraction(tol).limit_denominator(10**9) + 3 * bloss
+        tol_eff = tol_exact + 3 * bloss
         entries.append(ScanEntry(
-            m=int(m), best_word=best.word, best_delta=float(d_raw),
-            best_delta_corrected=float(d_cor), tol_effective=float(tol_eff),
-            passed=bool(d_raw < tol_eff), boundary_loss=float(bloss),
+            m=int(m), best_word=words[best], best_delta=raw[best] / D,
+            best_delta_corrected=cor[best] / DN, tol_effective=float(tol_eff),
+            passed=Fraction(raw[best], D) < tol_eff, boundary_loss=float(bloss),
             correction=float(factor), decomposition=dec,
             predicted_word=None if predicted is None else predicted.word,
             predicted_delta=predicted_delta,
             predicted_is_best=predicted_is_best,
-            runner_up_word=None if runner is None else runner[2].word,
-            margin=None if runner is None else float(runner[0] - d_cor),
-            rows=_pair_rows(panel, counts, profile, best_model)))
+            runner_up_word=None if runner is None else words[runner],
+            margin=None if runner is None else (cor[runner] - cor[best]) / DN,
+            rows=_pair_rows(panel, counts, models, best)))
     return ScanReport(occ.base_stage, occ.top_stage, float(tol), tuple(entries))
 
 

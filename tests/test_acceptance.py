@@ -11,6 +11,7 @@ import pytest
 
 from rankone import acceptance as acc
 from rankone.construction import (
+    LevelOccupancy,
     SidonPolicy,
     expand_occupancy,
     gen_p_construction,
@@ -45,6 +46,25 @@ def test_criterion_2_level_return_identities(crit_cache):
     res = _report(acc.check_level_return_identities(crit_cache))
     assert "864 disjointness pairs" in res.detail
     assert "worst correlation 0.0000" in res.detail
+
+
+def test_criterion_2_asks_one_window_per_shift(monkeypatch):
+    """Check 2 reads all its label pairs of a shift from one window.
+
+    Three stages, four shifts each (+-h_j, +-2h_j): 12 windows, where one
+    count per label pair would be 936.
+    """
+    calls = []
+    window = LevelOccupancy.pair_shift_window
+
+    def counting_window(self, lo, hi):
+        calls.append((lo, hi))
+        return window(self, lo, hi)
+
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
+    res = acc.check_level_return_identities()
+    assert res.passed and "864 disjointness pairs" in res.detail
+    assert len(calls) == 12
 
 
 def test_criterion_3_frequency_gate(crit_cache):

@@ -163,12 +163,22 @@ def test_scan_missing_params_config_error(built):
     (["build", "--example", "two-column", "--stages", "5", "--base-stage", "9",
       "--out", "bad.json"], None),
     (["semigroup", "--degree", "-1"], None),
+    (["scan"], {"panel": {"span": "x"}}),
+    (["build", "--example", "two-column", "--out", "bad.json"], {"stages": "5"}),
 ], ids=["scan-base-stage", "scan-panel-span", "scan-gap-range",
-        "build-base-stage", "semigroup-degree"])
+        "build-base-stage", "semigroup-degree", "scan-panel-span-type",
+        "build-stages-type"])
 def test_bad_input_is_a_single_line_config_error(built, args, cfg):
-    """Inputs the library rejects exit 2 with one error line, no traceback."""
-    if cfg is not None:
+    """Inputs the library rejects exit 2 with one error line, no traceback.
+
+    A scan config is the stock one with ``cfg`` merged in; a build config is
+    ``cfg`` alone.
+    """
+    if cfg is not None and args[0] == "scan":
         args = [*args, "--config", str(scan_cfg(built, **cfg)), "--out", "bad.csv"]
+    elif cfg is not None:
+        (built / "build_cfg.json").write_text(json.dumps(cfg))
+        args = [*args, "--config", "build_cfg.json"]
     res = run_cli(*args, cwd=built)
     assert res.returncode == 2
     lines = res.stderr.strip().split("\n")

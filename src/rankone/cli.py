@@ -79,6 +79,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _cfg_get(cfg: dict, key: str, kind: type, default):
+    """cfg[key] or ``default``; a present value must be a ``kind`` (dict or list)."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise CliError("config", f"{key} must be {name}, got {value!r}",
+                       EXIT_CONFIG)
+    return value
+
+
 def _err_line(code: str, detail: str) -> None:
     detail = detail.replace('"', "'").replace("\n", "; ")
     print(f'error code={code} detail="{detail}"', file=sys.stderr)
@@ -269,7 +279,7 @@ def cmd_scan(args) -> int:
     J = len(hs)
     base = args.base_stage or cfg.get("base_stage") or max(1, J - 2)
     top = cfg.get("top_stage") or J
-    pan_cfg = cfg.get("panel", {})
+    pan_cfg = _cfg_get(cfg, "panel", dict, {})
     span = pan_cfg.get("span", 6)
     if not _is_int(span):
         raise CliError("config", f"panel span must be an integer, got {span!r}",
@@ -283,13 +293,13 @@ def cmd_scan(args) -> int:
     m_set: list[int] = []
     skipped: list[int] = []
     span_guard = occ.window
-    for expr in cfg.get("m", []):
+    for expr in _cfg_get(cfg, "m", list, []):
         m = _parse_shift_expr(expr, hs)
         if abs(m) >= span_guard:
             skipped.append(m)
         else:
             m_set.append(m)
-    gap_cfg = cfg.get("gaps")
+    gap_cfg = _cfg_get(cfg, "gaps", dict, {})
     if gap_cfg:
         with _rejected_as("config"):
             m_set += sample_gap_shifts(
@@ -299,9 +309,15 @@ def cmd_scan(args) -> int:
                 extra_lattice=tuple(gap_cfg.get("extra_lattice", ())))
     if not m_set:
         raise CliError("config", "no feasible shifts configured", EXIT_CONFIG)
+    expect = [(expr, _parse_shift_expr(expr, hs), want)
+              for expr, want in _cfg_get(cfg, "expect", dict, {}).items()]
+    unscanned = [expr for expr, m, _ in expect if m not in m_set]
+    if unscanned:
+        raise CliError("config", f"expect names shifts that are not scanned: "
+                       f"{', '.join(unscanned)}", EXIT_CONFIG)
 
     tol = _parse_tol(args.tol if args.tol is not None else cfg.get("tol", "1/4"))
-    sg_cfg = cfg.get("semigroup", {})
+    sg_cfg = _cfg_get(cfg, "semigroup", dict, {})
     with _rejected_as("config"):
         sg = enumerate_semigroup(generator_series(params),
                                  int(sg_cfg.get("degree", 2)),
@@ -315,8 +331,7 @@ def cmd_scan(args) -> int:
     write_scan_csv(report, out, include_timestamp=not args.no_timestamp)
 
     failures = []
-    for expr, want in cfg.get("expect", {}).items():
-        m = _parse_shift_expr(expr, hs)
+    for expr, m, want in expect:
         entry = report.entry(m)
         if entry.best_word != want:
             failures.append(f"m={expr}: best={entry.best_word} expected={want}")

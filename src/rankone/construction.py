@@ -63,8 +63,8 @@ __all__ = [
 # Positions are kept in numpy int64 while every coordinate stays below this;
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
-# Elements of the (rows x offsets) search arrays, and of the summed rows, that
-# one step of a window query holds at once; this caps its temporary memory.
+# Elements of the (clusters x offsets) search arrays, and of the summed rows,
+# that one step of a window query holds at once; this caps its temporary memory.
 _WINDOW_BLOCK = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
 
@@ -134,6 +134,11 @@ def heights(params: ConstructionParams) -> list[int]:
 # ---------------------------------------------------------------------------
 # Occupancy: where the base-stage levels sit inside a taller tower
 # ---------------------------------------------------------------------------
+
+def _runs(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated index runs [first[i], first[i] + lens[i]) over i."""
+    return np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
 
 @dataclass(frozen=True, eq=False)
 class LevelOccupancy:
@@ -206,9 +211,11 @@ class LevelOccupancy:
     # |k - (O_L[i'] - O_L[i])| <= reach_{L-1} of count_{L-1}(k - O_L[i'] + O_L[i]),
     # with count_0(k) = [k == 0].  A window query evaluates this for a whole
     # row of differences at once: level L takes rows starting at c_1 < c_2 < ...,
-    # all of one width, gathers every offset pair that reaches any of them,
-    # merges the residual starts c - (O_L[i'] - O_L[i]) across all rows and
-    # recurses once on those, then sums the returned rows by multiplicity.
+    # all of one width, merges rows whose ranges of reaching differences
+    # overlap into clusters, searches the offset pairs once per cluster, sends
+    # each difference to the rows it reaches, merges the residual starts
+    # c - (O_L[i'] - O_L[i]) across all rows and recurses once on those, then
+    # sums the returned rows by multiplicity.
     # Nothing is kept between queries: a window's counts are its return value.
 
     def pair_shift_count(self, k: int) -> int:
@@ -243,8 +250,12 @@ class LevelOccupancy:
         """rows[c, t] = count_level(starts[c] + t) for t in [0, width), exact.
 
         ``starts`` is sorted and unique, and each row meets
-        [-reach_level, reach_level].  Counts never exceed n_copies, so int64
-        rows are exact whenever the offsets are int64.
+        [-reach_level, reach_level].  Row c needs the offset differences in
+        [row_lo[c], row_hi[c]]; both bounds are nondecreasing in c, so rows
+        whose ranges overlap merge into clusters with disjoint union ranges.
+        Each cluster is searched once, and each difference it finds goes to
+        the one contiguous run of rows whose range holds it.  Counts never
+        exceed n_copies, so int64 rows are exact whenever the offsets are int64.
         """
         rows = np.zeros((starts.size, width), dtype=self._dtype)
         if level == 0:
@@ -254,25 +265,33 @@ class LevelOccupancy:
             return rows
         offs = self.stage_offsets[level - 1]
         reach, below = self._reach[level], self._reach[level - 1]
+        # clip each row to [-reach, reach], where the counts live; the top
+        # row's width is at most 2 * reach + 1, so every int64 value below
+        # stays within [-2 * reach, 2 * reach] and cannot wrap.  A difference
+        # in [row_lo, row_hi] leaves a residual row that meets [-below, below]
+        row_lo = np.maximum(starts, -reach) - below
+        row_hi = np.minimum(starts, reach - width + 1) + (width - 1) + below
+        split = np.flatnonzero(row_lo[1:] > row_hi[:-1]) + 1
+        span_lo = row_lo[np.concatenate(([0], split))]
+        span_hi = row_hi[np.concatenate((split - 1, [starts.size - 1]))]
         row_idx, residual = [], []
         step = max(1, _WINDOW_BLOCK // offs.size)
-        for first in range(0, starts.size, step):
-            blk = starts[first:first + step]
-            # clip each row to [-reach, reach], where the counts live; the top
-            # row's width is at most 2 * reach + 1, so every int64 value below
-            # stays within [-2 * reach, 2 * reach] and cannot wrap
-            row_lo = np.maximum(blk, -reach) - below
-            row_hi = np.minimum(blk, reach - width + 1) + (width - 1) + below
-            # for each (row, i), the targets i' in [lo, hi) leave a residual
-            # row that meets [-below, below]
-            lo = np.searchsorted(offs, (offs[None, :] + row_lo[:, None]).ravel())
-            hi = np.searchsorted(offs, (offs[None, :] + row_hi[:, None]).ravel(),
-                                 side="right")
-            lens = hi - lo
-            src = np.repeat(np.arange(lens.size), lens)
-            tgt = np.arange(src.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-            row_idx.append(first + src // offs.size)
-            residual.append(blk[src // offs.size] - (offs[tgt] - offs[src % offs.size]))
+        for first in range(0, span_lo.size, step):
+            # for each (cluster, i), the targets i' in [lo, hi)
+            lo = np.searchsorted(
+                offs, (offs[None, :] + span_lo[first:first + step, None]).ravel())
+            hi = np.searchsorted(
+                offs, (offs[None, :] + span_hi[first:first + step, None]).ravel(),
+                side="right")
+            i = np.repeat(np.arange(lo.size) % offs.size, hi - lo)
+            delta = offs[_runs(lo, hi - lo)] - offs[i]
+            # the rows holding delta are those from the first with
+            # row_hi >= delta up to the last with row_lo <= delta
+            row_first = np.searchsorted(row_hi, delta)
+            n_rows = np.searchsorted(row_lo, delta, side="right") - row_first
+            row = _runs(row_first, n_rows)
+            row_idx.append(row)
+            residual.append(starts[row] - np.repeat(delta, n_rows))
         residual = np.concatenate(residual)
         if residual.size == 0:
             return rows

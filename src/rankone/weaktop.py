@@ -609,6 +609,8 @@ def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
     lattice extended by ``extra_lattice`` (e.g. an override cap, whose
     echoes would otherwise show up as structured correlations).
     """
+    if n < 0:
+        raise ValueError(f"gap shift count must be >= 0, got {n}")
     hs = sorted(int(h) for h in heights)
     lattice = sorted(set(hs) | {int(v) for v in extra_lattice})
     if lo is None:

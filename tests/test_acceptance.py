@@ -85,6 +85,24 @@ def test_criterion_5_gap_shifts(crit_cache):
     assert "64/64" in res.detail
 
 
+def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
+    """Both stage ranges' 64 gap shifts go through one scan: one window for
+    the element models plus one per shift, and the detail line is unchanged."""
+    acc.capped_build(crit_cache)
+    calls = []
+    window = LevelOccupancy.pair_shift_window
+
+    def counting_window(self, lo, hi):
+        calls.append((lo, hi))
+        return window(self, lo, hi)
+
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
+    res = acc.check_gap_shifts(crit_cache)
+    assert res.passed and res.detail == ("64/64 gap shifts best-match the zero "
+                                         "element; worst delta 0.0000 (< 0.1)")
+    assert len(calls) == 1 + 64
+
+
 def test_criterion_6_strong_decay(crit_cache):
     res = _report(acc.check_strong_decay(crit_cache))
     assert "0.0993" in res.detail and "0.1399" in res.detail

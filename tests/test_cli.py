@@ -156,23 +156,29 @@ def test_scan_missing_params_config_error(built):
     assert res.stderr.startswith("error code=config")
 
 
-@pytest.mark.parametrize("args, cfg", [
-    (["scan", "--base-stage", "9"], {}),
-    (["scan"], {"base_stage": 2, "panel": {"span": 500}}),
-    (["scan"], {"gaps": {"lo": 50, "hi": 10}}),
+@pytest.mark.parametrize("args, cfg, detail", [
+    (["scan", "--base-stage", "9"], {}, "stage indices out of range"),
+    (["scan"], {"base_stage": 2, "panel": {"span": 500}}, "span must be in"),
+    (["scan"], {"gaps": {"lo": 50, "hi": 10}}, "empty sampling range"),
     (["build", "--example", "two-column", "--stages", "5", "--base-stage", "9",
-      "--out", "bad.json"], None),
-    (["semigroup", "--degree", "-1"], None),
-    (["scan"], {"panel": {"span": "x"}}),
-    (["build", "--example", "two-column", "--out", "bad.json"], {"stages": "5"}),
+      "--out", "bad.json"], None, "stage indices out of range"),
+    (["semigroup", "--degree", "-1"], None, "bounds must be nonnegative"),
+    (["scan"], {"panel": {"span": "x"}}, "panel span must be an integer"),
+    (["build", "--example", "two-column", "--out", "bad.json"], {"stages": "5"},
+     "--stages N (an integer >= 2) is required"),
+    (["scan"], {"expect": {"12345": "I"}}, "not scanned: 12345"),
+    (["scan"], {"panel": []}, "panel must be an object"),
+    (["scan"], {"m": "h4"}, "m must be a list"),
+    (["scan"], {"gaps": {"n": -3}}, "gap shift count must be >= 0"),
 ], ids=["scan-base-stage", "scan-panel-span", "scan-gap-range",
         "build-base-stage", "semigroup-degree", "scan-panel-span-type",
-        "build-stages-type"])
-def test_bad_input_is_a_single_line_config_error(built, args, cfg):
+        "build-stages-type", "scan-expect-unscanned", "scan-panel-type",
+        "scan-shifts-type", "scan-gap-count"])
+def test_bad_input_is_a_single_line_config_error(built, args, cfg, detail):
     """Inputs the library rejects exit 2 with one error line, no traceback.
 
     A scan config is the stock one with ``cfg`` merged in; a build config is
-    ``cfg`` alone.
+    ``cfg`` alone.  The error line names the fault (``detail``).
     """
     if cfg is not None and args[0] == "scan":
         args = [*args, "--config", str(scan_cfg(built, **cfg)), "--out", "bad.csv"]
@@ -183,6 +189,7 @@ def test_bad_input_is_a_single_line_config_error(built, args, cfg):
     assert res.returncode == 2
     lines = res.stderr.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error code="), res.stderr
+    assert detail in lines[0]
     assert "Traceback" not in res.stderr
     assert not (built / "bad.json").exists()
 

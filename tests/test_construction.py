@@ -180,6 +180,40 @@ def test_pair_shift_count_matches_all_pairs(h1, int64):
         assert occ.pair_shift_count(k) == occ.pair_shift_count(-k) == 0
 
 
+@pytest.mark.parametrize("params, top", [
+    (ConstructionParams(1, (StageParams(4, (1, 0, 2, 1)), StageParams(3, (0, 2, 1)),
+                            StageParams(6, (1, 0, 3, 0, 2, 1)))), 4),
+    (ConstructionParams(2 ** 62, (StageParams(3, (0, 1, 4)),
+                                  StageParams(6, (2, 0, 5, 1, 0, 3)))), 3),
+], ids=["int64", "object"])
+def test_window_rows_cluster_edges(params, top):
+    """Top-level rows that merge, stay apart or run past +-reach, vs all pairs.
+
+    Row c asks the top level for the offset differences in
+    [s_c - below, s_c + width - 1 + below] (clipped to +-reach first), so
+    rows ``step`` apart share exactly one difference and rows ``step + 1``
+    apart only touch.
+    """
+    occ = expand_occupancy(params, 1, top)
+    assert occ.uses_int64 is (params.h1 == 1)
+    level, width = len(occ.stage_offsets), 5
+    reach, below = occ._reach[-1], occ._reach[-2]
+    step = width - 1 + 2 * below
+    s0 = -reach - 2          # partly below -reach
+    s1 = s0 + step           # overlaps row 0 by one difference: one cluster
+    s2 = s1 + step + 1       # only touches row 1: a cluster of its own
+    s3 = s2 + step + 7       # isolated
+    s4 = reach - 1           # partly above reach, isolated
+    assert s3 + step + 1 < s4
+    starts = [s0, s1, s2, s3, s4]
+    rows = occ._window_rows(level, np.array(starts, dtype=occ._dtype), width)
+    copy_starts = [int(s) for s in occ.copy_starts]
+    diffs = Counter(b - a for a in copy_starts for b in copy_starts)
+    assert [row.tolist() for row in rows] == [
+        [diffs.get(s + t, 0) for t in range(width)] for s in starts]
+    assert all(row.any() for row in rows)
+
+
 def test_occupancies_compare_by_identity():
     params = gen_example("two-column", 4)
     occ = expand_occupancy(params, 1, 3)

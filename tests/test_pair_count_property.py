@@ -5,6 +5,7 @@ extra in pyproject.toml) still collects every other construction test.
 """
 from collections import Counter
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -81,6 +82,34 @@ def test_window_queries_match_materialized_starts(occ, data):
                                occ.stage_offsets)
         assert fresh.pair_shift_window(-w - 2, w + 2) == [
             diffs.get(k, 0) for k in range(-w - 2, w + 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(occupancies(), st.data())
+def test_multi_row_windows_match_materialized_starts(occ, data):
+    """Top-level rows from sorted multi-row starts, vs all pairs.
+
+    Row c asks the top level for the offset differences in
+    [s_c - below, s_c + width - 1 + below].  Besides a few uniform starts,
+    each drawn top-level difference d gets a row whose range ends at d and
+    one whose range starts at d (the two share exactly d), d + 1 (they only
+    touch) or d + 2; starts whose row misses [-reach, reach] are dropped.
+    """
+    level = len(occ.stage_offsets)
+    width = data.draw(st.integers(1, 8))
+    reach = occ._reach[-1]
+    below = occ._reach[-2] if level else 0
+    offs = [int(o) for o in occ.stage_offsets[-1]] if level else [0]
+    tops = sorted({b - a for a in offs for b in offs})
+    starts = data.draw(st.lists(st.integers(-reach - width + 1, reach), max_size=3))
+    for _ in range(data.draw(st.integers(1, 6))):
+        d = data.draw(st.sampled_from(tops))
+        starts += [d - width + 1 - below, d + below + data.draw(st.integers(0, 2))]
+    starts = sorted({s for s in starts if -reach - width < s <= reach})
+    diffs = _all_pairs(occ)
+    rows = occ._window_rows(level, np.array(starts, dtype=occ._dtype), width)
+    assert [row.tolist() for row in rows] == [
+        [diffs.get(s + t, 0) for t in range(width)] for s in starts]
 
 
 @pytest.mark.parametrize("params, base, top", [

@@ -217,6 +217,13 @@ def test_sample_gap_shifts_avoids_lattice():
         assert hs[-2] <= m < hs[-1] // 4
 
 
+def test_sample_gap_shifts_rejects_a_negative_count():
+    hs = [4, 64, 1024, 16384, 262144]
+    assert sample_gap_shifts(hs, 0, rng_seed=2) == []
+    with pytest.raises(ValueError, match="got -3"):
+        sample_gap_shifts(hs, -3, rng_seed=2)
+
+
 def test_excision_factor_hand_check():
     params = gen_p_construction([coin()], 3, seed=0)
     rec = params.meta["stages"][1]  # stage j=2

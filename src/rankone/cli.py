@@ -1,13 +1,24 @@
 """Batch front-end: build constructions, scan shifts, verify, dump tables.
 
-Subcommands
------------
+Each input is its flag if given, else its --config key if present (even 0,
+"" or null), else its default.  A config value of the wrong type (a bool is
+not an int) is a config error.  The keys (type, default) of each subcommand,
+a fraction being a string like "1/3" or a number:
+
 build      generate a construction (example family or sampled from series),
-           write the parameter artifact plus a heights CSV.
-scan       run the weak-limit scanner over a shift list from a config file,
-           write the report CSV, check optional expectations.
+           write the parameter artifact plus a heights CSV.  stages int,
+           example str, p [str], seed int (0), cap int|null, eps fraction,
+           starts {stage: int}.
+scan       run the weak-limit scanner over a shift list, write the report
+           CSV, check optional expectations.  params str, base_stage int,
+           top_stage int, panel {span int (6), controls [int] ([97]),
+           include_union bool (true)}, m [int|str], gaps {n int (8), seed int
+           (1), lo int|null, hi int|null, extra_lattice [int]}, expect {shift:
+           word}, tol fraction ("1/4"), semigroup {degree int (2), z int (1)},
+           a_bound int (3), z_bound int (4), out str, expect_all_pass bool.
 verify     run the acceptance suite (optionally a subset / on an artifact).
-semigroup  dump the enumerated semigroup as a table.
+semigroup  dump the enumerated semigroup as a table.  p [str], degree int
+           (2), z int (1).
 
 Exit codes: 0 ok, 1 assertion failure, 2 usage or config error,
 3 generation failure.  Every error path prints a single machine-parsable
@@ -59,11 +70,10 @@ EXIT_GENERATION = 3
 
 
 class CliError(Exception):
-    def __init__(self, code: str, detail: str, status: int):
+    """A usage or config error: one ``error code=<code>`` line, exit 2."""
+    def __init__(self, code: str, detail: str):
         super().__init__(detail)
         self.code = code
-        self.detail = detail
-        self.status = status
 
 
 @contextmanager
@@ -72,21 +82,7 @@ def _rejected_as(code: str):
     try:
         yield
     except ValueError as exc:
-        raise CliError(code, str(exc), EXIT_CONFIG) from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _cfg_get(cfg: dict, key: str, kind: type, default):
-    """cfg[key] or ``default``; a present value must be a ``kind`` (dict or list)."""
-    value = cfg.get(key, default)
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a list"
-        raise CliError("config", f"{key} must be {name}, got {value!r}",
-                       EXIT_CONFIG)
-    return value
+        raise CliError(code, str(exc)) from None
 
 
 def _err_line(code: str, detail: str) -> None:
@@ -106,90 +102,107 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str, what: str, decode=json.loads):
+    """decode(text) of the ``what`` file at ``path``; any fault is a config error."""
     p = Path(path)
     if not p.is_file():
-        raise CliError("config", f"config file not found: {path}", EXIT_CONFIG)
+        raise CliError("config", f"{what} file not found: {path}")
     try:
-        obj = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError("config", f"unreadable config {path}: {exc}", EXIT_CONFIG)
-    if not isinstance(obj, dict):
-        raise CliError("config", f"config root must be an object: {path}",
-                       EXIT_CONFIG)
-    return obj
+        return decode(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise CliError("config", f"corrupt {what} file {path}: {exc}")
+
+
+def _load_config(path: str | None) -> dict:
+    cfg = {} if path is None else _read_json(path, "config")
+    if not isinstance(cfg, dict):
+        raise CliError("config", f"config root must be an object: {path}")
+    return cfg
+
+
+_KIND_NAMES = {int: "an integer", float: "a float", str: "a string",
+               bool: "true or false", dict: "an object", type(None): "null"}
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: a type or tuple of types (a bool is
+    not an int), ``[k]`` (a list of k) or ``{str: k}`` (an object of k values;
+    ``{int: k}`` also needs decimal keys)."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
+    if isinstance(kind, dict):
+        [(key, item)] = kind.items()
+        return isinstance(value, dict) and all(
+            (key is str or k.isdecimal()) and _is(v, item)
+            for k, v in value.items())
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return isinstance(value, kinds) and not (isinstance(value, bool)
+                                             and int in kinds)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        return f"a list, each entry {_describe(kind[0])}"
+    if isinstance(kind, dict):
+        [(key, item)] = kind.items()
+        keys = "key a decimal integer and each " if key is int else ""
+        return f"an object, each {keys}value {_describe(item)}"
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return " or ".join(_KIND_NAMES[k] for k in kinds)
+
+
+def _option(cfg: dict, key: str, kind, default=None, flag=None):
+    """``flag`` if given, else ``cfg[key]`` if present, else ``default``; a
+    config value not of ``kind`` is a config error.  Every flag and config
+    value is read here; ``key`` may be "<section> <key>" ("panel span")."""
+    if flag is not None:
+        return flag
+    section, _, name = key.rpartition(" ")
+    if section:
+        cfg = _option(cfg, section, dict, {})
+    if name not in cfg:
+        return default
+    if not _is(cfg[name], kind):
+        raise CliError("config", f"{key} must be {_describe(kind)}, got {cfg[name]!r}")
+    return cfg[name]
 
 
 def _parse_series_text(text: str):
     """Parse '1/2,1/2' (coefficients from exponent 0 upward)."""
     try:
-        coeffs = {}
-        for i, tok in enumerate(text.split(",")):
-            c = Fraction(tok.strip())
-            if c:
-                coeffs[i] = c
-        return make_admissible(coeffs)
+        return make_admissible({i: Fraction(tok)
+                                for i, tok in enumerate(text.split(","))})
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("usage", f"malformed coefficient list {text!r}: {exc}",
-                       EXIT_CONFIG)
+        raise CliError("usage", f"malformed coefficient list {text!r}: {exc}")
 
 
 def _load_params_file(path: str) -> ConstructionParams:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError("config", f"params file not found: {path}", EXIT_CONFIG)
-    text = p.read_text()
-    if text.startswith("#"):
-        text = text.split("\n", 1)[1]
-    try:
-        params = params_from_json(text)
-    except Exception as exc:
-        raise CliError("config", f"corrupt params file {path}: {exc}",
-                       EXIT_CONFIG)
+    # an artifact may open with a "# generated ..." timestamp line
+    params = _read_json(path, "params", lambda text: params_from_json(
+        re.sub(r"\A#.*\n?", "", text)))
     problems = validate_params(params)
     if problems:
-        raise CliError("config",
-                       f"invalid params {path}: {'; '.join(problems)}",
-                       EXIT_CONFIG)
+        raise CliError("config", f"invalid params {path}: {'; '.join(problems)}")
     return params
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?h(\d+)$")
+_TERM = r"(?:(\d+)\*)?h(\d+)"  # [k*]h<j>
 
 
-def _parse_shift_expr(expr, hs: Sequence[int]) -> int:
+def _parse_shift_expr(expr: int | str, hs: Sequence[int]) -> int:
     """Shift expressions: integers, or signed sums of [k*]h<j> terms."""
     if isinstance(expr, int):
         return expr
-    s = str(expr).replace(" ", "")
+    s = expr.replace(" ", "")
     if re.fullmatch(r"-?\d+", s):
         return int(s)
-    total, sign, i = 0, +1, 0
-    if not s:
-        raise CliError("config", "empty shift expression", EXIT_CONFIG)
-    while i < len(s):
-        if s[i] == "+":
-            sign, i = +1, i + 1
-            continue
-        if s[i] == "-":
-            sign, i = -1, i + 1
-            continue
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        m = _TERM_RE.match(s[i:j])
-        if not m:
-            raise CliError("config", f"bad shift term {s[i:j]!r} in {expr!r}",
-                           EXIT_CONFIG)
-        coef = int(m.group(1) or 1)
-        stage = int(m.group(2))
-        if not 1 <= stage <= len(hs):
-            raise CliError("config", f"stage out of range in {expr!r}",
-                           EXIT_CONFIG)
-        total += sign * coef * hs[stage - 1]
-        sign, i = +1, j
+    if not re.fullmatch(rf"[+-]?{_TERM}(?:[+-]{_TERM})*", s):
+        raise CliError("config", f"bad shift expression {expr!r}")
+    total = 0
+    for sign, coef, stage in re.findall(rf"([+-]?){_TERM}", s):
+        if not 1 <= int(stage) <= len(hs):
+            raise CliError("config", f"stage out of range in {expr!r}")
+        total += (-1 if sign == "-" else 1) * int(coef or 1) * hs[int(stage) - 1]
     return total
 
 
@@ -197,66 +210,56 @@ def _parse_tol(text) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("usage", f"bad tolerance {text!r}: {exc}", EXIT_CONFIG)
+        raise CliError("usage", f"bad tolerance {text!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
 
-def _eps_schedule_from_text(text: str | None):
-    if text is None:
-        return None
-    value = _parse_tol(text)
-    return lambda j: value
-
-
 def cmd_build(args) -> int:
     cfg = _load_config(args.config)
-    stages = args.stages or cfg.get("stages")
-    if not _is_int(stages) or stages < 2:
-        raise CliError("usage", f"--stages N (an integer >= 2) is required, "
-                       f"got {stages!r}", EXIT_CONFIG)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    example = args.example or cfg.get("example")
-    p_texts = list(args.p or []) or list(cfg.get("p", []))
+    # read untyped: the usage line covers a missing, mistyped or small count
+    stages = _option(cfg, "stages", object, flag=args.stages)
+    if not _is(stages, int) or stages < 2:
+        raise CliError("usage", f"--stages N (an integer >= 2) is required, got {stages!r}")
+    example = _option(cfg, "example", str, flag=args.example)
+    p_texts = _option(cfg, "p", [str], [], flag=args.p)
 
-    if example and p_texts:
-        raise CliError("usage", "choose either --example or --p, not both",
-                       EXIT_CONFIG)
-    if example:
+    if example is not None and p_texts:
+        raise CliError("usage", "choose either --example or --p, not both")
+    if example is not None:
         with _rejected_as("usage"):
             params = gen_example(example, stages)
     elif p_texts:
         series = [_parse_series_text(t) for t in p_texts]
-        cap = args.cap if args.cap is not None else cfg.get("cap")
-        sidon = SidonPolicy(cap=cap)
-        eps = _eps_schedule_from_text(args.eps or cfg.get("eps"))
-        starts = {int(k): int(v) for k, v in cfg.get("starts", {}).items()}
+        eps = _option(cfg, "eps", (str, int, float), flag=args.eps)
+        starts = {int(j): r for j, r in _option(cfg, "starts", {int: int}, {}).items()}
         growth = ColumnGrowthPolicy(
             start=(lambda j: starts.get(j, max(2 * j, 16))) if starts else None)
-        params = gen_p_construction(series, stages, seed,
-                                    eps_schedule=eps, r_policy=growth,
-                                    sidon_policy=sidon)
+        cap = _option(cfg, "cap", (int, type(None)), flag=args.cap)
+        with _rejected_as("usage"):
+            params = gen_p_construction(
+                series, stages, _option(cfg, "seed", int, 0, flag=args.seed),
+                eps_schedule=None if eps is None else (lambda j, e=_parse_tol(eps): e),
+                r_policy=growth, sidon_policy=SidonPolicy(cap=cap))
     else:
-        raise CliError("usage", "need --example KIND or --p COEFFS",
-                       EXIT_CONFIG)
+        raise CliError("usage", "need --example KIND or --p COEFFS")
 
     hs = heights(params)
-    base = args.base_stage or max(1, stages - 2)
+    # build reads its base stage and output path from flags only
+    base = _option({}, "base_stage", int, max(1, stages - 2),
+                   flag=args.base_stage)
     with _rejected_as("usage"):
         occ = expand_occupancy(params, base, stages)
-    out = Path(args.out or "params.json")
+    out = Path(_option({}, "out", str, "params.json", flag=args.out))
     header = timestamp_header(not args.no_timestamp)
     out.write_text(header + params_to_json(params) + "\n")
     csv_path = out.with_name(out.stem + "_heights.csv")
     lines = [header + "j,height,columns,spacer_sum"]
-    for j, h in enumerate(hs, start=1):
-        if j <= len(params.stages):
-            st = params.stages[j - 1]
-            lines.append(f"{j},{h},{st.r},{sum(st.spacers)}")
-        else:
-            lines.append(f"{j},{h},,")
+    lines += [f"{j},{h},{st.r},{sum(st.spacers)}"
+              for j, (h, st) in enumerate(zip(hs, params.stages), start=1)]
+    lines.append(f"{len(hs)},{hs[-1]},,")
     csv_path.write_text("\n".join(lines) + "\n")
     print(f"window h_{stages}={hs[-1]} base_stage={base} "
           f"labels={occ.base_height} copies_per_label={occ.n_copies}")
@@ -270,64 +273,53 @@ def cmd_build(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _load_config(args.config)
-    params_path = args.params or cfg.get("params")
-    if not params_path:
-        raise CliError("usage", "scan needs --params PATH (or config key)",
-                       EXIT_CONFIG)
+    params_path = _option(cfg, "params", str, flag=args.params)
+    if params_path is None:
+        raise CliError("usage", "scan needs --params PATH (or config key)")
     params = _load_params_file(params_path)
     hs = heights(params)
-    J = len(hs)
-    base = args.base_stage or cfg.get("base_stage") or max(1, J - 2)
-    top = cfg.get("top_stage") or J
-    pan_cfg = _cfg_get(cfg, "panel", dict, {})
-    span = pan_cfg.get("span", 6)
-    if not _is_int(span):
-        raise CliError("config", f"panel span must be an integer, got {span!r}",
-                       EXIT_CONFIG)
+    base = _option(cfg, "base_stage", int, max(1, len(hs) - 2),
+                   flag=args.base_stage)
+    top = _option(cfg, "top_stage", int, len(hs))
     with _rejected_as("config"):
         occ = expand_occupancy(params, base, top)
-        panel = default_panel(occ, span=span,
-                              controls=tuple(pan_cfg.get("controls", (97,))),
-                              include_union=pan_cfg.get("include_union", True))
+        panel = default_panel(
+            occ, span=_option(cfg, "panel span", int, 6),
+            controls=_option(cfg, "panel controls", [int], (97,)),
+            include_union=_option(cfg, "panel include_union", bool, True))
 
-    m_set: list[int] = []
-    skipped: list[int] = []
-    span_guard = occ.window
-    for expr in _cfg_get(cfg, "m", list, []):
-        m = _parse_shift_expr(expr, hs)
-        if abs(m) >= span_guard:
-            skipped.append(m)
-        else:
-            m_set.append(m)
-    gap_cfg = _cfg_get(cfg, "gaps", dict, {})
-    if gap_cfg:
+    shifts = [_parse_shift_expr(e, hs) for e in _option(cfg, "m", [(int, str)], [])]
+    m_set = [m for m in shifts if abs(m) < occ.window]
+    skipped = len(shifts) - len(m_set)
+    if _option(cfg, "gaps", dict, {}):
         with _rejected_as("config"):
             m_set += sample_gap_shifts(
-                hs, int(gap_cfg.get("n", 8)),
-                rng_seed=gap_cfg.get("seed", 1),
-                lo=gap_cfg.get("lo"), hi=gap_cfg.get("hi"),
-                extra_lattice=tuple(gap_cfg.get("extra_lattice", ())))
+                hs, _option(cfg, "gaps n", int, 8),
+                rng_seed=_option(cfg, "gaps seed", int, 1),
+                lo=_option(cfg, "gaps lo", (int, type(None))),
+                hi=_option(cfg, "gaps hi", (int, type(None))),
+                extra_lattice=_option(cfg, "gaps extra_lattice", [int], ()))
     if not m_set:
-        raise CliError("config", "no feasible shifts configured", EXIT_CONFIG)
+        raise CliError("config", "no feasible shifts configured")
     expect = [(expr, _parse_shift_expr(expr, hs), want)
-              for expr, want in _cfg_get(cfg, "expect", dict, {}).items()]
+              for expr, want in _option(cfg, "expect", {str: str}, {}).items()]
     unscanned = [expr for expr, m, _ in expect if m not in m_set]
     if unscanned:
         raise CliError("config", f"expect names shifts that are not scanned: "
-                       f"{', '.join(unscanned)}", EXIT_CONFIG)
+                       f"{', '.join(unscanned)}")
 
-    tol = _parse_tol(args.tol if args.tol is not None else cfg.get("tol", "1/4"))
-    sg_cfg = _cfg_get(cfg, "semigroup", dict, {})
+    tol = _parse_tol(_option(cfg, "tol", (str, int, float), "1/4", flag=args.tol))
+    out = _option(cfg, "out", str, "scan.csv", flag=args.out)
+    expect_all_pass = _option(cfg, "expect_all_pass", bool, False)
     with _rejected_as("config"):
         sg = enumerate_semigroup(generator_series(params),
-                                 int(sg_cfg.get("degree", 2)),
-                                 int(sg_cfg.get("z", 1)))
+                                 _option(cfg, "semigroup degree", int, 2),
+                                 _option(cfg, "semigroup z", int, 1))
         report = scan_limits(occ, hs, sg, m_set, tol=tol, panel=panel,
                              params=params,
-                             a_bound=int(cfg.get("a_bound", 3)),
-                             z_bound=int(cfg.get("z_bound", 4)))
+                             a_bound=_option(cfg, "a_bound", int, 3),
+                             z_bound=_option(cfg, "z_bound", int, 4))
 
-    out = args.out or cfg.get("out", "scan.csv")
     write_scan_csv(report, out, include_timestamp=not args.no_timestamp)
 
     failures = []
@@ -335,12 +327,12 @@ def cmd_scan(args) -> int:
         entry = report.entry(m)
         if entry.best_word != want:
             failures.append(f"m={expr}: best={entry.best_word} expected={want}")
-    if cfg.get("expect_all_pass") and not report.passed:
+    if expect_all_pass and not report.passed:
         n_bad = sum(1 for e in report.entries if not e.passed)
         failures.append(f"{n_bad} shifts exceed tol={float(tol):.4f}")
 
     n_ok = sum(1 for e in report.entries if e.passed)
-    print(f"scanned {len(report.entries)} shifts (skipped {len(skipped)} "
+    print(f"scanned {len(report.entries)} shifts (skipped {skipped} "
           f"beyond window); {n_ok} within tol; wrote {out}")
     if failures:
         _err_line("assertion", "; ".join(failures))
@@ -367,8 +359,7 @@ def cmd_verify(args) -> int:
     try:
         names = acceptance.resolve_names(args.only)
     except KeyError as exc:
-        raise CliError("usage", f"unknown criterion {exc.args[0]!r}",
-                       EXIT_CONFIG)
+        raise CliError("usage", f"unknown criterion {exc.args[0]!r}")
     results = acceptance.run_all(names)
     for res in results:
         print(res.line())
@@ -386,11 +377,11 @@ def cmd_verify(args) -> int:
 
 def cmd_semigroup(args) -> int:
     cfg = _load_config(args.config)
-    p_texts = list(args.p or []) or list(cfg.get("p", ["1/2,1/2"]))
+    p_texts = _option(cfg, "p", [str], ["1/2,1/2"], flag=args.p)
+    degree = _option(cfg, "degree", int, 2, flag=args.degree)
+    z_range = _option(cfg, "z", int, 1, flag=args.z)
     series = [_parse_series_text(t) for t in p_texts]
     with _rejected_as("usage"):
-        degree = args.degree if args.degree is not None else int(cfg.get("degree", 2))
-        z_range = args.z if args.z is not None else int(cfg.get("z", 1))
         elems = enumerate_semigroup(series, degree, z_range)
     lines = ["index,word,support,mass,max_coeff"]
     for i, el in enumerate(elems):
@@ -466,8 +457,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = ap.parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        _err_line(exc.code, exc.detail)
-        return exc.status
+        _err_line(exc.code, str(exc))
+        return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code or 0)
     except GenerationError as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -98,9 +99,6 @@ class ConstructionParams:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-    def heights(self) -> list[int]:
-        return heights(self)
 
 
 def validate_params(params: ConstructionParams) -> list[str]:
@@ -324,7 +322,8 @@ def expand_occupancy(params: ConstructionParams, base_stage: int,
     n = len(params.stages)
     if not (1 <= base_stage <= top_stage <= n + 1):
         raise ValueError(
-            f"stage indices out of range: need 1 <= {base_stage} <= {top_stage} <= {n + 1}")
+            f"stage indices out of range: need 1 <= base_stage ({base_stage}) "
+            f"<= top_stage ({top_stage}) <= {n + 1}")
     hs = heights(params)
     window = hs[top_stage - 1]
     base_height = hs[base_stage - 1]
@@ -492,6 +491,10 @@ class SidonPolicy:
 
     cap: int | None = None
 
+    def __post_init__(self):
+        if self.cap is not None and self.cap < 0:
+            raise ValueError(f"cap must be >= 0, got {self.cap}")
+
 
 @dataclass(frozen=True)
 class SidonResult:
@@ -592,6 +595,8 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
     """
     if J < 2:
         raise ValueError("J >= 2 required")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not P_list:
         raise ValueError("at least one admissible series required")
     eps_schedule = eps_schedule or _default_eps
@@ -716,8 +721,26 @@ def _enc_int(x: int):
     return x if abs(x) <= _JSON_INT_LIMIT else str(x)
 
 
-def _dec_int(x) -> int:
-    return int(x)
+def _dec_int(x, field: str) -> int:
+    """A JSON integer (not a bool) or a decimal digit string, else ValueError."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{field} must be an integer, got {x!r}")
+
+
+def _dec(x, kind: type, field: str, keys: Sequence[str] = ()):
+    """``x`` if it is a JSON list or object (``kind``) holding ``keys``."""
+    if not isinstance(x, kind):
+        name = "a list" if kind is list else "an object"
+        raise ValueError(f"{field} must be {name}, got {x!r}")
+    for key in keys:
+        if key not in x:
+            raise ValueError(f"missing field {key} in {field}")
+    return x
+
+
+def _dec_ints(x, field: str) -> list[int]:
+    return [_dec_int(v, field) for v in _dec(x, list, field)]
 
 
 def _enc_meta(obj):
@@ -740,40 +763,43 @@ def params_to_json(params: ConstructionParams, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def _dec_fields(rec: dict, scalars: Sequence[str] = (),
+def _dec_fields(rec, name: str, scalars: Sequence[str] = (),
                 lists: Sequence[str] = ()) -> dict:
-    out = dict(rec)
+    out = dict(_dec(rec, dict, name))
     for key in scalars:
         if out.get(key) is not None:
-            out[key] = _dec_int(out[key])
+            out[key] = _dec_int(out[key], key)
     for key in lists:
         if key in out:
-            out[key] = [_dec_int(v) for v in out[key]]
+            out[key] = _dec_ints(out[key], key)
     return out
 
 
-def _dec_meta(meta):
+def _dec_meta(meta) -> dict:
     """Restore the integer fields the generators write; all else is kept as is."""
-    if not isinstance(meta, dict):
-        return meta
-    out = _dec_fields(meta, ("seed", "h1", "k"))
+    out = _dec_fields(meta, "meta", ("seed", "h1", "k"))
     if isinstance(out.get("sidon_policy"), dict):
-        out["sidon_policy"] = _dec_fields(out["sidon_policy"], ("cap", "increment"))
+        out["sidon_policy"] = _dec_fields(out["sidon_policy"], "sidon_policy",
+                                          ("cap", "increment"))
     if "series" in out:
-        out["series"] = [[[_dec_int(x) for x in triple] for triple in blob]
-                         for blob in out["series"]]
+        out["series"] = [[_dec_ints(t, "series") for t in _dec(blob, list, "series")]
+                         for blob in _dec(out["series"], list, "series")]
     if "stages" in out:
         out["stages"] = [
-            _dec_fields(rec, ("j", "q", "r", "attempts", "max_m", "tail_from"),
-                        ("sidon_indices", "pre_sidon"))
-            for rec in out["stages"]]
+            _dec_fields(rec, "meta stage", ("j", "q", "r", "attempts", "max_m",
+                        "tail_from"), ("sidon_indices", "pre_sidon"))
+            for rec in _dec(out["stages"], list, "meta stages")]
     return out
 
 
 def params_from_json(text: str) -> ConstructionParams:
-    doc = json.loads(text)
-    stages = tuple(
-        StageParams(int(st["r"]), tuple(_dec_int(s) for s in st["spacers"]))
-        for st in doc["stages"])
-    meta = _dec_meta(doc.get("meta", {}))
-    return ConstructionParams(_dec_int(doc["h1"]), stages, meta)
+    """Decode an artifact; a missing or malformed field raises ValueError."""
+    doc = _dec(json.loads(text), dict, "params", ("h1", "stages"))
+    stages = [_dec(st, dict, f"stage {j}", ("r", "spacers"))
+              for j, st in enumerate(_dec(doc["stages"], list, "stages"), 1)]
+    return ConstructionParams(
+        _dec_int(doc["h1"], "h1"),
+        tuple(StageParams(_dec_int(st["r"], f"stage {j} r"),
+                          tuple(_dec_ints(st["spacers"], f"stage {j} spacers")))
+              for j, st in enumerate(stages, 1)),
+        _dec_meta(doc.get("meta", {})))

@@ -210,12 +210,6 @@ class FormalElement:
     def max_abs_exponent(self) -> int:
         return max((abs(z) for z, _ in self.coeffs), default=0)
 
-    def coefficient(self, z: int) -> Fraction:
-        for zz, v in self.coeffs:
-            if zz == z:
-                return v
-        return Fraction(0)
-
     def __str__(self) -> str:
         return self.word
 
@@ -288,9 +282,6 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
     base = [FormalElement.from_series(g, i) for i, g in enumerate(generators)]
     base_adj = [adjoint(el) for el in base]
 
-    def complexity(el: FormalElement, total: int, z: int) -> tuple[int, int]:
-        return (total + abs(z), abs(z))
-
     seen: dict[tuple, tuple[tuple[int, int], int]] = {}
     out: list[FormalElement] = [FormalElement.zero()]
     seen[()] = ((0, 0), 0)
@@ -308,7 +299,7 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
                     el = convolve(el, base_adj[i])
             for z in range(-z_range, z_range + 1):
                 shifted = convolve(FormalElement.t_power(z), el) if z else el
-                cx = complexity(shifted, total, z)
+                cx = (total + abs(z), abs(z))  # fewest factors, then |z|
                 prior = seen.get(shifted.coeffs)
                 if prior is None:
                     seen[shifted.coeffs] = (cx, len(out))

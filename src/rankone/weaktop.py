@@ -15,10 +15,9 @@ Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
 sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
 (L the lcm of the elements' coefficient denominators, n the copies per
 label), so a scan holds them as integer numerators over D and scores every
-element against a shift with one integer (elements x pairs) matrix: int64
-where a bound from the actual maxima proves it fits, Python ints otherwise.
-A :class:`~fractions.Fraction` or float is built only where a report needs a
-value.
+element against a shift with one integer (elements x pairs) matrix of
+Python ints, exact by construction.  A :class:`~fractions.Fraction` or float
+is built only where a report needs a value.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -228,11 +227,6 @@ def _integer_coeffs(elements: Sequence[FormalElement]):
                for Q in elements]
 
 
-def _int_dtype(bound: int):
-    """int64 when ``bound`` caps every |value|, else object (Python ints)."""
-    return np.int64 if bound < 2 ** 63 else object
-
-
 @dataclass(frozen=True)
 class PanelModels:
     """The panel models of a list of elements, as integers over one denominator.
@@ -241,14 +235,13 @@ class PanelModels:
     the panel's |A| and n the copies per label, ``values[e, i]`` is
     sum_z Q_e(z) corr(z; A_i, B_i)/mu(A_i) times ``denominator`` D = L*LA*n,
     and a shift's profile entry corr(m; A_i, B_i)/mu(A_i) is its count times
-    ``weights[i]`` = L*LA/|A_i| over the same D.  ``values`` is int64 when
-    ``peak``, its largest entry, provably fits, else an object array.
+    ``weights[i]`` = L*LA/|A_i| over the same D.  ``values`` is an object
+    array of Python ints.
     """
 
     denominator: int
     weights: tuple[int, ...]
     values: np.ndarray
-    peak: int
 
 
 def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
@@ -261,7 +254,7 @@ def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
     zs = sorted({z for Q in elements for z, _ in Q.coeffs})
     if not zs:  # zero elements only
         return PanelModels(denominator, weights,
-                           np.zeros((len(elements), len(panel)), np.int64), 0)
+                           np.zeros((len(elements), len(panel)), object))
     lo, hi = panel.diff_range
     count = _window(occ, zs[0] + lo, zs[-1] + hi)
     # (zs x pairs) counts times LA/|A|, and (elements x zs) coefficients times L
@@ -272,18 +265,14 @@ def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
     for row, qs in zip(coeffs, scaled):
         for z, q in qs:
             row[col[z]] = q
-    # every entry is nonnegative, so no model exceeds this
-    dtype = _int_dtype(max(1, *map(sum, coeffs)) * max(1, *map(max, counts)))
-    values = np.array(coeffs, dtype=dtype) @ np.array(counts, dtype=dtype)
-    return PanelModels(denominator, weights, values, int(values.max()))
+    values = np.array(coeffs, dtype=object) @ np.array(counts, dtype=object)
+    return PanelModels(denominator, weights, values)
 
 
 def _max_abs_diff(models: PanelModels, profile: Sequence[int], a: int,
                   b: int) -> list[int]:
     """max over pairs i of |a * values[e, i] - b * profile[i]|, per element e."""
-    dtype = _int_dtype(max(a, b) * max(models.peak, *profile, 1))
-    diff = (a * models.values.astype(dtype, copy=False)
-            - b * np.array(profile, dtype=dtype))
+    diff = a * models.values - b * np.array(profile, dtype=object)
     return np.abs(diff).max(axis=1).tolist()
 
 
@@ -607,7 +596,8 @@ def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
     Candidates are uniform over [lo, hi] (defaults: second-largest height up
     to a quarter window) and rejected while they decompose over the height
     lattice extended by ``extra_lattice`` (e.g. an override cap, whose
-    echoes would otherwise show up as structured correlations).
+    echoes would otherwise show up as structured correlations).  A range too
+    poor in gap shifts to yield n of them in 1000*n draws is a ValueError.
     """
     if n < 0:
         raise ValueError(f"gap shift count must be >= 0, got {n}")
@@ -626,7 +616,8 @@ def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
     while len(out) < n:
         attempts += 1
         if attempts > 1000 * n:
-            raise RuntimeError("gap-shift rejection sampling is not converging")
+            raise ValueError(f"no {n} gap shifts found in [{lo}, {hi}]: "
+                             f"rejection sampling is not converging")
         # draw via two 32-bit words so the value is seed-stable for any span
         m = lo + (int(rng.integers(0, 1 << 32)) * span >> 32)
         if hadic_decompose(m, lattice, a_bound, z_bound) is None:

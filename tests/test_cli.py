@@ -170,21 +170,56 @@ def test_scan_missing_params_config_error(built):
     (["scan"], {"panel": []}, "panel must be an object"),
     (["scan"], {"m": "h4"}, "m must be a list"),
     (["scan"], {"gaps": {"n": -3}}, "gap shift count must be >= 0"),
+    (["scan"], {"panel": {"controls": 5}}, "panel controls must be a list"),
+    (["scan"], {"gaps": {"seed": "abc"}}, "gaps seed must be an integer"),
+    (["scan"], {"gaps": {"extra_lattice": 5}}, "gaps extra_lattice must be a list"),
+    (["scan"], {"gaps": {"lo": "5"}}, "gaps lo must be an integer or null"),
+    (["scan"], {"top_stage": "x"}, "top_stage must be an integer"),
+    (["scan"], {"params": 5}, "params must be a string"),
+    (["scan"], {"base_stage": 0}, "base_stage (0)"),
+    (["scan"], {"panel": {"include_union": "no"}},
+     "panel include_union must be true or false"),
+    (["scan"], {"expect_all_pass": "no"}, "expect_all_pass must be true or false"),
+    (["scan"], {"m": [True]}, "m must be a list, each entry an integer or a string"),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "cap": "x"},
+     "cap must be an integer or null"),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "seed": "x"},
+     "seed must be an integer"),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "seed": 1.5},
+     "seed must be an integer"),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "starts": [1]},
+     "starts must be an object"),
+    (["build", "--out", "bad.json"],
+     {"p": ["1/2,1/2"], "stages": 3, "starts": {"a": 1}},
+     "starts must be an object, each key a decimal integer"),
+    (["build", "--p", "1/2,1/2", "--stages", "3", "--cap", "-5", "--out", "bad.json"],
+     None, "cap must be >= 0"),
+    (["build", "--p", "1/2,1/2", "--stages", "3", "--seed", "-1", "--out", "bad.json"],
+     None, "seed must be >= 0"),
+    (["build", "--out", "bad.json"], {"p": "1/2,1/2", "stages": 3}, "p must be a list"),
+    (["semigroup"], {"p": "1/2,1/2"}, "p must be a list"),
 ], ids=["scan-base-stage", "scan-panel-span", "scan-gap-range",
         "build-base-stage", "semigroup-degree", "scan-panel-span-type",
         "build-stages-type", "scan-expect-unscanned", "scan-panel-type",
-        "scan-shifts-type", "scan-gap-count"])
+        "scan-shifts-type", "scan-gap-count", "scan-controls-type",
+        "scan-gap-seed-type", "scan-gap-lattice-type", "scan-gap-lo-type",
+        "scan-top-stage-type", "scan-params-type", "scan-base-stage-zero",
+        "scan-union-type", "scan-expect-all-pass-type", "scan-shift-bool",
+        "build-cap-type", "build-seed-type", "build-seed-float",
+        "build-starts-type", "build-starts-key", "build-cap-negative",
+        "build-seed-negative", "build-p-string", "semigroup-p-string"])
 def test_bad_input_is_a_single_line_config_error(built, args, cfg, detail):
     """Inputs the library rejects exit 2 with one error line, no traceback.
 
-    A scan config is the stock one with ``cfg`` merged in; a build config is
-    ``cfg`` alone.  The error line names the fault (``detail``).
+    A scan config is the stock one with ``cfg`` merged in; a build or
+    semigroup config is ``cfg`` alone.  The error line names the fault
+    (``detail``).
     """
     if cfg is not None and args[0] == "scan":
         args = [*args, "--config", str(scan_cfg(built, **cfg)), "--out", "bad.csv"]
     elif cfg is not None:
-        (built / "build_cfg.json").write_text(json.dumps(cfg))
-        args = [*args, "--config", "build_cfg.json"]
+        (built / "cli_cfg.json").write_text(json.dumps(cfg))
+        args = [*args, "--config", "cli_cfg.json"]
     res = run_cli(*args, cwd=built)
     assert res.returncode == 2
     lines = res.stderr.strip().split("\n")

@@ -1,3 +1,5 @@
+import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -424,3 +426,44 @@ def test_json_meta_keeps_digit_strings():
     params = ConstructionParams(2 ** 62, (StageParams(2, (0, 1)),), meta)
     back = params_from_json(params_to_json(params))
     assert back.meta == meta  # the digit string stays a string
+
+
+ONE_STAGE = [{"r": 2, "spacers": [0, 1]}]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1], "params must be an object"),
+    ({"stages": ONE_STAGE}, "missing field h1"),
+    ({"h1": 1}, "missing field stages"),
+    ({"h1": 1, "stages": [{"spacers": [0, 1]}]}, "missing field r in stage 1"),
+    ({"h1": 1, "stages": [{"r": 2}]}, "missing field spacers in stage 1"),
+    ({"h1": 1, "stages": [5]}, "stage 1 must be an object"),
+    ({"h1": 1, "stages": {"r": 2}}, "stages must be a list"),
+    ({"h1": 1.5, "stages": ONE_STAGE}, "h1 must be an integer, got 1.5"),
+    ({"h1": True, "stages": ONE_STAGE}, "h1 must be an integer, got True"),
+    ({"h1": "1e3", "stages": ONE_STAGE}, "h1 must be an integer"),
+    ({"h1": 1, "stages": [{"r": 2, "spacers": [0, 1.9]}]},
+     "stage 1 spacers must be an integer, got 1.9"),
+    ({"h1": 1, "stages": [{"r": "2", "spacers": 3}]}, "stage 1 spacers must be a list"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": [1]}, "meta must be an object"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": {"seed": 2.5}}, "seed must be an integer"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": {"series": 3}}, "series must be a list"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": {"stages": [7]}},
+     "meta stage must be an object"),
+])
+def test_params_from_json_names_the_bad_field(doc, field):
+    """No field is truncated or guessed: each malformed one raises ValueError."""
+    with pytest.raises(ValueError, match=re.escape(field)):
+        params_from_json(json.dumps(doc))
+
+
+def test_params_from_json_reads_decimal_digit_strings():
+    doc = {"h1": "36893488147419103232", "stages": [{"r": "2", "spacers": ["0", 7]}]}
+    params = params_from_json(json.dumps(doc))
+    assert params == ConstructionParams(2 ** 65, (StageParams(2, (0, 7)),))
+
+
+def test_sidon_policy_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        SidonPolicy(cap=-1)
+    assert apply_sidon([5, 5], 1, 3, SidonPolicy(cap=0)).spacers == (0, 0)

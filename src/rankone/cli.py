@@ -13,19 +13,21 @@ scan       run the weak-limit scanner over a shift list, write the report
            CSV, check optional expectations.  params str, base_stage int,
            top_stage int, panel {span int (6), controls [int] ([97]),
            include_union bool (true)}, m [int|str], gaps {n int (8), seed int
-           (1), lo int|null, hi int|null, extra_lattice [int]}, expect {shift:
-           word}, tol fraction ("1/4"), semigroup {degree int (2), z int (1)},
-           a_bound int (3), z_bound int (4), out str, expect_all_pass bool.
+           (1), lo int|null, hi int|null (both inside the window),
+           extra_lattice [int]}, expect {shift: word}, tol fraction ("1/4"),
+           semigroup {degree int (2), z int (1)}, a_bound int (3), z_bound
+           int (4), out str, expect_all_pass bool.
 verify     run the acceptance suite (optionally a subset / on an artifact).
 semigroup  dump the enumerated semigroup as a table.  p [str], degree int
            (2), z int (1).
 
-Exit codes: 0 ok, 1 assertion failure, 2 usage or config error,
-3 generation failure.  Every error path prints a single machine-parsable
-line ``error code=<kind> detail="..."`` on stderr (the build generation
-failure additionally dumps the frequency report there).  With identical
-config and seed the output files are byte-identical once timestamp
-headers are disabled via --no-timestamp.
+Exit codes: 0 ok, 1 assertion failure, 2 usage or config error (an
+output path that cannot be written is one), 3 generation failure.  Every
+error path prints a single machine-parsable line ``error code=<kind>
+detail="..."`` on stderr (the build generation failure additionally dumps
+the frequency report there).  With identical config and seed the output
+files are byte-identical once timestamp headers are disabled via
+--no-timestamp.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def _rejected_as(code: str):
         yield
     except ValueError as exc:
         raise CliError(code, str(exc)) from None
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a config error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError("config", f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _err_line(code: str, detail: str) -> None:
@@ -252,15 +262,15 @@ def cmd_build(args) -> int:
                    flag=args.base_stage)
     with _rejected_as("usage"):
         occ = expand_occupancy(params, base, stages)
-    out = Path(_option({}, "out", str, "params.json", flag=args.out))
+    out = _option({}, "out", str, "params.json", flag=args.out)
     header = timestamp_header(not args.no_timestamp)
-    out.write_text(header + params_to_json(params) + "\n")
-    csv_path = out.with_name(out.stem + "_heights.csv")
+    _write(out, header + params_to_json(params) + "\n")
+    csv_path = Path(out).with_name(Path(out).stem + "_heights.csv")
     lines = [header + "j,height,columns,spacer_sum"]
     lines += [f"{j},{h},{st.r},{sum(st.spacers)}"
               for j, (h, st) in enumerate(zip(hs, params.stages), start=1)]
     lines.append(f"{len(hs)},{hs[-1]},,")
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write(csv_path, "\n".join(lines) + "\n")
     print(f"window h_{stages}={hs[-1]} base_stage={base} "
           f"labels={occ.base_height} copies_per_label={occ.n_copies}")
     print(f"wrote {out} and {csv_path}")
@@ -292,13 +302,18 @@ def cmd_scan(args) -> int:
     m_set = [m for m in shifts if abs(m) < occ.window]
     skipped = len(shifts) - len(m_set)
     if _option(cfg, "gaps", dict, {}):
+        bounds = {key: _option(cfg, f"gaps {key}", (int, type(None)))
+                  for key in ("lo", "hi")}
+        for key, bound in bounds.items():
+            if bound is not None and abs(bound) >= occ.window:
+                raise CliError("config", f"gaps {key} ({bound}) is beyond the "
+                               f"window: |{key}| must be below {occ.window}")
         with _rejected_as("config"):
             m_set += sample_gap_shifts(
                 hs, _option(cfg, "gaps n", int, 8),
                 rng_seed=_option(cfg, "gaps seed", int, 1),
-                lo=_option(cfg, "gaps lo", (int, type(None))),
-                hi=_option(cfg, "gaps hi", (int, type(None))),
-                extra_lattice=_option(cfg, "gaps extra_lattice", [int], ()))
+                extra_lattice=_option(cfg, "gaps extra_lattice", [int], ()),
+                **bounds)
     if not m_set:
         raise CliError("config", "no feasible shifts configured")
     expect = [(expr, _parse_shift_expr(expr, hs), want)
@@ -320,7 +335,7 @@ def cmd_scan(args) -> int:
                              a_bound=_option(cfg, "a_bound", int, 3),
                              z_bound=_option(cfg, "z_bound", int, 4))
 
-    write_scan_csv(report, out, include_timestamp=not args.no_timestamp)
+    _write(out, write_scan_csv(report, include_timestamp=not args.no_timestamp))
 
     failures = []
     for expr, m, want in expect:
@@ -349,7 +364,9 @@ def cmd_verify(args) -> int:
 
     if args.params:
         params = _load_params_file(args.params)
-        for j, rep in recheck_gates(params):
+        with _rejected_as("config"):
+            gates = recheck_gates(params)
+        for j, rep in gates:
             if not rep.passed:
                 _err_line("assertion", f"artifact stage {j} gate recheck failed")
                 print(rep.summary(), file=sys.stderr)
@@ -390,7 +407,7 @@ def cmd_semigroup(args) -> int:
                      f"{float(el.mass):.6f},{float(mc):.6f}")
     body = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(timestamp_header(not args.no_timestamp) + body)
+        _write(args.out, timestamp_header(not args.no_timestamp) + body)
         print(f"{len(elems)} elements (degree<={degree}, |z|<={z_range}) "
               f"-> {args.out}")
     else:

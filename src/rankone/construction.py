@@ -28,7 +28,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -443,8 +445,9 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     For every m = 1..max_m, the sums of the r-m+1 length-m windows of
     ``spacers`` are tallied, and for every k in the support of P^m the
     empirical frequency (denominator r-m+1, windows i = 1..r-m+1 inclusive)
-    must satisfy |c_k - freq_k| < eps * c_k.  All arithmetic is rational, so
-    the verdict has no floating-point fuzz.
+    must satisfy |c_k - freq_k| < eps * c_k.  Window sums are differences of
+    exact prefix sums, tallied in C, and the test is cross-multiplied in
+    integers, so the verdict has no floating-point fuzz at any spacer size.
     """
     if P.declared_mass != 1:
         raise ValueError("frequency check is against a mass-1 distribution; "
@@ -455,23 +458,20 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     eps = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)
     rows = []
     passed = True
-    values = [int(s) for s in spacers]
+    # window i of length m sums to prefix[i + m] - prefix[i]
+    prefix = list(itertools.accumulate(map(int, spacers), initial=0))
     gen = FormalElement.from_series(P)
     power_m = FormalElement.identity()
     for m in range(1, max_m + 1):
         power_m = convolve(power_m, gen)
-        sums: dict[int, int] = {}
-        window = sum(values[:m])
-        sums[window] = 1
-        for i in range(1, r - m + 1):
-            window += values[i + m - 1] - values[i - 1]
-            sums[window] = sums.get(window, 0) + 1
+        sums = Counter(map(operator.sub, itertools.islice(prefix, m, None), prefix))
         denom = r - m + 1
         for k, c in power_m.coeffs:  # sorted by k, every c > 0
-            observed = Fraction(sums.get(k, 0), denom)
-            row = FrequencyRow(m, k, c, observed)
-            rows.append(row)
-            if row.relative_deviation >= eps:
+            count = sums[k]
+            rows.append(FrequencyRow(m, k, c, Fraction(count, denom)))
+            # relative_deviation >= eps, cross-multiplied
+            if (abs(c.numerator * denom - count * c.denominator) * eps.denominator
+                    >= eps.numerator * c.numerator * denom):
                 passed = False
     return FrequencyReport(passed, max_m, eps, tuple(rows))
 
@@ -655,6 +655,9 @@ def generator_series(params: ConstructionParams) -> list[AdmissibleSeries]:
     blobs = params.meta.get("series")
     if not blobs:
         raise ValueError("params carry no generator series metadata")
+    for term in itertools.chain.from_iterable(blobs):
+        if len(term) != 3 or term[2] == 0:
+            raise ValueError(f"meta series term {term!r}: must be [k, num, den], den != 0")
     return [make_admissible({kk: Fraction(num, den) for kk, num, den in blob})
             for blob in blobs]
 
@@ -664,20 +667,40 @@ def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport
 
     Returns one (stage j, report) pair per stage record in ``params.meta``;
     the list is empty for params without stage records (hand-written or
-    example builds), which have no gate to re-check.
+    example builds), which have no gate to re-check.  A record that lacks a
+    field, or whose series index or override indices do not fit the params,
+    raises ValueError naming the field.
     """
     recs = params.meta.get("stages") if isinstance(params.meta, dict) else None
     if not recs:
         return []
     series = generator_series(params)
+    if len(recs) != params.n_stages:
+        raise ValueError(f"meta stages holds {len(recs)} records for "
+                         f"{params.n_stages} stages")
     out = []
-    for rec, st in zip(recs, params.stages):
+    for n, (rec, st) in enumerate(zip(recs, params.stages), 1):
+        where = f"meta stage {n}"
+        _dec(rec, dict, where, ("j", "q", "max_m", "eps", "sidon_indices", "pre_sidon"))
+        q = _dec_int(rec["q"], f"{where} q")
+        if not 0 <= q < len(series):
+            raise ValueError(f"{where} q = {q}: must be in 0..{len(series) - 1}")
+        indices, pre = rec["sidon_indices"], rec["pre_sidon"]
+        if len(indices) != len(pre):
+            raise ValueError(f"{where}: {len(indices)} sidon_indices but "
+                             f"{len(pre)} pre_sidon entries")
         draws = list(st.spacers)
-        for i, v in zip(rec["sidon_indices"], rec["pre_sidon"]):
+        if not all(1 <= i <= len(draws) for i in indices):
+            raise ValueError(f"{where} sidon_indices: each must be in 1..{len(draws)}")
+        try:
+            eps = Fraction(rec["eps"])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"{where} eps must be a fraction, got {rec['eps']!r}") from None
+        for i, v in zip(indices, pre):
             draws[i - 1] = v
-        P = series[rec["q"]].renormalized()
-        out.append((rec["j"], verify_frequencies(draws, P, rec["max_m"],
-                                                 Fraction(rec["eps"]))))
+        report = verify_frequencies(draws, series[q].renormalized(),
+                                    _dec_int(rec["max_m"], f"{where} max_m"), eps)
+        out.append((_dec_int(rec["j"], f"{where} j"), report))
     return out
 
 

@@ -11,15 +11,18 @@ Because T is invertible and everything here commutes, every semigroup
 element is fully described by a finitely supported map z -> q_z over the
 integers (negative z encoding adjoint powers).  :class:`FormalElement`
 holds that map together with a symbolic word; products are coefficient
-convolutions.  All arithmetic is exact (:class:`fractions.Fraction`), so
-element equality -- and hence deduplication during enumeration -- is
-decidable.
+convolutions.  A product multiplies integer numerators over one common
+denominator per operand (the lcm of its coefficient denominators) and
+builds one :class:`fractions.Fraction` per output coefficient, at the edge
+where ``coeffs`` is stored.  All arithmetic is exact, so element equality
+-- and hence deduplication during enumeration -- is decidable.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -228,17 +231,30 @@ def _merge_factorizations(a: Factorization | None, b: Factorization | None) -> F
     return (ta + tb, merged)
 
 
+def _numerators(coeffs) -> tuple[list[tuple[int, int]], int]:
+    """``coeffs`` as (z, numerator) pairs over d = lcm of the denominators, and d."""
+    d = math.lcm(*(v.denominator for _, v in coeffs))
+    return [(z, v.numerator * (d // v.denominator)) for z, v in coeffs], d
+
+
+def _product(a: Iterable[tuple[int, int]], b: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """Convolution of two (z, numerator) sequences; the denominators multiply."""
+    out: dict[int, int] = {}
+    for u, x in a:
+        for v, y in b:
+            out[u + v] = out.get(u + v, 0) + x * y
+    return out
+
+
 def convolve(a: FormalElement, b: FormalElement) -> FormalElement:
     """Semigroup product: coefficient convolution, words concatenated."""
     if a.is_zero or b.is_zero:
         return FormalElement.zero()
-    out: dict[int, Fraction] = {}
-    for u, x in a.coeffs:
-        for v, y in b.coeffs:
-            out[u + v] = out.get(u + v, Fraction(0)) + x * y
+    (na, da), (nb, db) = _numerators(a.coeffs), _numerators(b.coeffs)
+    d = da * db
+    coeffs = tuple((z, Fraction(n, d)) for z, n in _product(na, nb).items())
     fact = _merge_factorizations(a.factorization, b.factorization)
-    word = _render_word(fact, f"({a.word})*({b.word})")
-    return FormalElement.from_coeffs(out, word, fact)
+    return FormalElement(coeffs, _render_word(fact, f"({a.word})*({b.word})"), fact)
 
 
 def adjoint(a: FormalElement) -> FormalElement:
@@ -279,35 +295,49 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
     if max_total_degree < 0 or z_range < 0:
         raise ValueError("bounds must be nonnegative")
     k = len(generators)
-    base = [FormalElement.from_series(g, i) for i, g in enumerate(generators)]
-    base_adj = [adjoint(el) for el in base]
+    factors = [_numerators(g.coeffs) for g in generators]
+    factors += [([(-z, n) for z, n in nums], d) for nums, d in factors]
 
-    seen: dict[tuple, tuple[tuple[int, int], int]] = {}
-    out: list[FormalElement] = [FormalElement.zero()]
-    seen[()] = ((0, 0), 0)
-
-    # exponent vectors (b_1..b_k, c_1..c_k) by total degree
+    # A product is kept as its lowest exponent lo and a form (d, offsets,
+    # numerators): its coefficients are the numerators over d, divided by
+    # their gcd with d, at exponents lo + offset.  Equal coefficient maps have
+    # equal (lo, form), and T^z only moves lo.  ``best`` maps each (lo, form),
+    # in first-seen order, to its simplest word so far; (0, (1, (), ())) is
+    # the zero element.
+    best: dict[tuple, tuple[tuple[int, int], Factorization | None]] = {
+        (0, (1, (), ())): ((0, 0), None)}
+    parents: dict[tuple[int, ...], tuple] = {}
     for total in range(max_total_degree + 1):
+        products = {}
+        # exponent vectors (b_1..b_k, c_1..c_k) by total degree
         for exps in itertools.product(range(total + 1), repeat=2 * k):
             if sum(exps) != total:
                 continue
-            el = FormalElement.identity()
-            for i in range(k):
-                for _ in range(exps[i]):
-                    el = convolve(el, base[i])
-                for _ in range(exps[k + i]):
-                    el = convolve(el, base_adj[i])
+            if total == 0:
+                plo, nums, d = 0, {0: 1}, 1
+            else:  # the parent vector times one generator
+                i = next(i for i, e in enumerate(exps) if e)
+                plo, (pd, offsets, pnums) = parents[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+                nums, d = _product(zip(offsets, pnums), factors[i][0]), pd * factors[i][1]
+            g = math.gcd(d, *nums.values())
+            items = sorted(nums.items())  # every numerator is positive
+            low = items[0][0]
+            form = (d // g, tuple(z - low for z, _ in items), tuple(n // g for _, n in items))
+            lo = plo + low
+            products[exps] = (lo, form)
+            powers = tuple((i, exps[i], exps[k + i]) for i in range(k)
+                           if exps[i] or exps[k + i])
             for z in range(-z_range, z_range + 1):
-                shifted = convolve(FormalElement.t_power(z), el) if z else el
+                key = (lo + z, form)
                 cx = (total + abs(z), abs(z))  # fewest factors, then |z|
-                prior = seen.get(shifted.coeffs)
-                if prior is None:
-                    seen[shifted.coeffs] = (cx, len(out))
-                    out.append(shifted)
-                elif cx < prior[0]:
-                    seen[shifted.coeffs] = (cx, prior[1])
-                    out[prior[1]] = shifted
-    return out
+                if key not in best or cx < best[key][0]:
+                    best[key] = (cx, (z, powers))
+        parents = products
+
+    return [FormalElement.zero() if fact is None else
+            FormalElement(tuple((lo + u, Fraction(n, d)) for u, n in zip(offsets, nums)),
+                          _render_word(fact, ""), fact)
+            for (lo, (d, offsets, nums)), (_, fact) in best.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,9 @@ def test_scan_missing_params_config_error(built):
     assert res.stderr.startswith("error code=config")
 
 
+DROP = object()  # a meta field a verify case removes
+
+
 @pytest.mark.parametrize("args, cfg, detail", [
     (["scan", "--base-stage", "9"], {}, "stage indices out of range"),
     (["scan"], {"base_stage": 2, "panel": {"span": 500}}, "span must be in"),
@@ -198,6 +201,21 @@ def test_scan_missing_params_config_error(built):
      None, "seed must be >= 0"),
     (["build", "--out", "bad.json"], {"p": "1/2,1/2", "stages": 3}, "p must be a list"),
     (["semigroup"], {"p": "1/2,1/2"}, "p must be a list"),
+    (["verify"], {"q": 7}, "meta stage 1 q = 7: must be in 0..0"),
+    (["verify"], {"pre_sidon": DROP}, "missing field pre_sidon in meta stage 1"),
+    (["verify"], {"pre_sidon": [0]}, "sidon_indices but 1 pre_sidon entries"),
+    (["verify"], {"sidon_indices": [99], "pre_sidon": [0]},
+     "meta stage 1 sidon_indices: each must be in 1..16"),
+    (["build", "--example", "two-column", "--stages", "4", "--out", ""], None,
+     "cannot write ''"),
+    (["build", "--example", "two-column", "--stages", "4", "--out", "missing/bad.json"],
+     None, "cannot write 'missing/bad.json'"),
+    (["scan", "--out", "missing/s.csv"], {}, "cannot write 'missing/s.csv'"),
+    (["semigroup", "--out", "missing/t.csv"], None, "cannot write 'missing/t.csv'"),
+    (["scan"], {"gaps": {"n": 2, "lo": -500, "hi": 10 ** 12}},
+     "gaps hi (1000000000000) is beyond the window"),
+    (["scan"], {"gaps": {"n": 2, "lo": -10 ** 12, "hi": 500}},
+     "gaps lo (-1000000000000) is beyond the window"),
 ], ids=["scan-base-stage", "scan-panel-span", "scan-gap-range",
         "build-base-stage", "semigroup-degree", "scan-panel-span-type",
         "build-stages-type", "scan-expect-unscanned", "scan-panel-type",
@@ -207,16 +225,30 @@ def test_scan_missing_params_config_error(built):
         "scan-union-type", "scan-expect-all-pass-type", "scan-shift-bool",
         "build-cap-type", "build-seed-type", "build-seed-float",
         "build-starts-type", "build-starts-key", "build-cap-negative",
-        "build-seed-negative", "build-p-string", "semigroup-p-string"])
+        "build-seed-negative", "build-p-string", "semigroup-p-string",
+        "verify-meta-q", "verify-meta-pre-sidon", "verify-meta-lengths",
+        "verify-meta-index", "build-out-empty", "build-out-missing-dir",
+        "scan-out-missing-dir", "semigroup-out-missing-dir", "scan-gap-hi-window",
+        "scan-gap-lo-window"])
 def test_bad_input_is_a_single_line_config_error(built, args, cfg, detail):
     """Inputs the library rejects exit 2 with one error line, no traceback.
 
     A scan config is the stock one with ``cfg`` merged in; a build or
-    semigroup config is ``cfg`` alone.  The error line names the fault
-    (``detail``).
+    semigroup config is ``cfg`` alone.  A verify case checks the stock
+    artifact with ``cfg`` set in its stage-1 meta record (a DROP value removes
+    the key).  The error line names the fault (``detail``).
     """
-    if cfg is not None and args[0] == "scan":
-        args = [*args, "--config", str(scan_cfg(built, **cfg)), "--out", "bad.csv"]
+    if args[0] == "verify":
+        doc = json.loads((built / "c.json").read_text())
+        rec = doc["meta"]["stages"][0]
+        rec.update(cfg)
+        for key in [k for k, v in cfg.items() if v is DROP]:
+            del rec[key]
+        (built / "bad_artifact.json").write_text(json.dumps(doc))
+        args = [*args, "--params", "bad_artifact.json", "--only", "1"]
+    elif cfg is not None and args[0] == "scan":
+        out = [] if "--out" in args else ["--out", "bad.csv"]
+        args = [*args, "--config", str(scan_cfg(built, **cfg)), *out]
     elif cfg is not None:
         (built / "cli_cfg.json").write_text(json.dumps(cfg))
         args = [*args, "--config", "cli_cfg.json"]

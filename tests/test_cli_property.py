@@ -110,14 +110,17 @@ def test_semigroup_configs_exit_cleanly(tiny, cfg):
 
 @st.composite
 def artifacts(draw, tiny_doc):
-    """The tiny build's artifact with one field replaced or dropped, or a small
-    random artifact."""
+    """The tiny build's artifact with one field (a meta stage record's among
+    them) replaced or dropped, or a small random artifact."""
     if draw(st.booleans()):
         doc = json.loads(json.dumps(tiny_doc))
         stage = draw(st.integers(0, len(doc["stages"]) - 1))
+        rec = doc["meta"]["stages"][stage]
         target, key = draw(st.sampled_from([
             (doc, "h1"), (doc, "stages"), (doc, "meta"),
-            (doc["stages"][stage], "r"), (doc["stages"][stage], "spacers")]))
+            (doc["stages"][stage], "r"), (doc["stages"][stage], "spacers"),
+            (doc["meta"], "series"), (doc["meta"], "stages"), (rec, "j"), (rec, "q"),
+            (rec, "max_m"), (rec, "eps"), (rec, "sidon_indices"), (rec, "pre_sidon")]))
         if draw(st.booleans()):
             del target[key]
         else:

@@ -386,6 +386,26 @@ def test_recheck_gates_on_generated_and_example_builds():
     assert recheck_gates(gen_example("two-column", 4)) == []
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m["stages"][1].update(q=7), "meta stage 2 q = 7: must be in 0..0"),
+    (lambda m: m["stages"][0].pop("pre_sidon"), "missing field pre_sidon in meta stage 1"),
+    (lambda m: m["stages"][2].pop("max_m"), "missing field max_m in meta stage 3"),
+    (lambda m: m["stages"][0]["pre_sidon"].pop(), "sidon_indices but"),
+    (lambda m: m["stages"][2]["sidon_indices"].__setitem__(0, 0),
+     "meta stage 3 sidon_indices: each must be in 1.."),
+    (lambda m: m["stages"][0].update(eps=None), "meta stage 1 eps must be a fraction"),
+    (lambda m: m["stages"].pop(), "meta stages holds 2 records for 3 stages"),
+    (lambda m: m.update(series=[[[0, 1, 2], [1, 1, 0]]]), "meta series term [1, 1, 0]"),
+])
+def test_recheck_gates_names_a_bad_stage_record(edit, field):
+    """An artifact's stage records are outside input: a record that does not
+    fit its params raises ValueError naming the field, not an IndexError."""
+    doc = json.loads(params_to_json(gen_p_construction([P()], 4, seed=1)))
+    edit(doc["meta"])
+    with pytest.raises(ValueError, match=re.escape(field)):
+        recheck_gates(params_from_json(json.dumps(doc)))
+
+
 def test_gen_p_construction_failure_carries_report():
     policy_fail = F(1, 10 ** 6)
     with pytest.raises(GenerationError) as exc:

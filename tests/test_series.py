@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -162,6 +163,42 @@ def test_enumerate_two_generators_pinned_size():
     # identity and zero are present exactly once
     assert sum(1 for e in sg if e.word == "I") == 1
     assert sum(1 for e in sg if e.is_zero) == 1
+
+
+# enumerate_semigroup([P1, P2], 4, 1) for P1 = (1/2, 1/2), P2 = (1/3, 1/3, 1/3),
+# in output order: by total degree, then exponent vector, then shift
+TWO_GENERATOR_WORDS = [
+    "0", "T^-1", "I", "T", "T^-1*P2*", "P2*", "T*P2*", "T^-1*P1*", "P1*", "P1",
+    "P2", "T*P2", "T*P1", "T^-1*P2*^2", "P2*^2", "T*P2*^2", "T^-1*P1**P2*",
+    "P1**P2*", "P1*P2*", "T^-1*P1*^2", "P1*^2", "P1*P1*", "P2*P2*", "T*P2*P2*",
+    "P1**P2", "P1*P2", "P2^2", "T*P2^2", "P1^2", "T*P1*P2", "T*P1^2",
+    "T^-1*P2*^3", "P2*^3", "T*P2*^3", "T^-1*P1**P2*^2", "P1**P2*^2", "P1*P2*^2",
+    "T^-1*P1*^2*P2*", "P1*^2*P2*", "P1*P1**P2*", "T^-1*P1*^3", "P1*^3",
+    "P1*P1*^2", "P2*P2*^2", "T*P2*P2*^2", "P1**P2*P2*", "P1*P2*P2*", "P1*^2*P2",
+    "P1*P1**P2", "P2^2*P2*", "T*P2^2*P2*", "P1**P2^2", "P1*P2^2", "P2^3",
+    "T*P2^3", "P1^2*P1*", "P1^2*P2", "T*P1*P2^2", "P1^3", "T*P1^2*P2", "T*P1^3",
+    "T^-1*P2*^4", "P2*^4", "T*P2*^4", "T^-1*P1**P2*^3", "P1**P2*^3", "P1*P2*^3",
+    "T^-1*P1*^2*P2*^2", "P1*^2*P2*^2", "P1*P1**P2*^2", "T^-1*P1*^3*P2*",
+    "P1*^3*P2*", "P1*P1*^2*P2*", "T^-1*P1*^4", "P1*^4", "P1*P1*^3", "P2*P2*^3",
+    "T*P2*P2*^3", "P1**P2*P2*^2", "P1*P2*P2*^2", "P1*^2*P2*P2*", "P1*P1**P2*P2*",
+    "P1*^3*P2", "P1*P1*^2*P2", "P2^2*P2*^2", "T*P2^2*P2*^2", "P1**P2^2*P2*",
+    "P1*P2^2*P2*", "P1*^2*P2^2", "P1*P1**P2^2", "P2^3*P2*", "T*P2^3*P2*",
+    "P1**P2^3", "P1*P2^3", "P2^4", "T*P2^4", "P1^2*P1*^2", "P1^2*P1**P2",
+    "P1^2*P2^2", "T*P1*P2^3", "P1^3*P1*", "P1^3*P2", "T*P1^2*P2^2", "P1^4",
+    "T*P1^3*P2", "T*P1^4",
+]
+
+
+def test_enumerate_two_generators_pinned_order():
+    gens = [make_admissible(HALF),
+            make_admissible({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})]
+    sg = enumerate_semigroup(gens, 4, 1)
+    assert [e.word for e in sg] == TWO_GENERATOR_WORDS
+    # the coefficients too: one line "word z:c z:c ..." per element
+    text = "\n".join(f"{e.word} " + " ".join(f"{z}:{c}" for z, c in e.coeffs)
+                     for e in sg)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7de549fbc9014e6d2e6f4467bcdd6ad7c9cfed1812cb7e5b513b249566928dc4")
 
 
 def test_enumerate_prefers_short_canonical_words():

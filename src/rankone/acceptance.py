@@ -202,10 +202,13 @@ def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]
     occ = expand_occupancy(params, 2, 5)
     hb, n = occ.base_height, occ.n_copies
     labels = range(hb)
+    # every shift's window of label differences, from one batched query
+    ms = [s * hs[j - 1] for j in (2, 3, 4) for s in (1, -1, 2, -2)]
+    rows = dict(zip(ms, occ.pair_shift_windows([m - (hb - 1) for m in ms], 2 * hb - 1)))
 
     def level_corr(m: int):
-        """corr(m; {a}, {b}) / n for all labels a, b: one window per shift."""
-        row = occ.pair_shift_window(m - (hb - 1), m + hb - 1)
+        """corr(m; {a}, {b}) / n for all labels a, b, from the shift's row."""
+        row = rows[m]
         return lambda a, b: Fraction(row[a - b + hb - 1], n)
 
     worst_disj = Fraction(0)

@@ -309,8 +309,9 @@ def cmd_scan(args) -> int:
                 raise CliError("config", f"gaps {key} ({bound}) is beyond the "
                                f"window: |{key}| must be below {occ.window}")
         with _rejected_as("config"):
+            # the default range [h_{top-1}, h_top // 4] lies inside the window
             m_set += sample_gap_shifts(
-                hs, _option(cfg, "gaps n", int, 8),
+                hs[:top], _option(cfg, "gaps n", int, 8),
                 rng_seed=_option(cfg, "gaps seed", int, 1),
                 extra_lattice=_option(cfg, "gaps extra_lattice", [int], ()),
                 **bounds)

@@ -67,7 +67,7 @@ __all__ = [
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
 # Elements of the (clusters x offsets) search arrays, and of the summed rows,
-# that one step of a window query holds at once; this caps its temporary memory.
+# that one step of a query holds at once; this caps its temporary memory.
 _WINDOW_BLOCK = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
 
@@ -80,7 +80,7 @@ class StageParams:
     spacers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "spacers", tuple(int(s) for s in self.spacers))
+        object.__setattr__(self, "spacers", tuple(map(int, self.spacers)))
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,16 @@ class LevelOccupancy:
     # uniquely, because consecutive offsets differ by more than reach_{L-1}.
     # Hence count_L(k) = sum over offset pairs (i, i') with
     # |k - (O_L[i'] - O_L[i])| <= reach_{L-1} of count_{L-1}(k - O_L[i'] + O_L[i]),
-    # with count_0(k) = [k == 0].  A window query evaluates this for a whole
-    # row of differences at once: level L takes rows starting at c_1 < c_2 < ...,
-    # all of one width, merges rows whose ranges of reaching differences
-    # overlap into clusters, searches the offset pairs once per cluster, sends
-    # each difference to the rows it reaches, merges the residual starts
+    # with count_0(k) = [k == 0].  A query evaluates this for many rows of
+    # differences at once, all of one width (a scan asks one query for the
+    # panel windows of all its shifts): level L takes rows starting at
+    # c_1 < c_2 < ..., merges rows whose ranges of reaching differences
+    # overlap into clusters, searches the offset pairs once per cluster, keeps
+    # each distinct difference once with the number of pairs at it, sends it
+    # to the rows it reaches, merges the residual starts
     # c - (O_L[i'] - O_L[i]) across all rows and recurses once on those, then
     # sums the returned rows by multiplicity.
-    # Nothing is kept between queries: a window's counts are its return value.
+    # Nothing is kept between queries: the counts are the return value.
 
     def pair_shift_count(self, k: int) -> int:
         """Number of copy-start pairs (s, s') with s' - s = k, exact."""
@@ -226,16 +228,46 @@ class LevelOccupancy:
     _count_pairs = pair_shift_count
 
     def pair_shift_window(self, lo: int, hi: int) -> list[int]:
-        """pair_shift_count(k) for every k in [lo, hi], from one recursion."""
-        lo, hi = int(lo), int(hi)
-        # no two starts differ by more than the top reach
+        """pair_shift_count(k) for every k in [lo, hi]."""
+        return self.pair_shift_windows([lo], int(hi) - int(lo) + 1)[0]
+
+    def pair_shift_windows(self, los: Sequence[int], width: int) -> list[list[int]]:
+        """Row i is pair_shift_count(k) for every k in [los[i], los[i] + width).
+
+        ``los`` may be in any order, repeat, or lie past the top reach (rows
+        there read as zeros).  No two starts differ by more than the top
+        reach, so each row is counted as a row of width
+        w = min(width, 2 * reach + 1) moved inside [-reach, reach].  The
+        distinct moved rows go to the top level in sorted batches, one
+        recursion per batch.  A batch is one search step of the top level
+        (rows x top offsets within _WINDOW_BLOCK), which caps the offset
+        pairs, and so the rows below, that one recursion holds at once.
+        """
+        los, width = [int(lo) for lo in los], int(width)
+        if width < 1:
+            return [[] for _ in los]
         reach = self._reach[-1]
-        a, b = max(lo, -reach), min(hi, reach)
-        if a > b:
-            return [0] * (hi - lo + 1)
-        row = self._window_rows(len(self.stage_offsets),
-                                np.array([a], dtype=self._dtype), b - a + 1)[0]
-        return [0] * (a - lo) + row.tolist() + [0] * (hi - b)
+        w = min(width, 2 * reach + 1)
+        moved = {lo: min(max(lo, -reach), reach - w + 1)
+                 for lo in los if -reach - width < lo <= reach}
+        starts = sorted(set(moved.values()))
+        level = len(self.stage_offsets)
+        step = max(1, _WINDOW_BLOCK // self.stage_offsets[-1].size) if level else 1
+        counted = {}
+        for first in range(0, len(starts), step):
+            batch = starts[first:first + step]
+            counted.update(zip(batch, self._window_rows(
+                level, np.array(batch, dtype=self._dtype), w)))
+        out = []
+        for lo in los:
+            row = [0] * width
+            if lo in moved:
+                # copy the overlap [a, b) of [lo, lo + width) and [c, c + w)
+                c = moved[lo]
+                a, b = max(lo, c), min(lo + width, c + w)
+                row[a - lo:b - lo] = counted[c][a - c:b - c].tolist()
+            out.append(row)
+        return out
 
     @cached_property
     def _dtype(self):
@@ -257,8 +289,8 @@ class LevelOccupancy:
         the one contiguous run of rows whose range holds it.  Counts never
         exceed n_copies, so int64 rows are exact whenever the offsets are int64.
         """
-        rows = np.zeros((starts.size, width), dtype=self._dtype)
         if level == 0:
+            rows = np.zeros((starts.size, width), dtype=self._dtype)
             t = -starts
             hit = np.flatnonzero((t >= 0) & (t < width))
             rows[hit, t[hit].astype(np.int64)] = 1
@@ -274,7 +306,7 @@ class LevelOccupancy:
         split = np.flatnonzero(row_lo[1:] > row_hi[:-1]) + 1
         span_lo = row_lo[np.concatenate(([0], split))]
         span_hi = row_hi[np.concatenate((split - 1, [starts.size - 1]))]
-        row_idx, residual = [], []
+        row_idx, residual, mult = [], [], []
         step = max(1, _WINDOW_BLOCK // offs.size)
         for first in range(0, span_lo.size, step):
             # for each (cluster, i), the targets i' in [lo, hi)
@@ -283,8 +315,12 @@ class LevelOccupancy:
             hi = np.searchsorted(
                 offs, (offs[None, :] + span_hi[first:first + step, None]).ravel(),
                 side="right")
-            i = np.repeat(np.arange(lo.size) % offs.size, hi - lo)
-            delta = offs[_runs(lo, hi - lo)] - offs[i]
+            # clusters' union ranges are disjoint, so each distinct delta
+            # belongs to one cluster and leaves one residual in each of its rows
+            delta, count = np.unique(
+                offs[_runs(lo, hi - lo)]
+                - offs[np.repeat(np.arange(lo.size) % offs.size, hi - lo)],
+                return_counts=True)
             # the rows holding delta are those from the first with
             # row_hi >= delta up to the last with row_lo <= delta
             row_first = np.searchsorted(row_hi, delta)
@@ -292,18 +328,20 @@ class LevelOccupancy:
             row = _runs(row_first, n_rows)
             row_idx.append(row)
             residual.append(starts[row] - np.repeat(delta, n_rows))
+            mult.append(np.repeat(count, n_rows))
+        # the rows are allocated only now, so they never coexist with the
+        # search arrays above
+        rows = np.zeros((starts.size, width), dtype=self._dtype)
         residual = np.concatenate(residual)
         if residual.size == 0:
             return rows
         sub_starts, inv = np.unique(residual, return_inverse=True)
-        keys, mult = np.unique(np.concatenate(row_idx) * sub_starts.size + inv,
-                               return_counts=True)
         sub = self._window_rows(level - 1, sub_starts, width)
+        row_idx, mult = np.concatenate(row_idx), np.concatenate(mult)
         step = max(1, _WINDOW_BLOCK // width)
-        for first in range(0, keys.size, step):
-            part = keys[first:first + step]
-            np.add.at(rows, part // sub_starts.size,
-                      mult[first:first + step, None] * sub[part % sub_starts.size])
+        for first in range(0, row_idx.size, step):
+            part = slice(first, first + step)
+            np.add.at(rows, row_idx[part], mult[part, None] * sub[inv[part]])
         return rows
 
     def warm_shift_window(self, center: int, radius: int) -> None:
@@ -402,11 +440,12 @@ def sample_spacers(P: AdmissibleSeries, r: int, rng_seed) -> list[int]:
     if r < 1:
         raise ValueError("r >= 1 required")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    support = [k for k, _ in P.coeffs]
+    # object dtype keeps the exponents Python ints at any size
+    support = np.array([k for k, _ in P.coeffs], dtype=object)
     cum = np.cumsum([float(v) for _, v in P.coeffs])
     idx = np.searchsorted(cum, rng.random(r), side="right")
-    idx = np.minimum(idx, len(support) - 1)  # guard the fp roundoff edge
-    return [support[int(i)] for i in idx]
+    idx = np.minimum(idx, support.size - 1)  # guard the fp roundoff edge
+    return support[idx].tolist()
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Everything here is exact integer combinatorics on the sparse occupancy
 representation.  The correlation of two label sets under a shift reduces to
 counting copy-start pairs at prescribed differences.  A shift m probes the
-differences m + a - b of its panel pairs, so each shift asks the occupancy
-for one window [m + min(a - b), m + max(a - b)] of counts, and a scan one
-window for the models of all its elements; the occupancy answers a window
-with a single recursion over its per-stage offsets (numpy passes over the
+differences m + a - b of its panel pairs, so each shift needs one window
+[m + min(a - b), m + max(a - b)] of counts.  A scan asks the windows of
+all its shifts in one batched query, and one more window for the models
+of all its elements; the occupancy answers a query with one recursion
+over its per-stage offsets per batch of windows (numpy passes over the
 r_j offsets of each stage, never over the prod r_j copy starts, none of
 which is materialized) and returns the counts, which every caller indexes
 directly.
@@ -211,12 +212,17 @@ class DiscrepancyReport:
     rows: tuple[PairRow, ...]
 
 
-def _panel_profile(occ: LevelOccupancy, m: int,
-                   panel: CorrelationPanel) -> list[int]:
-    """corr(m; A, B) for every panel pair: one window."""
+def _panel_profiles(occ: LevelOccupancy, ms: Sequence[int],
+                    panel: CorrelationPanel) -> list[list[int]]:
+    """corr(m; A, B) for every panel pair, per shift m: one batched query.
+
+    Shift m's row counts the differences m + lo, m + lo + 1, ..., so a pair
+    (A, B) reads its entries a - b - lo.
+    """
     lo, hi = panel.diff_range
-    count = _window(occ, m + lo, m + hi)
-    return [count(m, A, B) for A, B in panel.pairs]
+    rows = occ.pair_shift_windows([m + lo for m in ms], hi - lo + 1)
+    return [[sum(row[a - b - lo] for a in A for b in B) for A, B in panel.pairs]
+            for row in rows]
 
 
 def _integer_coeffs(elements: Sequence[FormalElement]):
@@ -314,7 +320,7 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
                      panel: CorrelationPanel) -> DiscrepancyReport:
     """delta = max over panel pairs of |corr(m)/mu(A) - sum_z Q(z) corr(z)/mu(A)|."""
     _check_support(occ, Q)
-    counts = _panel_profile(occ, m, panel)
+    [counts] = _panel_profiles(occ, [m], panel)
     models = _panel_models(occ, [Q], panel)
     _, [raw] = score_elements(models, counts)
     delta = Fraction(raw, models.denominator)
@@ -547,14 +553,13 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     words = [el.word for el in semigroup]
     tol_exact = Fraction(tol).limit_denominator(10**9)
     entries = []
-    for m in m_set:
+    for m, counts in zip(m_set, _panel_profiles(occ, m_set, panel)):
         dec = hadic_decompose(m, heights, a_bound, z_bound)
         factor = Fraction(1)
         if dec is not None and params is not None and dec.terms and \
                 min(dec.stages) >= occ.base_stage:
             # a zero factor (no copy pair clear of overrides) corrects nothing
             factor = excision_factor(params, dec.terms) or Fraction(1)
-        counts = _panel_profile(occ, m, panel)
         cor, raw = score_elements(models, counts, factor)
         DN = D * factor.numerator  # the corrected scores' denominator
         order = sorted(range(len(semigroup)),

@@ -49,22 +49,24 @@ def test_criterion_2_level_return_identities(crit_cache):
 
 
 def test_criterion_2_asks_one_window_per_shift(monkeypatch):
-    """Check 2 reads all its label pairs of a shift from one window.
+    """Check 2 reads all its label pairs of a shift from one window, and
+    asks the windows of all its shifts in one batched query.
 
-    Three stages, four shifts each (+-h_j, +-2h_j): 12 windows, where one
-    count per label pair would be 936.
+    Three stages, four shifts each (+-h_j, +-2h_j): one query of 12 rows,
+    where one query per shift would be 12 and one count per label pair 936.
     """
     calls = []
-    window = LevelOccupancy.pair_shift_window
+    windows = LevelOccupancy.pair_shift_windows
 
-    def counting_window(self, lo, hi):
-        calls.append((lo, hi))
-        return window(self, lo, hi)
+    def counting_windows(self, los, width):
+        calls.append((list(los), width))
+        return windows(self, los, width)
 
-    monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
     res = acc.check_level_return_identities()
     assert res.passed and "864 disjointness pairs" in res.detail
-    assert len(calls) == 12
+    [(los, width)] = calls
+    assert len(los) == 12 and width == 2 * 12 - 1  # 12 = base height h_2
 
 
 def test_criterion_3_frequency_gate(crit_cache):
@@ -87,20 +89,21 @@ def test_criterion_5_gap_shifts(crit_cache):
 
 def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
     """Both stage ranges' 64 gap shifts go through one scan: one window for
-    the element models plus one per shift, and the detail line is unchanged."""
+    the element models plus one batched query of 64 profile rows (2 engine
+    queries, where one per shift made 65), and the detail line is unchanged."""
     acc.capped_build(crit_cache)
     calls = []
-    window = LevelOccupancy.pair_shift_window
+    windows = LevelOccupancy.pair_shift_windows
 
-    def counting_window(self, lo, hi):
-        calls.append((lo, hi))
-        return window(self, lo, hi)
+    def counting_windows(self, los, width):
+        calls.append((list(los), width))
+        return windows(self, los, width)
 
-    monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
     res = acc.check_gap_shifts(crit_cache)
     assert res.passed and res.detail == ("64/64 gap shifts best-match the zero "
                                          "element; worst delta 0.0000 (< 0.1)")
-    assert len(calls) == 1 + 64
+    assert [len(los) for los, _ in calls] == [1, 64]
 
 
 def test_criterion_6_strong_decay(crit_cache):

@@ -9,7 +9,7 @@ import pytest
 
 import rankone
 from rankone.cli import main
-from rankone.construction import params_from_json
+from rankone.construction import heights, params_from_json
 
 # the directory holding the imported package, so a subprocess started in any
 # working directory imports the same code
@@ -147,6 +147,19 @@ def test_scan_skips_shifts_beyond_window(built):
                   "--no-timestamp", cwd=built)
     assert res.returncode == 0
     assert "skipped 1 beyond window" in res.stdout
+
+
+def test_scan_default_gaps_lie_inside_a_lower_window(built):
+    """With top_stage below J the default gap range follows the scanned
+    window [h_{top-1}, h_top // 4], not the full tower's."""
+    cfg = scan_cfg(built, top_stage=4, m=[], gaps={"n": 2})
+    res = run_cli("scan", "--config", str(cfg), "--out", "gaps4.csv",
+                  "--no-timestamp", cwd=built)
+    assert res.returncode == 0, res.stderr
+    window = heights(params_from_json((built / "c.json").read_text()))[3]
+    lines = (built / "gaps4.csv").read_text().strip().split("\n")[2:]
+    ms = {int(line.split(",")[0]) for line in lines}
+    assert len(ms) == 2 and all(abs(m) < window for m in ms), (ms, window)
 
 
 def test_scan_missing_params_config_error(built):

@@ -4,6 +4,7 @@ Kept in its own module so that an environment without hypothesis (a ``test``
 extra in pyproject.toml) still collects every other construction test.
 """
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from rankone import construction  # noqa: E402
 from rankone.construction import (  # noqa: E402
     ConstructionParams,
     LevelOccupancy,
@@ -112,6 +114,34 @@ def test_multi_row_windows_match_materialized_starts(occ, data):
         [diffs.get(s + t, 0) for t in range(width)] for s in starts]
 
 
+@settings(max_examples=80, deadline=None)
+@given(occupancies(), st.data())
+def test_batched_windows_match_single_windows_and_starts(occ, data):
+    """pair_shift_windows against per-row pair_shift_window and all pairs.
+
+    Row starts sit around occurring differences and past either side of
+    the reach (out to +-2**70), come unsorted and repeated, and on small
+    windows the width can exceed 2 * reach + 1.  A small _WINDOW_BLOCK
+    spreads the distinct rows over several top-level batches.
+    """
+    diffs = _all_pairs(occ)
+    reach = occ._reach[-1]
+    anchors = sorted(set(diffs) | {-reach, reach})
+    width = data.draw(st.integers(1, 24))
+    if reach <= 300 and data.draw(st.booleans()):
+        width += 2 * reach + 1
+    los = [data.draw(st.sampled_from(anchors)) - data.draw(st.integers(0, width + 2))
+           for _ in range(data.draw(st.integers(1, 12)))]
+    los += data.draw(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=2))
+    los += data.draw(st.lists(st.sampled_from(los), max_size=3))
+    los = data.draw(st.permutations(los))
+    want = [[diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
+    assert [occ.pair_shift_window(lo, lo + width - 1) for lo in los] == want
+    block = data.draw(st.sampled_from([1, 3, 16]))
+    with mock.patch.object(construction, "_WINDOW_BLOCK", block):
+        assert occ.pair_shift_windows(los, width) == want, (los, width, block)
+
+
 @pytest.mark.parametrize("params, base, top", [
     # zero composed stages: the only pair is (0, 0)
     (ConstructionParams(3, (StageParams(2, (0, 1)),)), 2, 2),
@@ -139,3 +169,10 @@ def test_windows_at_the_dtype_edges(params, base, top):
             fresh = expand_occupancy(params, base, top)
             assert fresh.pair_shift_window(lo, hi) == want, (lo, hi)
             assert shared.pair_shift_window(lo, hi) == want, (lo, hi)
+    # every anchor's rows at once, in reverse order and twice each, one
+    # top-level batch per row
+    los = [anchor - t for anchor in sorted(set(diffs) | {-w, w}) for t in (0, 5, 12)]
+    los = (los + los)[::-1]
+    with mock.patch.object(construction, "_WINDOW_BLOCK", 1):
+        assert occ.pair_shift_windows(los, 20) == [
+            [diffs.get(k, 0) for k in range(lo, lo + 20)] for lo in los]

@@ -264,10 +264,11 @@ def test_counting_never_materializes_copy_starts():
 
 
 def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
-    """One pair-count window for all element models, then one per gap shift.
+    """One pair-count window for all element models, then one batched query
+    holding one window per gap shift: two engine queries in all.
 
-    Counting each difference of a shift's panel on its own would add a
-    width-1 query per difference.
+    Asking each shift on its own would add a query per shift, and counting
+    each difference of a panel on its own a width-1 query per difference.
     """
     params, hs, _ = small_build
     occ = expand_occupancy(params, 2, 4)
@@ -276,17 +277,18 @@ def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
     gaps = sample_gap_shifts(hs, 6, rng_seed=5, lo=hs[2], hi=hs[3] // 2,
                              extra_lattice=(4099,))
     calls = []
-    window = LevelOccupancy.pair_shift_window
+    windows = LevelOccupancy.pair_shift_windows
 
-    def counting_window(self, lo, hi):
-        calls.append((lo, hi))
-        return window(self, lo, hi)
+    def counting_windows(self, los, width):
+        calls.append((list(los), width))
+        return windows(self, los, width)
 
-    monkeypatch.setattr(LevelOccupancy, "pair_shift_window", counting_window)
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
     rep = scan_limits(occ, hs, sg, gaps, tol=0.1, panel=panel, params=params)
     lo, hi = panel.diff_range
     zs = [z for el in sg for z, _ in el.coeffs]
-    assert calls == [(min(zs) + lo, max(zs) + hi)] + [(m + lo, m + hi) for m in gaps]
+    assert calls == [([min(zs) + lo], max(zs) - min(zs) + hi - lo + 1),
+                     ([m + lo for m in gaps], hi - lo + 1)]
     assert all(e.best_word == "0" for e in rep.entries)
 
 

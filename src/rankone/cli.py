@@ -2,8 +2,9 @@
 
 Each input is its flag if given, else its --config key if present (even 0,
 "" or null), else its default.  A config value of the wrong type (a bool is
-not an int) is a config error.  The keys (type, default) of each subcommand,
-a fraction being a string like "1/3" or a number:
+not an int), and a key the subcommand does not read, are config errors.
+The keys (type, default) of each subcommand, a fraction being a string
+like "1/3" or a number:
 
 build      generate a construction (example family or sampled from series),
            write the parameter artifact plus a heights CSV.  stages int,
@@ -123,10 +124,36 @@ def _read_json(path: str, what: str, decode=json.loads):
         raise CliError("config", f"corrupt {what} file {path}: {exc}")
 
 
-def _load_config(path: str | None) -> dict:
+# The config keys each subcommand reads, named as _option names them.
+# ``expect`` and ``starts`` are objects whose keys are data, not names.
+_CONFIG_KEYS = {
+    "build": {"stages", "example", "p", "seed", "cap", "eps", "starts"},
+    "scan": {"params", "base_stage", "top_stage", "panel span", "panel controls",
+             "panel include_union", "m", "gaps n", "gaps seed", "gaps lo", "gaps hi",
+             "gaps extra_lattice", "expect", "tol", "semigroup degree", "semigroup z",
+             "a_bound", "z_bound", "out", "expect_all_pass"},
+    "verify": set(),
+    "semigroup": {"p", "degree", "z"},
+}
+
+
+def _load_config(path: str | None, command: str) -> dict:
+    """The --config object; a key ``command`` does not read is a config error."""
     cfg = {} if path is None else _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise CliError("config", f"config root must be an object: {path}")
+    known = _CONFIG_KEYS[command]
+    sections = {name.split()[0] for name in known if " " in name}
+    for key, value in cfg.items():
+        if key not in sections:
+            names = [key]
+        elif isinstance(value, dict):
+            names = [f"{key} {name}" for name in value]
+        else:  # not an object: _option reports the type error
+            names = []
+        for name in names:
+            if name not in known:
+                raise CliError("config", f"unknown config key '{name}' for {command}")
     return cfg
 
 
@@ -228,7 +255,7 @@ def _parse_tol(text) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "build")
     # read untyped: the usage line covers a missing, mistyped or small count
     stages = _option(cfg, "stages", object, flag=args.stages)
     if not _is(stages, int) or stages < 2:
@@ -282,7 +309,7 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "scan")
     params_path = _option(cfg, "params", str, flag=args.params)
     if params_path is None:
         raise CliError("usage", "scan needs --params PATH (or config key)")
@@ -363,6 +390,7 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     from . import acceptance
 
+    _load_config(args.config, "verify")
     if args.params:
         params = _load_params_file(args.params)
         with _rejected_as("config"):
@@ -394,7 +422,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_semigroup(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "semigroup")
     p_texts = _option(cfg, "p", [str], ["1/2,1/2"], flag=args.p)
     degree = _option(cfg, "degree", int, 2, flag=args.degree)
     z_range = _option(cfg, "z", int, 1, flag=args.z)

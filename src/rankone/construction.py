@@ -66,8 +66,9 @@ __all__ = [
 # Positions are kept in numpy int64 while every coordinate stays below this;
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
-# Elements of the (clusters x offsets) search arrays, and of the summed rows,
-# that one step of a query holds at once; this caps its temporary memory.
+# Elements of the (clusters x offsets) arrays one search step holds; a
+# top-level batch's rows x top offsets stay within this times the width.
+# Together they cap a query's temporary memory.
 _WINDOW_BLOCK = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
 
@@ -138,6 +139,26 @@ def heights(params: ConstructionParams) -> list[int]:
 def _runs(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The concatenated index runs [first[i], first[i] + lens[i]) over i."""
     return np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
+
+def _groups(values: np.ndarray):
+    """(order, bounds): ``values[order]`` is sorted, and its runs of equal
+    values are [bounds[g], bounds[g + 1]); ``values`` is not empty."""
+    order = np.argsort(values)
+    values = values[order]
+    return order, np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1], [True])))
+
+
+def _sum_hits(row: np.ndarray, col: np.ndarray, count: np.ndarray, width: int):
+    """The hits (row, col, count) with the counts of a repeated (row, col) summed."""
+    if row.size == 0:
+        return _NO_HITS
+    order, bounds = _groups(row * width + col)
+    pick = order[bounds[:-1]]
+    return row[pick], col[pick], np.add.reduceat(count[order], bounds[:-1])
+
+
+_NO_HITS = (np.zeros(0, dtype=np.int64),) * 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +237,17 @@ class LevelOccupancy:
     # overlap into clusters, searches the offset pairs once per cluster, keeps
     # each distinct difference once with the number of pairs at it, sends it
     # to the rows it reaches, merges the residual starts
-    # c - (O_L[i'] - O_L[i]) across all rows and recurses once on those, then
-    # sums the returned rows by multiplicity.
-    # Nothing is kept between queries: the counts are the return value.
+    # c - (O_L[i'] - O_L[i]) across all rows and recurses once on those.
+    # Every level returns only its nonzero counts, as (row, column, count)
+    # hits: level 0 has at most one per row (column -c, if in [0, width)),
+    # and level L joins each residual's hits to the (row, multiplicity) pairs
+    # that sent it.  Hits that meet at one (row, column) are summed before a
+    # level between 1 and the top passes them up, and by the query's scatter
+    # at the top.  No level holds a (rows x width) array; the query fills the
+    # only one, with one scatter per top-level batch.  Counts are int64 on
+    # every occupancy, since none exceeds n_copies; offsets and residual
+    # starts keep the occupancy's dtype.  Nothing is kept between queries:
+    # the counts are the return value.
 
     def pair_shift_count(self, k: int) -> int:
         """Number of copy-start pairs (s, s') with s' - s = k, exact."""
@@ -239,25 +268,34 @@ class LevelOccupancy:
         reach, so each row is counted as a row of width
         w = min(width, 2 * reach + 1) moved inside [-reach, reach].  The
         distinct moved rows go to the top level in sorted batches, one
-        recursion per batch.  A batch is one search step of the top level
-        (rows x top offsets within _WINDOW_BLOCK), which caps the offset
-        pairs, and so the rows below, that one recursion holds at once.
+        recursion per batch, and each batch's sparse hits are scattered once
+        into the (rows x w) counts.  Below the top, the recursion holds
+        residual (row, start, multiplicity) triples, a few per row and top
+        offset, and their hits, not rows of counts; a batch's rows x top
+        offsets stay within _WINDOW_BLOCK * w, so what it holds grows with
+        the width of its rows, as the counts it returns do.  Counts are
+        int64, so an occupancy of 2**63 or more copies raises OverflowError
+        instead of counting.
         """
         los, width = [int(lo) for lo in los], int(width)
         if width < 1:
             return [[] for _ in los]
+        if self.n_copies >= 1 << 63:
+            raise OverflowError(f"{self.n_copies} copies: pair counts overflow int64")
         reach = self._reach[-1]
         w = min(width, 2 * reach + 1)
         moved = {lo: min(max(lo, -reach), reach - w + 1)
                  for lo in los if -reach - width < lo <= reach}
         starts = sorted(set(moved.values()))
         level = len(self.stage_offsets)
-        step = max(1, _WINDOW_BLOCK // self.stage_offsets[-1].size) if level else 1
-        counted = {}
+        n_top = self.stage_offsets[-1].size if level else 1
+        step = max(1, _WINDOW_BLOCK * w // n_top)
+        counted = np.zeros((len(starts), w), dtype=np.int64)
         for first in range(0, len(starts), step):
-            batch = starts[first:first + step]
-            counted.update(zip(batch, self._window_rows(
-                level, np.array(batch, dtype=self._dtype), w)))
+            row, col, count = self._window_hits(
+                level, np.array(starts[first:first + step], dtype=self._dtype), w)
+            np.add.at(counted, (first + row, col), count)
+        index = {c: i for i, c in enumerate(starts)}
         out = []
         for lo in los:
             row = [0] * width
@@ -265,7 +303,7 @@ class LevelOccupancy:
                 # copy the overlap [a, b) of [lo, lo + width) and [c, c + w)
                 c = moved[lo]
                 a, b = max(lo, c), min(lo + width, c + w)
-                row[a - lo:b - lo] = counted[c][a - c:b - c].tolist()
+                row[a - lo:b - lo] = counted[index[c], a - c:b - c].tolist()
             out.append(row)
         return out
 
@@ -278,23 +316,22 @@ class LevelOccupancy:
         return tuple(itertools.accumulate(
             (int(offs[-1]) for offs in self.stage_offsets), initial=0))
 
-    def _window_rows(self, level: int, starts: np.ndarray, width: int) -> np.ndarray:
-        """rows[c, t] = count_level(starts[c] + t) for t in [0, width), exact.
+    def _window_hits(self, level: int, starts: np.ndarray, width: int):
+        """The nonzero count_level(starts[row] + col), col in [0, width), exact.
 
-        ``starts`` is sorted and unique, and each row meets
-        [-reach_level, reach_level].  Row c needs the offset differences in
-        [row_lo[c], row_hi[c]]; both bounds are nondecreasing in c, so rows
-        whose ranges overlap merge into clusters with disjoint union ranges.
-        Each cluster is searched once, and each difference it finds goes to
-        the one contiguous run of rows whose range holds it.  Counts never
-        exceed n_copies, so int64 rows are exact whenever the offsets are int64.
+        Returns int64 arrays (row, col, count) of positive counts; the
+        counts of a (row, col) that repeats add up.  ``starts`` is sorted and
+        unique, and each row meets [-reach_level, reach_level].  Row c needs
+        the offset differences in [row_lo[c], row_hi[c]]; both bounds are
+        nondecreasing in c, so rows whose ranges overlap merge into clusters
+        with disjoint union ranges.  Each cluster is searched once, and each
+        difference it finds goes to the one contiguous run of rows whose
+        range holds it.
         """
         if level == 0:
-            rows = np.zeros((starts.size, width), dtype=self._dtype)
-            t = -starts
-            hit = np.flatnonzero((t >= 0) & (t < width))
-            rows[hit, t[hit].astype(np.int64)] = 1
-            return rows
+            col = -starts
+            row = np.flatnonzero((col >= 0) & (col < width))
+            return row, col[row].astype(np.int64), np.ones(row.size, dtype=np.int64)
         offs = self.stage_offsets[level - 1]
         reach, below = self._reach[level], self._reach[level - 1]
         # clip each row to [-reach, reach], where the counts live; the top
@@ -329,20 +366,22 @@ class LevelOccupancy:
             row_idx.append(row)
             residual.append(starts[row] - np.repeat(delta, n_rows))
             mult.append(np.repeat(count, n_rows))
-        # the rows are allocated only now, so they never coexist with the
-        # search arrays above
-        rows = np.zeros((starts.size, width), dtype=self._dtype)
         residual = np.concatenate(residual)
         if residual.size == 0:
-            return rows
-        sub_starts, inv = np.unique(residual, return_inverse=True)
-        sub = self._window_rows(level - 1, sub_starts, width)
-        row_idx, mult = np.concatenate(row_idx), np.concatenate(mult)
-        step = max(1, _WINDOW_BLOCK // width)
-        for first in range(0, row_idx.size, step):
-            part = slice(first, first + step)
-            np.add.at(rows, row_idx[part], mult[part, None] * sub[inv[part]])
-        return rows
+            return _NO_HITS
+        # group the (row, residual, multiplicity) triples by residual start
+        order, bounds = _groups(residual)
+        sub_row, col, sub_count = self._window_hits(
+            level - 1, residual[order[bounds[:-1]]], width)
+        # each hit of a residual goes to every (row, multiplicity) that sent it
+        n = (bounds[1:] - bounds[:-1])[sub_row]
+        pair = order[_runs(bounds[sub_row], n)]
+        hit = np.repeat(np.arange(sub_row.size), n)
+        hits = (np.concatenate(row_idx)[pair], col[hit],
+                np.concatenate(mult)[pair] * sub_count[hit])
+        # a residual r hits level 0 at column -r only, so level 1 repeats no
+        # (row, col); the top's repeats are summed by the query's scatter
+        return _sum_hits(*hits, width) if 1 < level < len(self.stage_offsets) else hits
 
     def warm_shift_window(self, center: int, radius: int) -> None:
         """Count every k in [center-radius, center+radius] and discard the counts."""

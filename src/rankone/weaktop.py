@@ -10,7 +10,10 @@ of all its elements; the occupancy answers a query with one recursion
 over its per-stage offsets per batch of windows (numpy passes over the
 r_j offsets of each stage, never over the prod r_j copy starts, none of
 which is materialized) and returns the counts, which every caller indexes
-directly.
+directly.  Each level of the recursion passes up only its nonzero counts,
+and the query lays them into its windows with one scatter per batch, so a
+gap shift, whose window is nearly all zeros, costs little beyond its
+offset searches.
 
 Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
 sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n

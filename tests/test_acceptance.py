@@ -18,8 +18,14 @@ from rankone.construction import (
     generator_series,
     heights,
 )
-from rankone.series import FormalElement, adjoint, make_admissible, power
-from rankone.weaktop import default_panel, weak_discrepancy
+from rankone.series import (
+    FormalElement,
+    adjoint,
+    enumerate_semigroup,
+    make_admissible,
+    power,
+)
+from rankone.weaktop import default_panel, hadic_decompose, scan_limits, weak_discrepancy
 
 F = Fraction
 
@@ -104,6 +110,26 @@ def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
     assert res.passed and res.detail == ("64/64 gap shifts best-match the zero "
                                          "element; worst delta 0.0000 (< 0.1)")
     assert [len(los) for los, _ in calls] == [1, 64]
+
+
+def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts(crit_cache):
+    """A recorded finding, not a target.  m = 4*h5 + 2 lies in check 5's
+    stage-5 range and has no bounded decomposition over the lattice its
+    sampler rejects (heights and the cap 65537, a <= 3, z <= 128), so the
+    sampler would accept it.  A scan with check 5's panel and degree-2
+    semigroup ranks 0 best there, but at raw delta 0.1245, not below 0.1:
+    check 5 holds for its random samples, not for its whole range."""
+    params, hs, occ = acc.capped_build(crit_cache)
+    h5, h6 = hs[4], hs[5]
+    m = 4 * h5 + 2
+    assert h5 <= m <= h6 // 2
+    assert hadic_decompose(m, sorted(set(hs) | {65537}), 3, 128) is None
+    sg = enumerate_semigroup(generator_series(params)[:1], 2, 1)
+    rep = scan_limits(occ, hs, sg, [m], tol=0.1, panel=default_panel(occ),
+                      params=params, z_bound=4)
+    (entry,) = rep.entries
+    assert entry.best_word == "0"
+    assert entry.best_delta >= 0.1 and f"{entry.best_delta:.4f}" == "0.1245"
 
 
 def test_criterion_6_strong_decay(crit_cache):

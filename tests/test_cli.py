@@ -274,6 +274,28 @@ def test_bad_input_is_a_single_line_config_error(built, args, cfg, detail):
     assert not (built / "bad.json").exists()
 
 
+@pytest.mark.parametrize("args, cfg, key", [
+    (["scan"], {"params": "c.json", "gapz": {"n": 2}}, "'gapz' for scan"),
+    (["scan"], {"params": "c.json", "gaps": {"n": 2, "sed": 1}}, "'gaps sed' for scan"),
+    (["scan"], {"params": "c.json", "panel": {"spam": 3}}, "'panel spam' for scan"),
+    (["build"], {"p": ["1/2,1/2"], "stages": 3, "out": "x.json"}, "'out' for build"),
+    (["semigroup"], {"degre": 3}, "'degre' for semigroup"),
+    (["verify", "--only", "1"], {"only": ["1"]}, "'only' for verify"),
+], ids=["scan-key", "scan-section-key", "scan-panel-key", "build-flag-only-key",
+        "semigroup-key", "verify-key"])
+def test_unknown_config_key_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                              args, cfg, key):
+    """A config key the subcommand does not read, such as a misspelling,
+    exits 2 with one error line naming it, before any output is written.
+    It used to be ignored, so the input it meant to set kept its default."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main([*args, "--config", "cfg.json", "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f'error code=config detail="unknown config key {key}"\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_single_fast_criterion(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from rankone.construction import (
     ConstructionParams,
     GenerationError,
+    LevelOccupancy,
     SidonPolicy,
     StageParams,
     apply_sidon,
@@ -208,7 +209,9 @@ def test_window_rows_cluster_edges(params, top):
     s4 = reach - 1           # partly above reach, isolated
     assert s3 + step + 1 < s4
     starts = [s0, s1, s2, s3, s4]
-    rows = occ._window_rows(level, np.array(starts, dtype=occ._dtype), width)
+    row, col, count = occ._window_hits(level, np.array(starts, dtype=occ._dtype), width)
+    rows = np.zeros((len(starts), width), dtype=np.int64)
+    np.add.at(rows, (row, col), count)
     copy_starts = [int(s) for s in occ.copy_starts]
     diffs = Counter(b - a for a in copy_starts for b in copy_starts)
     assert [row.tolist() for row in rows] == [
@@ -220,6 +223,21 @@ def test_occupancies_compare_by_identity():
     params = gen_example("two-column", 4)
     occ = expand_occupancy(params, 1, 3)
     assert occ == occ and occ != expand_occupancy(params, 1, 3)
+
+
+def test_pair_counts_refuse_int64_overflow():
+    """Counts are int64, so 2**63 copies refuse to count instead of wrapping.
+
+    63 composed stages of two offsets [0, 2**(j+1)] each: every consecutive
+    offset gap exceeds the reach below it, as the recursion needs.
+    """
+    offsets = tuple([0, 2 ** (j + 1)] for j in range(63))
+    occ = LevelOccupancy(1, 64, 1, 2 ** 64, offsets)
+    assert occ.n_copies == 2 ** 63
+    with pytest.raises(OverflowError, match="overflow int64"):
+        occ.pair_shift_count(0)
+    fits = LevelOccupancy(1, 63, 1, 2 ** 63, offsets[:62])
+    assert fits.pair_shift_window(-1, 1) == [0, 2 ** 62, 0]
 
 
 def test_uncapped_stage_seven_counts_without_materializing():

@@ -23,16 +23,19 @@ from rankone.construction import (  # noqa: E402
 
 
 @st.composite
-def occupancies(draw):
-    """Small random constructions, expanded over a random stage range."""
-    h1 = draw(st.sampled_from([1, 2, 3, 5, 2 ** 62 // 1000, 2 ** 62]))
+def occupancies(draw, h1s=(1, 2, 3, 5, 2 ** 62 // 1000, 2 ** 62), min_levels=0):
+    """Small random constructions, expanded over a random stage range.
+
+    The range composes at least ``min_levels`` stages.
+    """
+    h1 = draw(st.sampled_from(h1s))
     stages = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(max(1, min_levels), 4))):
         r = draw(st.integers(2, 5))
         spacer = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 10 ** 6))
         stages.append(StageParams(r, tuple(draw(st.lists(spacer, min_size=r, max_size=r)))))
-    base = draw(st.integers(1, len(stages) + 1))
-    top = draw(st.integers(base, len(stages) + 1))
+    base = draw(st.integers(1, len(stages) + 1 - min_levels))
+    top = draw(st.integers(base + min_levels, len(stages) + 1))
     return expand_occupancy(ConstructionParams(h1, tuple(stages)), base, top)
 
 
@@ -109,7 +112,10 @@ def test_multi_row_windows_match_materialized_starts(occ, data):
         starts += [d - width + 1 - below, d + below + data.draw(st.integers(0, 2))]
     starts = sorted({s for s in starts if -reach - width < s <= reach})
     diffs = _all_pairs(occ)
-    rows = occ._window_rows(level, np.array(starts, dtype=occ._dtype), width)
+    row, col, count = occ._window_hits(level, np.array(starts, dtype=occ._dtype), width)
+    assert (count > 0).all()
+    rows = np.zeros((len(starts), width), dtype=np.int64)
+    np.add.at(rows, (row, col), count)
     assert [row.tolist() for row in rows] == [
         [diffs.get(s + t, 0) for t in range(width)] for s in starts]
 
@@ -140,6 +146,83 @@ def test_batched_windows_match_single_windows_and_starts(occ, data):
     block = data.draw(st.sampled_from([1, 3, 16]))
     with mock.patch.object(construction, "_WINDOW_BLOCK", block):
         assert occ.pair_shift_windows(los, width) == want, (los, width, block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(occupancies(h1s=(2 ** 62, 2 ** 62 + 3), min_levels=2), st.data())
+def test_sparse_hits_past_int64(occ, data):
+    """Batched windows on object-dtype occupancies, vs all pairs.
+
+    Counts come back as Python ints equal to the tally.  Rows whose windows
+    hold no occurring difference read all zeros, and their recursion stops
+    above level 0: no level carries a hit up.  With _WINDOW_BLOCK = 1 the
+    distinct rows are split over top-level batches of max(1, w // top
+    offsets) rows, and they still agree with per-row pair_shift_window.
+    """
+    assert not occ.uses_int64 and len(occ.stage_offsets) >= 2
+    diffs = _all_pairs(occ)
+    reach = occ._reach[-1]
+    width = data.draw(st.integers(1, 8))
+    anchors = sorted(set(diffs) | {-reach, reach})
+    los = [data.draw(st.sampled_from(anchors)) - data.draw(st.integers(0, width + 2))
+           for _ in range(data.draw(st.integers(1, 12)))]
+    want = [[diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
+    got = occ.pair_shift_windows(los, width)
+    assert got == want and all(type(c) is int for row in got for c in row)
+
+    # a row starting right after an occurring difference, up to the next one
+    gaps = [d + 1 for d in sorted(diffs)
+            if not any(d + 1 + t in diffs for t in range(width))]
+    if gaps:
+        gap_los = data.draw(st.lists(st.sampled_from(gaps), min_size=1, max_size=6))
+        with mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
+                               side_effect=LevelOccupancy._window_hits) as spy:
+            assert occ.pair_shift_windows(gap_los, width) == [[0] * width] * len(gap_los)
+        assert all(c.args[1] > 0 for c in spy.call_args_list)
+
+    # with _WINDOW_BLOCK = 1 a top-level batch holds max(1, w // top offsets) rows
+    with mock.patch.object(construction, "_WINDOW_BLOCK", 1), \
+            mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
+                              side_effect=LevelOccupancy._window_hits) as spy:
+        assert occ.pair_shift_windows(los, width) == want
+    top = len(occ.stage_offsets)
+    step = max(1, min(width, 2 * reach + 1) // occ.stage_offsets[-1].size)
+    batches = [c.args[2].size for c in spy.call_args_list if c.args[1] == top]
+    assert batches[:-1] == [step] * (len(batches) - 1) and 0 < batches[-1] <= step
+    assert [occ.pair_shift_window(lo, lo + width - 1) for lo in los] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(occupancies(min_levels=3), st.data())
+def test_levels_below_the_top_pass_each_cell_up_once(occ, data):
+    """Windows on three or more levels, vs all pairs, with every level's hits.
+
+    Between level 1 and the top, a level sums the hits that meet at one
+    (row, col) before passing them up, so no (row, col) repeats and what a
+    level holds stays within its rows x width however deep it lies.  Level
+    1 repeats none by construction, and the top's repeats are summed by the
+    query's scatter.
+    """
+    diffs = _all_pairs(occ)
+    anchors = sorted(set(diffs))
+    width = data.draw(st.integers(1, 12))
+    los = [data.draw(st.sampled_from(anchors)) - data.draw(st.integers(0, width))
+           for _ in range(data.draw(st.integers(1, 8)))]
+    window_hits, seen = LevelOccupancy._window_hits, []
+
+    def recording(self, level, starts, w):
+        hits = window_hits(self, level, starts, w)
+        seen.append((level, hits))
+        return hits
+
+    with mock.patch.object(LevelOccupancy, "_window_hits", recording):
+        assert occ.pair_shift_windows(los, width) == [
+            [diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
+    top = len(occ.stage_offsets)
+    for level, (row, col, count) in seen:
+        assert (count > 0).all()
+        if level < top:
+            assert len(set(zip(row.tolist(), col.tolist()))) == row.size, level
 
 
 @pytest.mark.parametrize("params, base, top", [

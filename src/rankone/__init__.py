@@ -56,6 +56,7 @@ from .weaktop import (
     default_panel,
     excision_factor,
     hadic_decompose,
+    pair_counts,
     predicted_element,
     sample_gap_shifts,
     scan_limits,

@@ -48,6 +48,7 @@ from .weaktop import (
     boundary_loss,
     corr,
     default_panel,
+    pair_counts,
     sample_gap_shifts,
     scan_limits,
     strong_norm_sq,
@@ -200,16 +201,13 @@ def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]
     params = gen_example("mix-identity", 5)
     hs = heights(params)
     occ = expand_occupancy(params, 2, 5)
-    hb, n = occ.base_height, occ.n_copies
-    labels = range(hb)
-    # every shift's window of label differences, from one batched query
+    n = occ.n_copies
+    labels = range(occ.base_height)
+    # corr(m; {a}, {b}) of every shift and label pair, from one batched query
     ms = [s * hs[j - 1] for j in (2, 3, 4) for s in (1, -1, 2, -2)]
-    rows = dict(zip(ms, occ.pair_shift_windows([m - (hb - 1) for m in ms], 2 * hb - 1)))
-
-    def level_corr(m: int):
-        """corr(m; {a}, {b}) / n for all labels a, b, from the shift's row."""
-        row = rows[m]
-        return lambda a, b: Fraction(row[a - b + hb - 1], n)
+    ab = [(a, b) for a in labels for b in labels]
+    counts = {m: dict(zip(ab, row)) for m, row in
+              zip(ms, pair_counts(occ, ms, [((a,), (b,)) for a, b in ab]))}
 
     worst_disj = Fraction(0)
     worst_ret_margin = None
@@ -220,10 +218,9 @@ def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]
         r_j = params.stages[j - 1].r
         for m in (hj, -hj):
             bl = boundary_loss(m, occ.window)
-            v_of = level_corr(m)
             for a in labels:
                 for b in labels:
-                    v = v_of(a, b)
+                    v = Fraction(counts[m][a, b], n)
                     n_pairs += 1
                     worst_disj = max(worst_disj, v)
                     if v > 2 * bl:
@@ -231,9 +228,8 @@ def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]
         for m in (2 * hj, -2 * hj):
             bl = boundary_loss(m, occ.window)
             floor = 1 - Fraction(1, r_j) - 2 * bl
-            v_of = level_corr(m)
             for a in labels:
-                v = v_of(a, a)
+                v = Fraction(counts[m][a, a], n)
                 margin = v - floor
                 if worst_ret_margin is None or margin < worst_ret_margin:
                     worst_ret_margin = margin

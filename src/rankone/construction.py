@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import operator
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +37,15 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .series import AdmissibleSeries, FormalElement, convolve, make_admissible
+from .series import (
+    AdmissibleSeries,
+    FormalElement,
+    _dec,
+    _dec_int,
+    _to_fraction,
+    convolve,
+    make_admissible,
+)
 
 __all__ = [
     "ColumnGrowthPolicy",
@@ -533,7 +540,7 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     r = len(spacers)
     if max_m < 1 or max_m >= r:
         raise ValueError(f"need 1 <= max_m < len(spacers), got max_m={max_m}, r={r}")
-    eps = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)
+    eps = _to_fraction(eps)
     rows = []
     passed = True
     # window i of length m sums to prefix[i + m] - prefix[i]
@@ -820,24 +827,6 @@ def truncate_admissible(pairs: Iterable[tuple[int, object]], declared_mass,
 
 def _enc_int(x: int):
     return x if abs(x) <= _JSON_INT_LIMIT else str(x)
-
-
-def _dec_int(x, field: str) -> int:
-    """A JSON integer (not a bool) or a decimal digit string, else ValueError."""
-    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        return int(x)
-    raise ValueError(f"{field} must be an integer, got {x!r}")
-
-
-def _dec(x, kind: type, field: str, keys: Sequence[str] = ()):
-    """``x`` if it is a JSON list or object (``kind``) holding ``keys``."""
-    if not isinstance(x, kind):
-        name = "a list" if kind is list else "an object"
-        raise ValueError(f"{field} must be {name}, got {x!r}")
-    for key in keys:
-        if key not in x:
-            raise ValueError(f"missing field {key} in {field}")
-    return x
 
 
 def _dec_ints(x, field: str) -> list[int]:

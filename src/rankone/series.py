@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -350,7 +351,39 @@ def element_to_json(el: FormalElement) -> str:
     return json.dumps({"word": el.word, "coeffs": rows})
 
 
+def _dec_int(x, field: str) -> int:
+    """A JSON integer (not a bool) or a decimal digit string, else ValueError."""
+    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{field} must be an integer, got {x!r}")
+
+
+def _dec(x, kind: type, field: str, keys: Sequence[str] = ()):
+    """``x`` if it is a JSON list or object (``kind``) holding ``keys``."""
+    if not isinstance(x, kind):
+        name = "a list" if kind is list else "an object"
+        raise ValueError(f"{field} must be {name}, got {x!r}")
+    for key in keys:
+        if key not in x:
+            raise ValueError(f"missing field {key} in {field}")
+    return x
+
+
 def element_from_json(text: str) -> FormalElement:
-    blob = json.loads(text)
-    coeffs = {int(z): Fraction(int(num), int(den)) for z, num, den in blob["coeffs"]}
-    return FormalElement.from_coeffs(coeffs, blob.get("word", "?"))
+    """Decode :func:`element_to_json`; a missing or malformed field raises ValueError."""
+    blob = _dec(json.loads(text), dict, "element", ("coeffs",))
+    coeffs = {}
+    for row in _dec(blob["coeffs"], list, "element coeffs"):
+        if len(_dec(row, list, "element coeff")) != 3:
+            raise ValueError(f"element coeff must be [z, num, den], got {row!r}")
+        z, num, den = (_dec_int(x, f"element {name}") for x, name in
+                       zip(row, ("exponent", "numerator", "denominator")))
+        if den < 1:
+            raise ValueError(f"element denominator must be positive, got {den}")
+        if z in coeffs:
+            raise ValueError(f"element exponent {z} repeats")
+        coeffs[z] = Fraction(num, den)
+    word = blob.get("word", "?")
+    if not isinstance(word, str):
+        raise ValueError(f"element word must be a string, got {word!r}")
+    return FormalElement.from_coeffs(coeffs, word)

@@ -3,17 +3,18 @@
 Everything here is exact integer combinatorics on the sparse occupancy
 representation.  The correlation of two label sets under a shift reduces to
 counting copy-start pairs at prescribed differences.  A shift m probes the
-differences m + a - b of its panel pairs, so each shift needs one window
-[m + min(a - b), m + max(a - b)] of counts.  A scan asks the windows of
-all its shifts in one batched query, and one more window for the models
-of all its elements; the occupancy answers a query with one recursion
-over its per-stage offsets per batch of windows (numpy passes over the
-r_j offsets of each stage, never over the prod r_j copy starts, none of
-which is materialized) and returns the counts, which every caller indexes
-directly.  Each level of the recursion passes up only its nonzero counts,
-and the query lays them into its windows with one scatter per batch, so a
-gap shift, whose window is nearly all zeros, costs little beyond its
-offset searches.
+differences m + a - b of its label pairs, so each shift needs one window
+[m + min(a - b), m + max(a - b)] of counts.  :func:`pair_counts` is the one
+reader of those windows: every correlation, element model, shift profile
+and strong norm asks it for the windows of all its shifts in one batched
+query (a scan's element models are the windows at the elements'
+exponents, asked in the same query as its shifts).  The occupancy answers
+a query with one recursion over its per-stage offsets per batch of windows
+(numpy passes over the r_j offsets of each stage, never over the prod r_j
+copy starts, none of which is materialized).  Each level of the recursion
+passes up only its nonzero counts, and the query lays them into its
+windows with one scatter per batch, so a gap shift, whose window is nearly
+all zeros, costs little beyond its offset searches.
 
 Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
 sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
@@ -42,12 +43,12 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .construction import ConstructionParams, LevelOccupancy, generator_series
-from .series import FormalElement, adjoint, convolve, power
+from .series import FormalElement, _to_fraction, adjoint, convolve, power
 
 __all__ = [
     "CorrCount",
@@ -63,6 +64,7 @@ __all__ = [
     "default_panel",
     "excision_factor",
     "hadic_decompose",
+    "pair_counts",
     "predicted_element",
     "sample_gap_shifts",
     "scan_limits",
@@ -104,30 +106,31 @@ class CorrCount:
         return Fraction(self.count, self.mu_a)
 
 
-def _window(occ: LevelOccupancy, lo: int,
-            hi: int) -> Callable[[int, Sequence[int], Sequence[int]], int]:
-    """Count the differences [lo, hi] once; return count(z, A, B) over them.
+def pair_counts(occ: LevelOccupancy, ms: Sequence[int],
+                pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[list[int]]:
+    """corr(m; A, B) for every shift m in ``ms`` and every pair (A, B): one query.
 
-    count(z, A, B) sums the copy-start pairs at a + z - b over a in A and b
-    in B, which must all lie in the window.
+    Positions of label b are copy_starts + b, so each (a, b) pair contributes
+    the number of copy-start pairs differing by exactly m + a - b.  Shift m's
+    row counts the differences [m + lo, m + hi], lo and hi the extremes of
+    a - b over all pairs, and pair (A, B) reads its entries a - b - lo.
     """
-    row = occ.pair_shift_window(lo, hi)
-    return lambda z, A, B: sum(row[z + a - b - lo] for a in A for b in B)
+    bad = [b for A, B in pairs for b in (*A, *B) if not 0 <= b < occ.base_height]
+    if bad:
+        raise ValueError(f"labels outside [0, {occ.base_height}): {bad}")
+    diffs = [a - b for A, B in pairs for a in A for b in B]
+    lo, hi = min(diffs), max(diffs)
+    rows = occ.pair_shift_windows([m + lo for m in ms], hi - lo + 1)
+    return [[sum(row[a - b - lo] for a in A for b in B) for A, B in pairs]
+            for row in rows]
 
 
 def corr(occ: LevelOccupancy, m: int, A, B) -> CorrCount:
-    """corr(m; A, B) = #{x : x in positions(A), x + m in positions(B)}.
-
-    Positions of label b are copy_starts + b, so each (a, b) pair contributes
-    the number of copy-start pairs differing by exactly a + m - b.
-    """
+    """corr(m; A, B) = #{x : x in positions(A), x + m in positions(B)}."""
     A = _label_set(A)
     B = _label_set(B)
-    bad = [b for b in A + B if not 0 <= b < occ.base_height]
-    if bad:
-        raise ValueError(f"labels outside [0, {occ.base_height}): {bad}")
     m = int(m)
-    count = _window(occ, m + A[0] - B[-1], m + A[-1] - B[0])(m, A, B)
+    [[count]] = pair_counts(occ, [m], [(A, B)])
     n = occ.n_copies
     return CorrCount(m, count, len(A) * n, len(B) * n)
 
@@ -148,16 +151,6 @@ class CorrelationPanel:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @property
-    def diff_range(self) -> tuple[int, int]:
-        """Smallest and largest a - b over a in A, b in B of every pair.
-
-        A shift m probes copy-start differences m + a - b, so its panel is one
-        window [m + lo, m + hi] of pair counts.
-        """
-        diffs = [a - b for A, B in self.pairs for a in A for b in B]
-        return min(diffs), max(diffs)
 
 
 def default_panel(occ: LevelOccupancy, span: int = 6,
@@ -215,19 +208,6 @@ class DiscrepancyReport:
     rows: tuple[PairRow, ...]
 
 
-def _panel_profiles(occ: LevelOccupancy, ms: Sequence[int],
-                    panel: CorrelationPanel) -> list[list[int]]:
-    """corr(m; A, B) for every panel pair, per shift m: one batched query.
-
-    Shift m's row counts the differences m + lo, m + lo + 1, ..., so a pair
-    (A, B) reads its entries a - b - lo.
-    """
-    lo, hi = panel.diff_range
-    rows = occ.pair_shift_windows([m + lo for m in ms], hi - lo + 1)
-    return [[sum(row[a - b - lo] for a in A for b in B) for A, B in panel.pairs]
-            for row in rows]
-
-
 def _integer_coeffs(elements: Sequence[FormalElement]):
     """L, the lcm of the elements' coefficient denominators, and each
     element's coefficients times L as (z, integer) pairs."""
@@ -254,28 +234,28 @@ class PanelModels:
 
 
 def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
-                  panel: CorrelationPanel) -> PanelModels:
-    """Every element's model on every panel pair: one window."""
+                  panel: CorrelationPanel,
+                  ms: Sequence[int]) -> tuple[PanelModels, list[list[int]]]:
+    """Every element's model on every panel pair, and corr(m; A, B) for every
+    shift m in ``ms`` and pair: one query for the elements' exponents and
+    the shifts."""
     L, scaled = _integer_coeffs(elements)
     LA = math.lcm(*(len(A) for A, _ in panel.pairs))
-    denominator = L * LA * occ.n_copies
     weights = tuple(L * (LA // len(A)) for A, _ in panel.pairs)
     zs = sorted({z for Q in elements for z, _ in Q.coeffs})
-    if not zs:  # zero elements only
-        return PanelModels(denominator, weights,
-                           np.zeros((len(elements), len(panel)), object))
-    lo, hi = panel.diff_range
-    count = _window(occ, zs[0] + lo, zs[-1] + hi)
-    # (zs x pairs) counts times LA/|A|, and (elements x zs) coefficients times L
-    counts = [[count(z, A, B) * (LA // len(A)) for A, B in panel.pairs]
-              for z in zs]
+    counts = pair_counts(occ, zs + list(ms), panel.pairs)
+    # (elements x zs) coefficients times L, and (zs x pairs) counts times LA/|A|
     col = {z: k for k, z in enumerate(zs)}
     coeffs = [[0] * len(zs) for _ in elements]
     for row, qs in zip(coeffs, scaled):
         for z, q in qs:
             row[col[z]] = q
-    values = np.array(coeffs, dtype=object) @ np.array(counts, dtype=object)
-    return PanelModels(denominator, weights, values)
+    at_z = [[c * (LA // len(A)) for c, (A, _) in zip(row, panel.pairs)]
+            for row in counts[:len(zs)]]
+    values = np.array(coeffs, dtype=object) @ np.array(
+        at_z, dtype=object).reshape(len(zs), len(panel))
+    return (PanelModels(L * LA * occ.n_copies, weights, values),
+            counts[len(zs):])
 
 
 def _max_abs_diff(models: PanelModels, profile: Sequence[int], a: int,
@@ -323,8 +303,7 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
                      panel: CorrelationPanel) -> DiscrepancyReport:
     """delta = max over panel pairs of |corr(m)/mu(A) - sum_z Q(z) corr(z)/mu(A)|."""
     _check_support(occ, Q)
-    [counts] = _panel_profiles(occ, [m], panel)
-    models = _panel_models(occ, [Q], panel)
+    models, [counts] = _panel_models(occ, [Q], panel, [m])
     _, [raw] = score_elements(models, counts)
     delta = Fraction(raw, models.denominator)
     return DiscrepancyReport(int(m), Q.word, float(delta), delta,
@@ -340,12 +319,11 @@ def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
     """
     _check_support(occ, Q)
     A = _label_set(A)
-    if not Q.coeffs:
-        return Fraction(0)
     L, [qs] = _integer_coeffs([Q])
-    spread = qs[-1][0] - qs[0][0] + A[-1] - A[0]
-    count = _window(occ, -spread, spread)
-    total = sum(qz * qw * count(z - w, A, A) for z, qz in qs for w, qw in qs)
+    # corr(-d; A, A) = corr(d; A, A), so only the distinct |z - w| are counted
+    ds = sorted({abs(z - w) for z, _ in qs for w, _ in qs})
+    count = {d: c for d, [c] in zip(ds, pair_counts(occ, ds, [(A, A)]))}
+    total = sum(qz * qw * count[abs(z - w)] for z, qz in qs for w, qw in qs)
     return Fraction(total, L * L * len(A) * occ.n_copies)
 
 
@@ -551,12 +529,12 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     for el in semigroup:
         _check_support(occ, el)
 
-    models = _panel_models(occ, semigroup, panel)
+    models, profiles = _panel_models(occ, semigroup, panel, m_set)
     D = models.denominator
     words = [el.word for el in semigroup]
-    tol_exact = Fraction(tol).limit_denominator(10**9)
+    tol_exact = _to_fraction(tol)
     entries = []
-    for m, counts in zip(m_set, _panel_profiles(occ, m_set, panel)):
+    for m, counts in zip(m_set, profiles):
         dec = hadic_decompose(m, heights, a_bound, z_bound)
         factor = Fraction(1)
         if dec is not None and params is not None and dec.terms and \

@@ -35,6 +35,10 @@ TWOGEN_COLUMNS = (32, 64, 1024, 2048, 4096)
 TWOGEN_WINDOW = 16105285798326349
 LITERAL_COLUMNS = (16, 64, 256, 2048, 1024)
 LITERAL_WINDOW = 936553966758494
+CHECK_2_DETAIL = ("864 disjointness pairs, worst correlation 0.0000; worst "
+                  "return margin +0.0042 over floor 1-1/r-2*bloss")
+CHECK_5_DETAIL = ("64/64 gap shifts best-match the zero element; "
+                  "worst delta 0.0000 (< 0.1)")
 
 
 def _report(res):
@@ -45,13 +49,13 @@ def _report(res):
 
 def test_criterion_1_height_recurrence(crit_cache):
     res = _report(acc.check_height_recurrence(crit_cache))
-    assert "200/200" in res.detail
+    assert res.detail == ("200/200 random parameter sets satisfy "
+                          "h_next = h*r + sum(spacers) exactly")
 
 
 def test_criterion_2_level_return_identities(crit_cache):
     res = _report(acc.check_level_return_identities(crit_cache))
-    assert "864 disjointness pairs" in res.detail
-    assert "worst correlation 0.0000" in res.detail
+    assert res.detail == CHECK_2_DETAIL
 
 
 def test_criterion_2_asks_one_window_per_shift(monkeypatch):
@@ -70,18 +74,21 @@ def test_criterion_2_asks_one_window_per_shift(monkeypatch):
 
     monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
     res = acc.check_level_return_identities()
-    assert res.passed and "864 disjointness pairs" in res.detail
+    assert res.passed and res.detail == CHECK_2_DETAIL
     [(los, width)] = calls
     assert len(los) == 12 and width == 2 * 12 - 1  # 12 = base height h_2
 
 
 def test_criterion_3_frequency_gate(crit_cache):
     res = _report(acc.check_frequency_gate(crit_cache))
-    assert "20/20 seeds" in res.detail
+    assert res.detail == ("20/20 seeds rebuild and re-pass the stage gates "
+                          "(eps_j = 1/(j+1), order min(j,4)); seed 0 ok")
 
 
 def test_criterion_4_single_power_limits(crit_cache):
     res = _report(acc.check_single_power_limits(crit_cache))
+    assert res.detail == ("8 shift/power pairs on stages 4,5; worst delta/tol "
+                          "= 0.640 (m=2*h4 vs P1*^2)")
     params, hs, occ = acc.capped_build(crit_cache)
     assert tuple(st.r for st in params.stages) == CAPPED_COLUMNS
     assert hs[-1] == CAPPED_WINDOW
@@ -90,14 +97,17 @@ def test_criterion_4_single_power_limits(crit_cache):
 
 def test_criterion_5_gap_shifts(crit_cache):
     res = _report(acc.check_gap_shifts(crit_cache))
-    assert "64/64" in res.detail
+    assert res.detail == CHECK_5_DETAIL
 
 
 def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
-    """Both stage ranges' 64 gap shifts go through one scan: one window for
-    the element models plus one batched query of 64 profile rows (2 engine
-    queries, where one per shift made 65), and the detail line is unchanged."""
-    acc.capped_build(crit_cache)
+    """Both stage ranges' 64 gap shifts go through one scan, and the scan
+    makes one engine query: a row at each exponent of the elements, for
+    their models, then the 64 profile rows (one query per shift made 65).
+    The detail line is unchanged."""
+    params, _, _ = acc.capped_build(crit_cache)
+    sg = enumerate_semigroup(generator_series(params)[:1], 2, 1)
+    zs = {z for el in sg for z, _ in el.coeffs}
     calls = []
     windows = LevelOccupancy.pair_shift_windows
 
@@ -107,9 +117,8 @@ def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
 
     monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
     res = acc.check_gap_shifts(crit_cache)
-    assert res.passed and res.detail == ("64/64 gap shifts best-match the zero "
-                                         "element; worst delta 0.0000 (< 0.1)")
-    assert [len(los) for los, _ in calls] == [1, 64]
+    assert res.passed and res.detail == CHECK_5_DETAIL
+    assert [len(los) for los, _ in calls] == [len(zs) + 64]
 
 
 def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts(crit_cache):
@@ -134,22 +143,25 @@ def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts(crit_cache):
 
 def test_criterion_6_strong_decay(crit_cache):
     res = _report(acc.check_strong_decay(crit_cache))
-    assert "0.0993" in res.detail and "0.1399" in res.detail
+    assert res.detail == ("norm^2 at n=32 is 0.0993 (= binom(64,32)/4^32 exactly), "
+                          "monotone within 0.05; max coefficient of P^32 = 0.1399")
 
 
 def test_criterion_7_algebra_properties(crit_cache):
     res = _report(acc.check_algebra_properties(crit_cache))
-    assert "0 failures" in res.detail
+    assert res.detail == "333 random triples x 5 exact identities, 0 failures"
 
 
 def test_criterion_8_sparse_vs_naive(crit_cache):
     res = _report(acc.check_sparse_vs_naive(crit_cache))
-    assert "100/100" in res.detail
+    assert res.detail == "100/100 random (m, A, B) agree exactly across 2 small builds"
 
 
 def test_criterion_9_compound_limits(crit_cache):
     res = _report(acc.check_compound_limits(crit_cache))
-    assert "17/17" in res.detail
+    assert res.detail == ("17/17 shifts best-match their predicted product form; "
+                          "worst raw delta 0.2529 (tol 1/3 + 3*bloss), "
+                          "worst id margin 0.0049")
     params, hs, occ = acc.twogen_build(crit_cache)
     assert tuple(st.r for st in params.stages) == TWOGEN_COLUMNS
     assert hs[-1] == TWOGEN_WINDOW

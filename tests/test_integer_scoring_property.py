@@ -67,8 +67,7 @@ def oracle_scores(occ, m, elements, panel, factor):
 
 def integer_scores(occ, m, elements, panel, factor):
     """(d_cor, d_raw) per element from the integer scores, as Fractions."""
-    models = weaktop._panel_models(occ, elements, panel)
-    counts = [corr(occ, m, A, B).count for A, B in panel.pairs]
+    models, [counts] = weaktop._panel_models(occ, elements, panel, [m])
     cor, raw = score_elements(models, counts, factor)
     D = models.denominator
     return [(Fraction(c, D * factor.numerator), Fraction(r, D))

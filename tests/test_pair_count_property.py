@@ -157,7 +157,8 @@ def test_sparse_hits_past_int64(occ, data):
     hold no occurring difference read all zeros, and their recursion stops
     above level 0: no level carries a hit up.  With _WINDOW_BLOCK = 1 the
     distinct rows are split over top-level batches of max(1, w // top
-    offsets) rows, and they still agree with per-row pair_shift_window.
+    offsets) rows, and they still agree with per-row pair_shift_window; when
+    no row meets [-reach, reach], no top-level batch runs at all.
     """
     assert not occ.uses_int64 and len(occ.stage_offsets) >= 2
     diffs = _all_pairs(occ)
@@ -188,7 +189,10 @@ def test_sparse_hits_past_int64(occ, data):
     top = len(occ.stage_offsets)
     step = max(1, min(width, 2 * reach + 1) // occ.stage_offsets[-1].size)
     batches = [c.args[2].size for c in spy.call_args_list if c.args[1] == top]
-    assert batches[:-1] == [step] * (len(batches) - 1) and 0 < batches[-1] <= step
+    if all(lo + width <= -reach or lo > reach for lo in los):
+        assert batches == []
+    else:
+        assert batches[:-1] == [step] * (len(batches) - 1) and 0 < batches[-1] <= step
     assert [occ.pair_shift_window(lo, lo + width - 1) for lo in los] == want
 
 

@@ -217,3 +217,16 @@ def test_element_json_roundtrip():
     assert back == p
     # canonical ordering by exponent
     assert [t[0] for t in back.coeffs] == [-2, 0, 7]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"coeffs": [[0.5, 1, 2]]}', "element exponent must be an integer"),
+    ('{"coeffs": [[0, 1.9, 2]]}', "element numerator must be an integer"),
+    ('{"coeffs": [[0, true, 2]]}', "element numerator must be an integer"),
+    ('{}', "missing field coeffs in element"),
+    ('{"coeffs": [[0, 1, 0]]}', "element denominator must be positive"),
+])
+def test_element_json_rejects_malformed_fields(text, message):
+    """A malformed element is one ValueError naming the field, never a guess."""
+    with pytest.raises(ValueError, match=message):
+        element_from_json(text)

@@ -21,12 +21,14 @@ from rankone.series import (
     power,
 )
 from rankone.weaktop import (
+    CorrelationPanel,
     SupportTooWideError,
     boundary_loss,
     corr,
     default_panel,
     excision_factor,
     hadic_decompose,
+    pair_counts,
     sample_gap_shifts,
     scan_limits,
     strong_norm_sq,
@@ -263,9 +265,22 @@ def test_counting_never_materializes_copy_starts():
     assert "copy_starts" not in occ.__dict__
 
 
+def _spy_queries(monkeypatch):
+    """Record the (los, width) of every engine query from here on."""
+    calls = []
+    windows = LevelOccupancy.pair_shift_windows
+
+    def counting_windows(self, los, width):
+        calls.append((list(los), width))
+        return windows(self, los, width)
+
+    monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
+    return calls
+
+
 def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
-    """One pair-count window for all element models, then one batched query
-    holding one window per gap shift: two engine queries in all.
+    """One engine query in all: a window at each exponent of the elements,
+    for their models, then a window per gap shift.
 
     Asking each shift on its own would add a query per shift, and counting
     each difference of a panel on its own a width-1 query per difference.
@@ -276,20 +291,64 @@ def test_gap_scan_makes_one_window_query_per_shift(monkeypatch, small_build):
     sg = enumerate_semigroup(generator_series(params), 2, 1)
     gaps = sample_gap_shifts(hs, 6, rng_seed=5, lo=hs[2], hi=hs[3] // 2,
                              extra_lattice=(4099,))
-    calls = []
-    windows = LevelOccupancy.pair_shift_windows
-
-    def counting_windows(self, los, width):
-        calls.append((list(los), width))
-        return windows(self, los, width)
-
-    monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
+    calls = _spy_queries(monkeypatch)
     rep = scan_limits(occ, hs, sg, gaps, tol=0.1, panel=panel, params=params)
-    lo, hi = panel.diff_range
-    zs = [z for el in sg for z, _ in el.coeffs]
-    assert calls == [([min(zs) + lo], max(zs) - min(zs) + hi - lo + 1),
-                     ([m + lo for m in gaps], hi - lo + 1)]
+    diffs = [a - b for A, B in panel.pairs for a in A for b in B]
+    lo, hi = min(diffs), max(diffs)
+    zs = sorted({z for el in sg for z, _ in el.coeffs})
+    assert calls == [([m + lo for m in zs + gaps], hi - lo + 1)]
     assert all(e.best_word == "0" for e in rep.entries)
+
+
+def test_weak_discrepancy_makes_one_query(monkeypatch, small_build):
+    """The element's model and the shift's profile come from one engine query."""
+    params, hs, occ = small_build
+    gen = FormalElement.from_series(generator_series(params)[0])
+    calls = _spy_queries(monkeypatch)
+    weak_discrepancy(occ, -hs[-2], power(gen, 2), default_panel(occ))
+    assert [len(los) for los, _ in calls] == [3 + 1]  # exponents 0, 1, 2 and m
+
+
+def test_pair_counts_match_corr(small_build):
+    """Each entry of a batched pair_counts is corr(m; A, B) asked alone."""
+    params, hs, occ = small_build
+    ms = [0, 5, -hs[-2], 2 * hs[-2] + 1]
+    pairs = [((0,), (3,)), ((4, 1), (0, 2)), ((7,), (7,))]
+    assert pair_counts(occ, ms, pairs) == [
+        [corr(occ, m, A, B).count for A, B in pairs] for m in ms]
+    assert pair_counts(occ, [], pairs) == []
+
+
+def test_every_reader_rejects_out_of_range_labels(small_build):
+    """A label outside [0, base_height) is a ValueError in every reader, not a
+    count of positions that belong to no level."""
+    params, hs, occ = small_build
+    hb = occ.base_height
+    bad = CorrelationPanel(occ.base_stage, (((0,), (1,)), ((0,), (hb + 1,))),
+                           ("ok", "bad"))
+    gen = FormalElement.from_series(generator_series(params)[0])
+    readers = [
+        lambda: pair_counts(occ, [0], [((0,), (hb,))]),
+        lambda: corr(occ, 0, (-1,), (0,)),
+        lambda: strong_norm_sq(occ, FormalElement.identity(), (-3,)),
+        lambda: strong_norm_sq(occ, FormalElement.identity(), (hb + 7,)),
+        lambda: strong_norm_sq(occ, FormalElement.zero(), (hb,)),
+        lambda: weak_discrepancy(occ, hs[-2], gen, bad),
+        lambda: scan_limits(occ, hs, [FormalElement.zero()], [hs[-2]], tol=0.1,
+                            panel=bad),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=r"labels outside \[0, %d\)" % hb):
+            read()
+
+
+def test_exact_tolerance_is_not_rounded(small_build):
+    """An exact Fraction tol passes through unchanged: m = 0 matches I at
+    delta exactly 0, which is below a tol of 10**-30."""
+    params, hs, occ = small_build
+    sg = [FormalElement.zero(), FormalElement.identity()]
+    [e] = scan_limits(occ, hs, sg, [0], tol=F(1, 10 ** 30), params=params).entries
+    assert e.best_word == "I" and e.best_delta == 0 and e.passed
 
 
 def test_row_counts_match_corr_and_materialized_starts(small_build):

@@ -73,9 +73,8 @@ __all__ = [
 # Positions are kept in numpy int64 while every coordinate stays below this;
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
-# Elements of the (clusters x offsets) arrays one search step holds; a
-# top-level batch's rows x top offsets stay within this times the width.
-# Together they cap a query's temporary memory.
+# Elements of the (clusters x offsets) arrays one search step holds, at
+# any level of the pair-count recursion.
 _WINDOW_BLOCK = 1 << 12
 _JSON_INT_LIMIT = 1 << 53
 
@@ -250,11 +249,11 @@ class LevelOccupancy:
     # and level L joins each residual's hits to the (row, multiplicity) pairs
     # that sent it.  Hits that meet at one (row, column) are summed before a
     # level between 1 and the top passes them up, and by the query's scatter
-    # at the top.  No level holds a (rows x width) array; the query fills the
-    # only one, with one scatter per top-level batch.  Counts are int64 on
-    # every occupancy, since none exceeds n_copies; offsets and residual
-    # starts keep the occupancy's dtype.  Nothing is kept between queries:
-    # the counts are the return value.
+    # at the top.  A query is one recursion: no level holds a (rows x width)
+    # array, and the query fills the only one with one scatter.  Counts are
+    # int64 on every occupancy, since none exceeds n_copies; offsets and
+    # residual starts keep the occupancy's dtype.  Nothing is kept between
+    # queries: the counts are the return value.
 
     def pair_shift_count(self, k: int) -> int:
         """Number of copy-start pairs (s, s') with s' - s = k, exact."""
@@ -274,15 +273,13 @@ class LevelOccupancy:
         there read as zeros).  No two starts differ by more than the top
         reach, so each row is counted as a row of width
         w = min(width, 2 * reach + 1) moved inside [-reach, reach].  The
-        distinct moved rows go to the top level in sorted batches, one
-        recursion per batch, and each batch's sparse hits are scattered once
-        into the (rows x w) counts.  Below the top, the recursion holds
-        residual (row, start, multiplicity) triples, a few per row and top
-        offset, and their hits, not rows of counts; a batch's rows x top
-        offsets stay within _WINDOW_BLOCK * w, so what it holds grows with
-        the width of its rows, as the counts it returns do.  Counts are
-        int64, so an occupancy of 2**63 or more copies raises OverflowError
-        instead of counting.
+        distinct moved rows go to the top level together, in one recursion,
+        and its sparse hits are scattered once into the (rows x w) counts.
+        Below the top, the recursion holds residual (row, start,
+        multiplicity) triples, a few per row and offset, and their hits, not
+        rows of counts, so what a query holds grows with its rows.  Counts
+        are int64, so an occupancy of 2**63 or more copies raises
+        OverflowError instead of counting.
         """
         los, width = [int(lo) for lo in los], int(width)
         if width < 1:
@@ -294,14 +291,11 @@ class LevelOccupancy:
         moved = {lo: min(max(lo, -reach), reach - w + 1)
                  for lo in los if -reach - width < lo <= reach}
         starts = sorted(set(moved.values()))
-        level = len(self.stage_offsets)
-        n_top = self.stage_offsets[-1].size if level else 1
-        step = max(1, _WINDOW_BLOCK * w // n_top)
         counted = np.zeros((len(starts), w), dtype=np.int64)
-        for first in range(0, len(starts), step):
+        if starts:
             row, col, count = self._window_hits(
-                level, np.array(starts[first:first + step], dtype=self._dtype), w)
-            np.add.at(counted, (first + row, col), count)
+                len(self.stage_offsets), np.array(starts, dtype=self._dtype), w)
+            np.add.at(counted, (row, col), count)
         index = {c: i for i, c in enumerate(starts)}
         out = []
         for lo in los:
@@ -437,34 +431,30 @@ def gen_example(kind: str, J: int, h1: int | None = None,
     """
     if J < 2:
         raise ValueError("J >= 2 required")
-    stages = []
     if kind == "mix-identity":
-        h = 2 if h1 is None else h1
-        base = h
         schedule = tuple(r_schedule) if r_schedule is not None else tuple(
             j + 2 for j in range(1, J))
         if len(schedule) != J - 1:
             raise ValueError(f"r_schedule needs {J - 1} entries, got {len(schedule)}")
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("r_schedule must be strictly increasing")
-        for r in schedule:
-            stages.append(StageParams(r, (h,) * r))
-            h = h * r + r * h
+
+        def spacers(j, h):
+            return (h,) * schedule[j - 1]
     elif kind == "two-column":
-        h = 1 if h1 is None else h1
-        base = h
-        for j in range(1, J):
-            stages.append(StageParams(2, (0, j * h)))
-            h = 2 * h + j * h
+        def spacers(j, h):
+            return (0, j * h)
     elif kind == "all-limits":
-        h = 1 if h1 is None else h1
-        base = h
-        for j in range(1, J):
-            sp = (h, h + math.isqrt(j), h)
-            stages.append(StageParams(3, sp))
-            h = 3 * h + sum(sp)
+        def spacers(j, h):
+            return (h, h + math.isqrt(j), h)
     else:
         raise ValueError(f"unknown example kind: {kind!r}")
+    base = h = (2 if kind == "mix-identity" else 1) if h1 is None else h1
+    stages = []
+    for j in range(1, J):
+        sp = spacers(j, h)
+        stages.append(StageParams(len(sp), sp))
+        h = h * len(sp) + sum(sp)
     meta = {"generator": "example", "kind": kind, "h1": base}
     return ConstructionParams(base, tuple(stages), meta)
 
@@ -505,6 +495,12 @@ class FrequencyRow:
     def relative_deviation(self) -> Fraction:
         return abs(self.expected - self.observed) / self.expected
 
+    def fails(self, eps: Fraction) -> bool:
+        """relative_deviation >= eps, cross-multiplied in integers."""
+        e, o = self.expected, self.observed
+        return (abs(e.numerator * o.denominator - o.numerator * e.denominator)
+                * eps.denominator >= eps.numerator * e.numerator * o.denominator)
+
 
 @dataclass(frozen=True)
 class FrequencyReport:
@@ -514,7 +510,7 @@ class FrequencyReport:
     rows: tuple[FrequencyRow, ...]
 
     def failures(self) -> list[FrequencyRow]:
-        return [row for row in self.rows if row.relative_deviation >= self.eps]
+        return [row for row in self.rows if row.fails(self.eps)]
 
     def summary(self) -> str:
         worst = max(self.rows, key=lambda r: r.relative_deviation)
@@ -542,7 +538,6 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
         raise ValueError(f"need 1 <= max_m < len(spacers), got max_m={max_m}, r={r}")
     eps = _to_fraction(eps)
     rows = []
-    passed = True
     # window i of length m sums to prefix[i + m] - prefix[i]
     prefix = list(itertools.accumulate(map(int, spacers), initial=0))
     gen = FormalElement.from_series(P)
@@ -552,12 +547,8 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
         sums = Counter(map(operator.sub, itertools.islice(prefix, m, None), prefix))
         denom = r - m + 1
         for k, c in power_m.coeffs:  # sorted by k, every c > 0
-            count = sums[k]
-            rows.append(FrequencyRow(m, k, c, Fraction(count, denom)))
-            # relative_deviation >= eps, cross-multiplied
-            if (abs(c.numerator * denom - count * c.denominator) * eps.denominator
-                    >= eps.numerator * c.numerator * denom):
-                passed = False
+            rows.append(FrequencyRow(m, k, c, Fraction(sums[k], denom)))
+    passed = not any(row.fails(eps) for row in rows)
     return FrequencyReport(passed, max_m, eps, tuple(rows))
 
 

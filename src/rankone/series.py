@@ -45,10 +45,12 @@ __all__ = [
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, float):
-        # Floats are accepted for convenience but converted through their
-        # exact binary value; callers wanting exact decimals should pass
-        # strings or Fractions.
-        return Fraction(x).limit_denominator(10**12)
+        # Floats are accepted for convenience: the nearest fraction with a
+        # denominator up to 10**12 (0.1 -> 1/10) when it converts back to
+        # the same float, else the float's exact binary value.  Callers
+        # wanting exact decimals should pass strings or Fractions.
+        near = Fraction(x).limit_denominator(10**12)
+        return near if float(near) == x else Fraction(x)
     return Fraction(x)
 
 

@@ -9,12 +9,12 @@ reader of those windows: every correlation, element model, shift profile
 and strong norm asks it for the windows of all its shifts in one batched
 query (a scan's element models are the windows at the elements'
 exponents, asked in the same query as its shifts).  The occupancy answers
-a query with one recursion over its per-stage offsets per batch of windows
-(numpy passes over the r_j offsets of each stage, never over the prod r_j
-copy starts, none of which is materialized).  Each level of the recursion
-passes up only its nonzero counts, and the query lays them into its
-windows with one scatter per batch, so a gap shift, whose window is nearly
-all zeros, costs little beyond its offset searches.
+a query with one recursion over its per-stage offsets (numpy passes over
+the r_j offsets of each stage, never over the prod r_j copy starts, none
+of which is materialized).  Each level of the recursion passes up only its
+nonzero counts, and the query lays them into its windows with one
+scatter, so a gap shift, whose window is nearly all zeros, costs little
+beyond its offset searches.
 
 Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
 sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
@@ -427,22 +427,13 @@ def _stage_record(params: ConstructionParams, stage_j: int) -> dict | None:
 
 
 def _clean_window_count(r: int, width: int, overridden: Sequence[int]) -> int:
-    """#windows [i, i+width-1], 1 <= i <= r-width, avoiding overridden indices."""
-    total = r - width
-    if total <= 0:
-        return 0
-    killed = 0
-    prev_end = 0
-    for t in sorted(overridden):
-        lo = max(1, t - width + 1)
-        hi = min(total, t)
-        if hi < lo:
-            continue
-        lo = max(lo, prev_end + 1)
-        if hi >= lo:
-            killed += hi - lo + 1
-            prev_end = hi
-    return total - killed
+    """#windows [i, i+width-1], 1 <= i <= r-width, avoiding overridden indices.
+
+    Between consecutive cut points p < q (0, the overridden t in (0, r), r)
+    the clean windows are those inside [p + 1, q - 1].
+    """
+    cuts = [0, *sorted({t for t in overridden if 0 < t < r}), r]
+    return sum(max(0, q - p - width) for p, q in zip(cuts, cuts[1:]))
 
 
 def excision_factor(params: ConstructionParams,

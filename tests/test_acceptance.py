@@ -147,6 +147,22 @@ def test_criterion_6_strong_decay(crit_cache):
                           "monotone within 0.05; max coefficient of P^32 = 0.1399")
 
 
+def test_criterion_6_makes_one_recursion_per_norm(monkeypatch, crit_cache):
+    """Each of check 6's 32 norms is one query, and each query is one
+    recursion from the top level, however narrow its rows."""
+    top_calls = []
+    window_hits = LevelOccupancy._window_hits
+
+    def counting_hits(self, level, starts, width):
+        if level == len(self.stage_offsets):
+            top_calls.append(starts.size)
+        return window_hits(self, level, starts, width)
+
+    monkeypatch.setattr(LevelOccupancy, "_window_hits", counting_hits)
+    assert acc.check_strong_decay(crit_cache).passed
+    assert len(top_calls) == 32
+
+
 def test_criterion_7_algebra_properties(crit_cache):
     res = _report(acc.check_algebra_properties(crit_cache))
     assert res.detail == "333 random triples x 5 exact identities, 0 failures"

@@ -215,7 +215,11 @@ def gate_inputs(draw):
 @SETTINGS
 @given(args=gate_inputs())
 def test_verify_frequencies_matches_running_window(args):
-    assert verify_frequencies(*args) == oracle_frequencies(*args)
+    """The report, and its failing cells, by the Fraction deviation rule."""
+    report, want = verify_frequencies(*args), oracle_frequencies(*args)
+    assert report == want
+    assert report.failures() == [row for row in want.rows
+                                 if row.relative_deviation >= want.eps]
 
 
 def test_verify_frequencies_exact_on_spacers_past_int64():

@@ -127,8 +127,10 @@ def test_batched_windows_match_single_windows_and_starts(occ, data):
 
     Row starts sit around occurring differences and past either side of
     the reach (out to +-2**70), come unsorted and repeated, and on small
-    windows the width can exceed 2 * reach + 1.  A small _WINDOW_BLOCK
-    spreads the distinct rows over several top-level batches.
+    windows the width can exceed 2 * reach + 1.  Whatever _WINDOW_BLOCK
+    is (a small one splits each level's (clusters x offsets) search into
+    several steps), the query runs one top-level recursion if any row
+    meets [-reach, reach] and none otherwise.
     """
     diffs = _all_pairs(occ)
     reach = occ._reach[-1]
@@ -143,9 +145,14 @@ def test_batched_windows_match_single_windows_and_starts(occ, data):
     los = data.draw(st.permutations(los))
     want = [[diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
     assert [occ.pair_shift_window(lo, lo + width - 1) for lo in los] == want
-    block = data.draw(st.sampled_from([1, 3, 16]))
-    with mock.patch.object(construction, "_WINDOW_BLOCK", block):
+    block = data.draw(st.sampled_from([1, 3, 16, construction._WINDOW_BLOCK]))
+    with mock.patch.object(construction, "_WINDOW_BLOCK", block), \
+            mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
+                              side_effect=LevelOccupancy._window_hits) as spy:
         assert occ.pair_shift_windows(los, width) == want, (los, width, block)
+    top = len(occ.stage_offsets)
+    top_calls = sum(c.args[1] == top for c in spy.call_args_list)
+    assert top_calls == any(-reach - width < lo <= reach for lo in los)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,10 +162,11 @@ def test_sparse_hits_past_int64(occ, data):
 
     Counts come back as Python ints equal to the tally.  Rows whose windows
     hold no occurring difference read all zeros, and their recursion stops
-    above level 0: no level carries a hit up.  With _WINDOW_BLOCK = 1 the
-    distinct rows are split over top-level batches of max(1, w // top
-    offsets) rows, and they still agree with per-row pair_shift_window; when
-    no row meets [-reach, reach], no top-level batch runs at all.
+    above level 0: no level carries a hit up.  With _WINDOW_BLOCK = 1 every
+    search step holds one cluster, the distinct rows still go to the top
+    level in one recursion, and they still agree with per-row
+    pair_shift_window; when no row meets [-reach, reach], no top-level
+    recursion runs at all.
     """
     assert not occ.uses_int64 and len(occ.stage_offsets) >= 2
     diffs = _all_pairs(occ)
@@ -181,18 +189,14 @@ def test_sparse_hits_past_int64(occ, data):
             assert occ.pair_shift_windows(gap_los, width) == [[0] * width] * len(gap_los)
         assert all(c.args[1] > 0 for c in spy.call_args_list)
 
-    # with _WINDOW_BLOCK = 1 a top-level batch holds max(1, w // top offsets) rows
+    # with _WINDOW_BLOCK = 1 the query is still one top-level recursion
     with mock.patch.object(construction, "_WINDOW_BLOCK", 1), \
             mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
                               side_effect=LevelOccupancy._window_hits) as spy:
         assert occ.pair_shift_windows(los, width) == want
     top = len(occ.stage_offsets)
-    step = max(1, min(width, 2 * reach + 1) // occ.stage_offsets[-1].size)
-    batches = [c.args[2].size for c in spy.call_args_list if c.args[1] == top]
-    if all(lo + width <= -reach or lo > reach for lo in los):
-        assert batches == []
-    else:
-        assert batches[:-1] == [step] * (len(batches) - 1) and 0 < batches[-1] <= step
+    top_calls = sum(c.args[1] == top for c in spy.call_args_list)
+    assert top_calls == (0 if all(lo + width <= -reach or lo > reach for lo in los) else 1)
     assert [occ.pair_shift_window(lo, lo + width - 1) for lo in los] == want
 
 
@@ -256,8 +260,8 @@ def test_windows_at_the_dtype_edges(params, base, top):
             fresh = expand_occupancy(params, base, top)
             assert fresh.pair_shift_window(lo, hi) == want, (lo, hi)
             assert shared.pair_shift_window(lo, hi) == want, (lo, hi)
-    # every anchor's rows at once, in reverse order and twice each, one
-    # top-level batch per row
+    # every anchor's rows at once, in reverse order and twice each, with
+    # one cluster per search step at every level
     los = [anchor - t for anchor in sorted(set(diffs) | {-w, w}) for t in (0, 5, 12)]
     los = (los + los)[::-1]
     with mock.patch.object(construction, "_WINDOW_BLOCK", 1):

@@ -9,6 +9,7 @@ from rankone.series import (
     AdmissibleSeries,
     FormalElement,
     SeriesValidationError,
+    _to_fraction,
     adjoint,
     convolve,
     element_from_json,
@@ -21,6 +22,19 @@ from rankone.series import (
 
 F = Fraction
 HALF = {0: F(1, 2), 1: F(1, 2)}
+
+
+def test_float_conversion_keeps_short_fractions_and_small_floats():
+    """A float becomes its nearest short fraction when that converts back to
+    the same float, else its exact binary value, so no small float rounds
+    to 0."""
+    assert _to_fraction(0.1) == F(1, 10) and _to_fraction(1 / 3) == F(1, 3)
+    for j in range(1, 200):
+        assert _to_fraction(1 / (j + 1)) == F(1, j + 1)
+        assert _to_fraction(2 / (j + 1)) == F(2, j + 1)
+    for x in (1e-13, 5e-13, 1e-300, 0.1 + 1e-14):
+        assert _to_fraction(x) == F(x) != 0
+    assert _to_fraction(0.0) == 0 and _to_fraction(F(1, 10 ** 30)) == F(1, 10 ** 30)
 
 
 def test_make_admissible_valid():

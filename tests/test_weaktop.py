@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rankone import weaktop
 from rankone.construction import (
     ConstructionParams,
     LevelOccupancy,
@@ -240,6 +241,26 @@ def test_excision_factor_hand_check():
     assert got == F(clean, r)
 
 
+def test_clean_window_count_matches_brute_force():
+    """The cut-point sum against every window [i, i + width - 1],
+    1 <= i <= r - width, on random cases and on the empty, r <= width and
+    out-of-range-index cases."""
+    def brute(r, width, overridden):
+        return sum(1 for i in range(1, r - width + 1)
+                   if not any(i <= t <= i + width - 1 for t in overridden))
+
+    rng = np.random.default_rng(20261018)
+    cases = [(10, 3, []), (5, 5, [2]), (4, 9, []), (6, 2, [-2, 0, 6, 9]),
+             (7, 1, [3, 3, 7])]
+    for _ in range(3000):
+        r, width = int(rng.integers(0, 41)), int(rng.integers(0, 46))
+        overridden = rng.integers(-2, r + 4, size=int(rng.integers(0, 9))).tolist()
+        cases.append((r, width, overridden))
+    for r, width, overridden in cases:
+        assert weaktop._clean_window_count(r, width, overridden) == brute(
+            r, width, overridden), (r, width, overridden)
+
+
 def test_scan_identifies_trivial_shifts(small_build):
     params, hs, occ = small_build
     sg = enumerate_semigroup(generator_series(params), 2, 1)
@@ -343,12 +364,14 @@ def test_every_reader_rejects_out_of_range_labels(small_build):
 
 
 def test_exact_tolerance_is_not_rounded(small_build):
-    """An exact Fraction tol passes through unchanged: m = 0 matches I at
-    delta exactly 0, which is below a tol of 10**-30."""
+    """An exact Fraction tol passes through unchanged, and a small float tol
+    stays positive: m = 0 matches I at delta exactly 0, which is below a tol
+    of 10**-30 or 1e-13."""
     params, hs, occ = small_build
     sg = [FormalElement.zero(), FormalElement.identity()]
-    [e] = scan_limits(occ, hs, sg, [0], tol=F(1, 10 ** 30), params=params).entries
-    assert e.best_word == "I" and e.best_delta == 0 and e.passed
+    for tol in (F(1, 10 ** 30), 1e-13):
+        [e] = scan_limits(occ, hs, sg, [0], tol=tol, params=params).entries
+        assert e.best_word == "I" and e.best_delta == 0 and e.passed, tol
 
 
 def test_row_counts_match_corr_and_materialized_starts(small_build):

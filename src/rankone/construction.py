@@ -76,6 +76,9 @@ _INT64_SAFE_WINDOW = 1 << 62
 # Elements of the (clusters x offsets) arrays one search step holds, at
 # any level of the pair-count recursion.
 _WINDOW_BLOCK = 1 << 12
+# A recursion level whose 2 * reach reaches this searches wrapped int64
+# keys (offset >> s) mod _KEY_MOD instead of the offsets themselves.
+_KEY_MOD = 1 << 61
 _JSON_INT_LIMIT = 1 << 53
 
 
@@ -167,6 +170,65 @@ def _sum_hits(row: np.ndarray, col: np.ndarray, count: np.ndarray, width: int):
 _NO_HITS = (np.zeros(0, dtype=np.int64),) * 3
 
 
+def _offset_pairs(offs: np.ndarray, span_lo: np.ndarray, span_hi: np.ndarray):
+    """Per search step, the distinct differences offs[i'] - offs[i] that lie
+    in some cluster's [span_lo, span_hi], sorted, and the number of offset
+    pairs at each.
+
+    The offsets are searched directly.  At a narrow level every offset and
+    bound lies within +-2**61, so the search runs in int64 on any occupancy.
+    """
+    offs, span_lo, span_hi = (np.asarray(a, dtype=np.int64) for a in (offs, span_lo, span_hi))
+    step = max(1, _WINDOW_BLOCK // offs.size)
+    for first in range(0, span_lo.size, step):
+        # for each (cluster, i), the targets i' in [lo, hi)
+        lo = np.searchsorted(offs, (offs[None, :] + span_lo[first:first + step, None]).ravel())
+        hi = np.searchsorted(
+            offs, (offs[None, :] + span_hi[first:first + step, None]).ravel(), side="right")
+        yield np.unique(offs[_runs(lo, hi - lo)]
+                        - offs[np.repeat(np.arange(lo.size) % offs.size, hi - lo)],
+                        return_counts=True)
+
+
+def _wrapped_pairs(offs: np.ndarray, span_lo: np.ndarray, span_hi: np.ndarray):
+    """What :func:`_offset_pairs` yields, found through int64 keys.
+
+    The key of offset O is (O >> s) mod 2**61, with s chosen so that the
+    widest cluster covers at most about 2**40 keys.  A difference in
+    [a, b] moves the key by (a >> s) to (b >> s) + 1, mod 2**61, so each
+    (cluster, i) searches one run of the sorted keys laid out three times,
+    at +0, +2**61 and +2**62, where no run wraps and nothing reaches 2**63.
+    The run holds every true pair and a few aliases; each candidate's exact
+    difference is kept only inside its own cluster's range (an alias could
+    land in another cluster's rows), and the kept ones are tallied by
+    hashing.
+    """
+    lo_bounds, hi_bounds = span_lo.tolist(), span_hi.tolist()
+    s = max(0, max(map(operator.sub, hi_bounds, lo_bounds)).bit_length() - 40)
+    # & (_KEY_MOD - 1) is mod _KEY_MOD, and much cheaper than % on long ints
+    keys = ((offs >> s) & (_KEY_MOD - 1)).astype(np.int64)
+    order = np.argsort(keys)
+    ring = np.concatenate([keys[order] + t * _KEY_MOD for t in range(3)])
+    key_lo = np.array([(a >> s) & (_KEY_MOD - 1) for a in lo_bounds], dtype=np.int64)
+    key_len = np.array([(b >> s) - (a >> s) + 1 for a, b in zip(lo_bounds, hi_bounds)],
+                       dtype=np.int64)
+    n = offs.size
+    step = max(1, _WINDOW_BLOCK // n)
+    for first in range(0, span_lo.size, step):
+        needle = (keys[None, :] + key_lo[first:first + step, None]).ravel()
+        lo = np.searchsorted(ring, needle)
+        hi = np.searchsorted(ring, needle + np.repeat(key_len[first:first + step], n),
+                             side="right")
+        pair = np.repeat(np.arange(lo.size), hi - lo)
+        cluster = first + pair // n
+        diff = offs[order[_runs(lo, hi - lo) % n]] - offs[pair % n]
+        diff = diff[(diff >= span_lo[cluster]) & (diff <= span_hi[cluster])]
+        tally = Counter(diff.tolist())
+        delta = sorted(tally)
+        yield (np.array(delta, dtype=offs.dtype),
+               np.fromiter(map(tally.__getitem__, delta), dtype=np.int64, count=len(delta)))
+
+
 @dataclass(frozen=True, eq=False)
 class LevelOccupancy:
     """Sparse labeling of the stage-J tower by stage-j0 levels.
@@ -240,9 +302,10 @@ class LevelOccupancy:
     # differences at once, all of one width (a scan asks one query for the
     # panel windows of all its shifts): level L takes rows starting at
     # c_1 < c_2 < ..., merges rows whose ranges of reaching differences
-    # overlap into clusters, searches the offset pairs once per cluster, keeps
-    # each distinct difference once with the number of pairs at it, sends it
-    # to the rows it reaches, merges the residual starts
+    # overlap or touch into clusters, searches the offset pairs once per
+    # cluster (through wrapped int64 keys on a level whose 2 * reach reaches
+    # 2**61), keeps each distinct difference once with the number of pairs
+    # at it, sends it to the rows it reaches, merges the residual starts
     # c - (O_L[i'] - O_L[i]) across all rows and recurses once on those.
     # Every level returns only its nonzero counts, as (row, column, count)
     # hits: level 0 has at most one per row (column -c, if in [0, width)),
@@ -324,10 +387,10 @@ class LevelOccupancy:
         counts of a (row, col) that repeats add up.  ``starts`` is sorted and
         unique, and each row meets [-reach_level, reach_level].  Row c needs
         the offset differences in [row_lo[c], row_hi[c]]; both bounds are
-        nondecreasing in c, so rows whose ranges overlap merge into clusters
-        with disjoint union ranges.  Each cluster is searched once, and each
-        difference it finds goes to the one contiguous run of rows whose
-        range holds it.
+        nondecreasing in c, so rows whose ranges overlap or touch merge into
+        clusters with disjoint union ranges.  Each cluster is searched once,
+        and each difference it finds goes to the one contiguous run of rows
+        whose range holds it.
         """
         if level == 0:
             col = -starts
@@ -341,24 +404,14 @@ class LevelOccupancy:
         # in [row_lo, row_hi] leaves a residual row that meets [-below, below]
         row_lo = np.maximum(starts, -reach) - below
         row_hi = np.minimum(starts, reach - width + 1) + (width - 1) + below
-        split = np.flatnonzero(row_lo[1:] > row_hi[:-1]) + 1
+        split = np.flatnonzero(row_lo[1:] > row_hi[:-1] + 1) + 1
         span_lo = row_lo[np.concatenate(([0], split))]
         span_hi = row_hi[np.concatenate((split - 1, [starts.size - 1]))]
+        search = _wrapped_pairs if 2 * reach >= _KEY_MOD else _offset_pairs
         row_idx, residual, mult = [], [], []
-        step = max(1, _WINDOW_BLOCK // offs.size)
-        for first in range(0, span_lo.size, step):
-            # for each (cluster, i), the targets i' in [lo, hi)
-            lo = np.searchsorted(
-                offs, (offs[None, :] + span_lo[first:first + step, None]).ravel())
-            hi = np.searchsorted(
-                offs, (offs[None, :] + span_hi[first:first + step, None]).ravel(),
-                side="right")
-            # clusters' union ranges are disjoint, so each distinct delta
-            # belongs to one cluster and leaves one residual in each of its rows
-            delta, count = np.unique(
-                offs[_runs(lo, hi - lo)]
-                - offs[np.repeat(np.arange(lo.size) % offs.size, hi - lo)],
-                return_counts=True)
+        # clusters' union ranges are disjoint, so each distinct delta belongs
+        # to one cluster and leaves one residual in each of its rows
+        for delta, count in search(offs, span_lo, span_hi):
             # the rows holding delta are those from the first with
             # row_hi >= delta up to the last with row_lo <= delta
             row_first = np.searchsorted(row_hi, delta)

@@ -5,12 +5,15 @@ frozen values pinned here (column counts, windows, match counts) were
 measured once at the pinned seeds and must reproduce exactly.
 """
 
+import functools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 
 from rankone import acceptance as acc
 from rankone.construction import (
+    ColumnGrowthPolicy,
     LevelOccupancy,
     SidonPolicy,
     expand_occupancy,
@@ -182,6 +185,54 @@ def test_criterion_9_compound_limits(crit_cache):
     assert tuple(st.r for st in params.stages) == TWOGEN_COLUMNS
     assert hs[-1] == TWOGEN_WINDOW
     assert occ.uses_int64 and occ.n_copies == 2048 * 4096
+
+
+def _bisect_pair_counts(stage_offsets):
+    """count(k): copy-start pairs at difference k, in plain Python.
+
+    count_L(k) sums count_{L-1}(k - (O' - O)) over the offset pairs of
+    level L with |k - (O' - O)| <= reach_{L-1}; for each O, ``bisect``
+    finds the run of O' in range.  Each level's counts are memoized.
+    """
+    offsets = [[int(o) for o in offs] for offs in stage_offsets]
+    reach = [0]
+    for offs in offsets:
+        reach.append(reach[-1] + offs[-1])
+
+    @functools.lru_cache(maxsize=None)
+    def count(level, k):
+        if level == 0:
+            return int(k == 0)
+        offs, below = offsets[level - 1], reach[level - 1]
+        return sum(count(level - 1, k - (o2 - o)) for o in offs
+                   for o2 in offs[bisect_left(offs, o + k - below):
+                                  bisect_right(offs, o + k + below)])
+    return functools.partial(count, len(offsets))
+
+
+def test_conforming_compound_build_matches_a_bisect_recount():
+    """Check 9's build without the cap: a 3,511-bit window, 8,388,608 copies.
+
+    No test can materialize it, so windows [k - 2, k + 2] at lattice shifts
+    are recounted by a plain-Python recursion over the offsets.
+    """
+    params = gen_p_construction(
+        [make_admissible({0: F(1, 2), 1: F(1, 2)}),
+         make_admissible({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})], J=6, seed=0,
+        eps_schedule=lambda j: F(1, 3),
+        r_policy=ColumnGrowthPolicy(start=lambda j: {4: 2048, 5: 4096}.get(j, max(2 * j, 16))),
+        sidon_policy=SidonPolicy(cap=None))
+    assert tuple(st.r for st in params.stages) == TWOGEN_COLUMNS
+    hs = heights(params)
+    occ = expand_occupancy(params, 4, 6)
+    assert occ.window.bit_length() == 3511 and occ.n_copies == 2048 * 4096
+    count = _bisect_pair_counts(occ.stage_offsets)
+    h4, h5 = hs[3], hs[4]
+    for k in (0, h4, h5 + h4, -(2 * h5 + h4)):
+        want = [count(k + t) for t in range(-2, 3)]
+        assert occ.pair_shift_window(k - 2, k + 2) == want, k
+        assert want[2] > 0
+    assert count(0) == occ.n_copies
 
 
 # --- literal-schedule companion ---------------------------------------------

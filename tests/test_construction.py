@@ -2,10 +2,12 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rankone import construction
 from rankone.construction import (
     ConstructionParams,
     GenerationError,
@@ -204,12 +206,26 @@ def test_window_rows_cluster_edges(params, top):
     step = width - 1 + 2 * below
     s0 = -reach - 2          # partly below -reach
     s1 = s0 + step           # overlaps row 0 by one difference: one cluster
-    s2 = s1 + step + 1       # only touches row 1: a cluster of its own
+    s2 = s1 + step + 1       # only touches row 1: still that cluster
     s3 = s2 + step + 7       # isolated
     s4 = reach - 1           # partly above reach, isolated
     assert s3 + step + 1 < s4
     starts = [s0, s1, s2, s3, s4]
-    row, col, count = occ._window_hits(level, np.array(starts, dtype=occ._dtype), width)
+    searched = []
+
+    def spy(name):
+        search = getattr(construction, name)
+
+        def recording(offs, span_lo, span_hi):
+            searched.append((name, span_lo.size))
+            return search(offs, span_lo, span_hi)
+        return mock.patch.object(construction, name, recording)
+
+    with spy("_offset_pairs"), spy("_wrapped_pairs"):
+        row, col, count = occ._window_hits(level, np.array(starts, dtype=occ._dtype), width)
+    # the top level searches 3 clusters: {s0, s1, s2}, {s3} and {s4}; the
+    # object build's top level is wide (2 * reach >= 2**61)
+    assert searched[0] == ("_offset_pairs" if occ.uses_int64 else "_wrapped_pairs", 3)
     rows = np.zeros((len(starts), width), dtype=np.int64)
     np.add.at(rows, (row, col), count)
     copy_starts = [int(s) for s in occ.copy_starts]
@@ -217,6 +233,27 @@ def test_window_rows_cluster_edges(params, top):
     assert [row.tolist() for row in rows] == [
         [diffs.get(s + t, 0) for t in range(width)] for s in starts]
     assert all(row.any() for row in rows)
+
+
+def test_wrapped_keys_keep_each_difference_in_its_own_cluster():
+    """Offsets 0 and X = 12345 * 2**61 + 5, whose keys differ by only 5.
+
+    The top level is wide, and with rows [-8, 8] and [X - 8, X + 8] it
+    searches two clusters whose key runs (s = 0) each also hold the other
+    cluster's offset pair.  The exact check keeps each difference in its own
+    cluster; without it each difference would reach its rows twice, and the
+    rows would read 4, 8, 4 and 2, 4, 2 where they read 2, 4, 2 and 1, 2, 1.
+    """
+    x = 12345 * 2 ** 61 + 5
+    occ = LevelOccupancy(1, 3, 1, x + 2, ([0, 1], [0, x]))
+    assert not occ.uses_int64 and 2 * occ._reach[-1] >= construction._KEY_MOD
+    starts = [int(s) for s in occ.copy_starts]
+    assert starts == [0, 1, x, x + 1]
+    diffs = Counter(b - a for a in starts for b in starts)
+    los = [-8, x - 8]
+    got = occ.pair_shift_windows(los, 17)
+    assert got == [[diffs.get(lo + t, 0) for t in range(17)] for lo in los]
+    assert got[0][7:10] == [2, 4, 2] and got[1][7:10] == [1, 2, 1]
 
 
 def test_occupancies_compare_by_identity():

@@ -22,8 +22,18 @@ from rankone.construction import (  # noqa: E402
 )
 
 
+SPACERS = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 10 ** 6))
+# Override-chain-like spacers: powers of two up to 2**300, a few off.  Their
+# offsets share their low bits, so wide levels' keys (offset >> s) mod 2**61
+# wrap and collide, and differences carry across the key scale.
+CHAIN_SPACERS = st.one_of(
+    st.integers(0, 6),
+    st.builds(lambda k, e: max(0, 2 ** k + e), st.integers(0, 300), st.integers(-3, 3)))
+
+
 @st.composite
-def occupancies(draw, h1s=(1, 2, 3, 5, 2 ** 62 // 1000, 2 ** 62), min_levels=0):
+def occupancies(draw, h1s=(1, 2, 3, 5, 2 ** 62 // 1000, 2 ** 62), min_levels=0,
+                spacers=SPACERS):
     """Small random constructions, expanded over a random stage range.
 
     The range composes at least ``min_levels`` stages.
@@ -32,8 +42,7 @@ def occupancies(draw, h1s=(1, 2, 3, 5, 2 ** 62 // 1000, 2 ** 62), min_levels=0):
     stages = []
     for _ in range(draw(st.integers(max(1, min_levels), 4))):
         r = draw(st.integers(2, 5))
-        spacer = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 10 ** 6))
-        stages.append(StageParams(r, tuple(draw(st.lists(spacer, min_size=r, max_size=r)))))
+        stages.append(StageParams(r, tuple(draw(st.lists(spacers, min_size=r, max_size=r)))))
     base = draw(st.integers(1, len(stages) + 1 - min_levels))
     top = draw(st.integers(base + min_levels, len(stages) + 1))
     return expand_occupancy(ConstructionParams(h1, tuple(stages)), base, top)
@@ -231,6 +240,26 @@ def test_levels_below_the_top_pass_each_cell_up_once(occ, data):
         assert (count > 0).all()
         if level < top:
             assert len(set(zip(row.tolist(), col.tolist()))) == row.size, level
+
+
+@settings(max_examples=60, deadline=None)
+@given(occupancies(h1s=(1, 3, 2 ** 62), min_levels=1, spacers=CHAIN_SPACERS), st.data())
+def test_wrapped_keys_match_materialized_starts(occ, data):
+    """Batched windows on chain-like occupancies, vs all pairs.
+
+    Their wide levels (2 * reach >= 2**61) search keys that wrap mod 2**61,
+    where offsets far apart alias and a difference near a cluster's end can
+    carry into the next key.  Rows sit around occurring differences, so
+    most clusters end next to a difference that occurs.
+    """
+    diffs = _all_pairs(occ)
+    reach = occ._reach[-1]
+    width = data.draw(st.integers(1, 12))
+    anchors = sorted(set(diffs) | {-reach, reach})
+    los = [data.draw(st.sampled_from(anchors)) - data.draw(st.integers(0, width + 2))
+           for _ in range(data.draw(st.integers(1, 12)))]
+    assert occ.pair_shift_windows(los, width) == [
+        [diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
 
 
 @pytest.mark.parametrize("params, base, top", [

@@ -58,5 +58,6 @@ for e in report.entries:
     print(f"  m={e.m:>12}  best={e.best_word:<6} raw delta={e.best_delta:.4f} "
           f"within tol: {e.passed}")
 
-write_scan_csv(report, "scan_demo.csv", include_timestamp=False)
+with open("scan_demo.csv", "w") as fh:
+    fh.write(write_scan_csv(report, include_timestamp=False))
 print("\nwrote scan_demo.csv (same table the CLI `scan` subcommand emits)")

@@ -1,7 +1,8 @@
 """Runnable acceptance suite: nine numbered checks with pinned seeds.
 
-Each check builds (or reuses from a shared cache) the constructions it
-needs, evaluates one verifiable claim about the library, and returns a
+Each check builds the constructions it needs (each of the two pinned
+builds once per process, shared by the checks that use it), evaluates
+one verifiable claim about the library, and returns a
 :class:`CriterionResult` with a single human-readable detail line.  The
 pytest suite and the ``verify`` CLI subcommand both drive these
 functions, so there is exactly one source of truth for what "passing"
@@ -89,28 +90,24 @@ def _thirds() -> AdmissibleSeries:
 # shared pinned builds
 # ---------------------------------------------------------------------------
 
-def capped_build(cache: dict | None = None):
+@functools.cache
+def capped_build():
     """Single-generator capped build used by checks 4, 5 and 6.
 
     P = (1/2, 1/2), J = 6, seed 0, gate tolerance 2/(j+1), spacer values
     capped at 65537.  Expanded over stages 4..6 (524288 copies, int64).
+    Built once per process; every caller shares the result.
     """
-    if cache is not None and "capped" in cache:
-        return cache["capped"]
     params = gen_p_construction(
         [_coin()], J=6, seed=0,
         eps_schedule=lambda j: Fraction(2, j + 1),
         sidon_policy=SidonPolicy(cap=65537),
     )
-    hs = heights(params)
-    occ = expand_occupancy(params, 4, 6)
-    out = (params, hs, occ)
-    if cache is not None:
-        cache["capped"] = out
-    return out
+    return params, tuple(heights(params)), expand_occupancy(params, 4, 6)
 
 
-def twogen_build(cache: dict | None = None):
+@functools.cache
+def twogen_build():
     """Two-generator build used by check 9.
 
     Generators alternate by stage parity: odd stages sample from
@@ -118,9 +115,8 @@ def twogen_build(cache: dict | None = None):
     flat 1/3; stages 4 and 5 start at 2048 and 4096 columns so the
     late-stage statistics are sharp enough to separate coefficient-close
     candidates.  Expanded over stages 4..6 (8388608 copies, int64).
+    Built once per process; every caller shares the result.
     """
-    if cache is not None and "twogen" in cache:
-        return cache["twogen"]
     growth = ColumnGrowthPolicy(
         start=lambda j: {4: 2048, 5: 4096}.get(j, max(2 * j, 16)))
     params = gen_p_construction(
@@ -129,19 +125,14 @@ def twogen_build(cache: dict | None = None):
         r_policy=growth,
         sidon_policy=SidonPolicy(cap=65537),
     )
-    hs = heights(params)
-    occ = expand_occupancy(params, 4, 6)
-    out = (params, hs, occ)
-    if cache is not None:
-        cache["twogen"] = out
-    return out
+    return params, tuple(heights(params)), expand_occupancy(params, 4, 6)
 
 
 # ---------------------------------------------------------------------------
 # the nine checks
 # ---------------------------------------------------------------------------
 
-CRITERIA: dict[str, Callable[[dict | None], CriterionResult]] = {}
+CRITERIA: dict[str, Callable[[], CriterionResult]] = {}
 
 
 def _criterion(name: str, budget_s: float):
@@ -150,11 +141,11 @@ def _criterion(name: str, budget_s: float):
     The decorated body returns (ok, detail); the registered check returns a
     :class:`CriterionResult` that passes when ok and within budget.
     """
-    def register(body: Callable[[dict | None], tuple[bool, str]]):
+    def register(body: Callable[[], tuple[bool, str]]):
         @functools.wraps(body)
-        def check(cache: dict | None = None) -> CriterionResult:
+        def check() -> CriterionResult:
             t0 = time.perf_counter()
-            ok, detail = body(cache)
+            ok, detail = body()
             dt = time.perf_counter() - t0
             return CriterionResult(name, ok and dt < budget_s, detail, dt, budget_s)
         CRITERIA[name] = check
@@ -163,7 +154,7 @@ def _criterion(name: str, budget_s: float):
 
 
 @_criterion("height-recurrence", 1.0)
-def check_height_recurrence(cache: dict | None = None) -> tuple[bool, str]:
+def check_height_recurrence() -> tuple[bool, str]:
     """1: heights follow the stacking recurrence exactly on random input."""
     rng = np.random.default_rng(20260814)
     n_sets, bad = 200, 0
@@ -189,7 +180,7 @@ def check_height_recurrence(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("level-returns", 10.0)
-def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]:
+def check_level_return_identities() -> tuple[bool, str]:
     """2: mix-identity family, exact disjointness and return fractions.
 
     On the J=5 member with column counts (3,4,5,6) and base stage 2:
@@ -241,7 +232,7 @@ def check_level_return_identities(cache: dict | None = None) -> tuple[bool, str]
 
 
 @_criterion("frequency-gate", 60.0)
-def check_frequency_gate(cache: dict | None = None) -> tuple[bool, str]:
+def check_frequency_gate() -> tuple[bool, str]:
     """3: pre-override draws re-pass the per-stage frequency gate.
 
     Twenty seeded J=6 builds of the (1/2, 1/2) construction with the
@@ -269,14 +260,14 @@ def check_frequency_gate(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("single-power-limits", 120.0)
-def check_single_power_limits(cache: dict | None = None) -> tuple[bool, str]:
+def check_single_power_limits() -> tuple[bool, str]:
     """4: T^{-m h_j} tracks P(T)^m and T^{+m h_j} tracks P(T*)^m.
 
     Capped build, the two largest expanded stages (4 and 5), m = 1 and 2,
     both shift signs.  The panel discrepancy must stay below the build's
     own stage gate tolerance plus three boundary losses.
     """
-    params, hs, occ = capped_build(cache)
+    params, hs, occ = capped_build()
     panel = default_panel(occ)
     gen = FormalElement.from_series(generator_series(params)[0])
     worst = -1.0
@@ -302,7 +293,7 @@ def check_single_power_limits(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("gap-shifts", 120.0)
-def check_gap_shifts(cache: dict | None = None) -> tuple[bool, str]:
+def check_gap_shifts() -> tuple[bool, str]:
     """5: shifts away from the height lattice match the zero element.
 
     32 rejection-sampled gap shifts per tested stage (4 and 5) on the
@@ -311,7 +302,7 @@ def check_gap_shifts(cache: dict | None = None) -> tuple[bool, str]:
     discrepancy below 0.1.  The rejection lattice includes the spacer cap
     so cap-echo alignments are excluded too.
     """
-    params, hs, occ = capped_build(cache)
+    params, hs, occ = capped_build()
     panel = default_panel(occ)
     gen = generator_series(params)[0]
     sg = enumerate_semigroup([gen], 2, 1)
@@ -328,7 +319,7 @@ def check_gap_shifts(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("strong-decay", 60.0)
-def check_strong_decay(cache: dict | None = None) -> tuple[bool, str]:
+def check_strong_decay() -> tuple[bool, str]:
     """6: squared strong distance of P(T)^n from 0 decays on a base level.
 
     Exact rational values for n = 1..32 on the capped build with
@@ -337,7 +328,7 @@ def check_strong_decay(cache: dict | None = None) -> tuple[bool, str]:
     measured values coincide with binom(2n, n)/4^n exactly, which is
     pinned as well.
     """
-    params, hs, occ = capped_build(cache)
+    params, hs, occ = capped_build()
     gen = FormalElement.from_series(generator_series(params)[0])
     vals: list[Fraction] = []
     ok = True
@@ -363,7 +354,7 @@ def check_strong_decay(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("algebra-properties", 5.0)
-def check_algebra_properties(cache: dict | None = None) -> tuple[bool, str]:
+def check_algebra_properties() -> tuple[bool, str]:
     """7: exact-rational semigroup algebra invariants on random elements.
 
     1000 random elements with small support and Fraction coefficients;
@@ -402,7 +393,7 @@ def check_algebra_properties(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("sparse-vs-naive", 10.0)
-def check_sparse_vs_naive(cache: dict | None = None) -> tuple[bool, str]:
+def check_sparse_vs_naive() -> tuple[bool, str]:
     """8: sparse pair counting agrees exactly with a dense label array.
 
     Two small builds (window <= 10^4).  The oracle lays every copy of
@@ -443,7 +434,7 @@ def check_sparse_vs_naive(cache: dict | None = None) -> tuple[bool, str]:
 
 
 @_criterion("compound-limits", 300.0)
-def check_compound_limits(cache: dict | None = None) -> tuple[bool, str]:
+def check_compound_limits() -> tuple[bool, str]:
     """9: compound shifts best-match products of adjoint generator powers.
 
     Two-generator build; m = a1*h5 + a2*h4 with a_i in {0, 1, 2} (both
@@ -453,7 +444,7 @@ def check_compound_limits(cache: dict | None = None) -> tuple[bool, str]:
     powers for negative), with raw discrepancy below 1/3 + 3*boundary
     loss.  Identity and single-power rows repeat the check-4 contract.
     """
-    params, hs, occ = twogen_build(cache)
+    params, hs, occ = twogen_build()
     gens = generator_series(params)
     sg = enumerate_semigroup(gens, 4, 1)
     panel = default_panel(occ, span=10, controls=(13, 97))
@@ -499,7 +490,5 @@ def resolve_names(only: Iterable[str] | None) -> list[str]:
     return out
 
 
-def run_all(only: Iterable[str] | None = None,
-            cache: dict | None = None) -> list[CriterionResult]:
-    cache = {} if cache is None else cache
-    return [CRITERIA[name](cache) for name in resolve_names(only)]
+def run_all(only: Iterable[str] | None = None) -> list[CriterionResult]:
+    return [CRITERIA[name]() for name in resolve_names(only)]

@@ -57,7 +57,7 @@ from .construction import (
     recheck_gates,
     validate_params,
 )
-from .series import enumerate_semigroup, make_admissible
+from .series import _to_fraction, enumerate_semigroup, make_admissible
 from .weaktop import (
     default_panel,
     sample_gap_shifts,
@@ -244,9 +244,10 @@ def _parse_shift_expr(expr: int | str, hs: Sequence[int]) -> int:
 
 
 def _parse_tol(text) -> Fraction:
+    """A string is read exactly; a number as ``series._to_fraction`` reads it."""
     try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return _to_fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError("usage", f"bad tolerance {text!r}: {exc}")
 
 

@@ -472,28 +472,20 @@ def expand_occupancy(params: ConstructionParams, base_stage: int,
 # Example families
 # ---------------------------------------------------------------------------
 
-def gen_example(kind: str, J: int, h1: int | None = None,
-                r_schedule: Sequence[int] | None = None) -> ConstructionParams:
+def gen_example(kind: str, J: int, h1: int | None = None) -> ConstructionParams:
     """Named example constructions.
 
-    * ``mix-identity``: s_j(i) = h_j for every column; r_j from ``r_schedule``
-      (default j+2, strictly increasing).  Shifting by h_j lands every level
-      on a spacer, and shifting by 2*h_j realigns all but one column.
+    * ``mix-identity``: r_j = j+2, s_j(i) = h_j for every column.  Shifting
+      by h_j lands every level on a spacer, and shifting by 2*h_j realigns
+      all but one column.
     * ``two-column``: r_j = 2, spacers (0, j*h_j).
     * ``all-limits``: r_j = 3, spacers (h_j, h_j + isqrt(j), h_j).
     """
     if J < 2:
         raise ValueError("J >= 2 required")
     if kind == "mix-identity":
-        schedule = tuple(r_schedule) if r_schedule is not None else tuple(
-            j + 2 for j in range(1, J))
-        if len(schedule) != J - 1:
-            raise ValueError(f"r_schedule needs {J - 1} entries, got {len(schedule)}")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("r_schedule must be strictly increasing")
-
         def spacers(j, h):
-            return (h,) * schedule[j - 1]
+            return (h,) * (j + 2)
     elif kind == "two-column":
         def spacers(j, h):
             return (0, j * h)
@@ -713,7 +705,8 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
     Stage j uses the series of index j mod k.  Spacers are sampled from the
     renormalized distribution; the column count starts at max(2j, 16) and
     doubles (with a fresh draw) until :func:`verify_frequencies` passes at
-    tolerance ``eps_schedule(j)`` (default 1/(j+1)) with window order
+    tolerance ``eps_schedule(j)`` (default 1/(j+1); a float converts as in
+    ``series._to_fraction``, and that fraction is recorded) with window order
     min(j, 4).  Afterwards :func:`apply_sidon` overrides the indices that
     are multiples of j and, if the series mass c is below 1, all indices
     i > floor(c * r_j).  Deterministic given ``seed``: stage j,
@@ -741,7 +734,7 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
         P = P_list[q]
         c = P.declared_mass
         P_norm = P.renormalized()
-        eps = eps_schedule(j)
+        eps = _to_fraction(eps_schedule(j))
         max_m = min(j, _MAX_M)
         r = r_policy.start_columns(j)
         report = None
@@ -887,14 +880,14 @@ def _enc_meta(obj):
     return obj
 
 
-def params_to_json(params: ConstructionParams, indent: int | None = 2) -> str:
+def params_to_json(params: ConstructionParams) -> str:
     doc = {
         "h1": _enc_int(params.h1),
         "stages": [{"r": st.r, "spacers": [_enc_int(s) for s in st.spacers]}
                    for st in params.stages],
         "meta": _enc_meta(params.meta),
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 def _dec_fields(rec, name: str, scalars: Sequence[str] = (),

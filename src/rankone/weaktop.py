@@ -614,9 +614,8 @@ def timestamp_header(enabled: bool = True) -> str:
     return f"# generated {stamp}\n"
 
 
-def write_scan_csv(report: ScanReport, path=None,
-                   include_timestamp: bool = True) -> str:
-    """Render a scan report as CSV; optionally write it to ``path``."""
+def write_scan_csv(report: ScanReport, include_timestamp: bool = True) -> str:
+    """Render a scan report as CSV text."""
     buf = io.StringIO()
     buf.write(timestamp_header(include_timestamp))
     buf.write(f"# base_stage={report.base_stage} top_stage={report.top_stage} "
@@ -628,8 +627,4 @@ def write_scan_csv(report: ScanReport, path=None,
                       f"{row.delta:.6g},{e.boundary_loss:.6g},{e.best_word}\n")
         buf.write(f"{e.m},OVERALL,,,{e.best_delta:.6g},{e.boundary_loss:.6g},"
                   f"{e.best_word}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

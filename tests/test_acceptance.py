@@ -1,8 +1,9 @@
 """The nine acceptance checks, one test (and one pass/fail line) each.
 
-Heavy builds are shared through the session-scoped cache fixture.  The
-frozen values pinned here (column counts, windows, match counts) were
-measured once at the pinned seeds and must reproduce exactly.
+The acceptance module makes each of its two pinned builds once per
+process, and a module-scoped fixture makes the literal-schedule build.
+The frozen values pinned here (column counts, windows, match counts)
+were measured once at the pinned seeds and must reproduce exactly.
 """
 
 import functools
@@ -50,14 +51,14 @@ def _report(res):
     return res
 
 
-def test_criterion_1_height_recurrence(crit_cache):
-    res = _report(acc.check_height_recurrence(crit_cache))
+def test_criterion_1_height_recurrence():
+    res = _report(acc.check_height_recurrence())
     assert res.detail == ("200/200 random parameter sets satisfy "
                           "h_next = h*r + sum(spacers) exactly")
 
 
-def test_criterion_2_level_return_identities(crit_cache):
-    res = _report(acc.check_level_return_identities(crit_cache))
+def test_criterion_2_level_return_identities():
+    res = _report(acc.check_level_return_identities())
     assert res.detail == CHECK_2_DETAIL
 
 
@@ -82,33 +83,33 @@ def test_criterion_2_asks_one_window_per_shift(monkeypatch):
     assert len(los) == 12 and width == 2 * 12 - 1  # 12 = base height h_2
 
 
-def test_criterion_3_frequency_gate(crit_cache):
-    res = _report(acc.check_frequency_gate(crit_cache))
+def test_criterion_3_frequency_gate():
+    res = _report(acc.check_frequency_gate())
     assert res.detail == ("20/20 seeds rebuild and re-pass the stage gates "
                           "(eps_j = 1/(j+1), order min(j,4)); seed 0 ok")
 
 
-def test_criterion_4_single_power_limits(crit_cache):
-    res = _report(acc.check_single_power_limits(crit_cache))
+def test_criterion_4_single_power_limits():
+    res = _report(acc.check_single_power_limits())
     assert res.detail == ("8 shift/power pairs on stages 4,5; worst delta/tol "
                           "= 0.640 (m=2*h4 vs P1*^2)")
-    params, hs, occ = acc.capped_build(crit_cache)
+    params, hs, occ = acc.capped_build()
     assert tuple(st.r for st in params.stages) == CAPPED_COLUMNS
     assert hs[-1] == CAPPED_WINDOW
     assert occ.uses_int64 and occ.n_copies == 512 * 1024
 
 
-def test_criterion_5_gap_shifts(crit_cache):
-    res = _report(acc.check_gap_shifts(crit_cache))
+def test_criterion_5_gap_shifts():
+    res = _report(acc.check_gap_shifts())
     assert res.detail == CHECK_5_DETAIL
 
 
-def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
+def test_criterion_5_counts_the_element_models_once(monkeypatch):
     """Both stage ranges' 64 gap shifts go through one scan, and the scan
     makes one engine query: a row at each exponent of the elements, for
     their models, then the 64 profile rows (one query per shift made 65).
     The detail line is unchanged."""
-    params, _, _ = acc.capped_build(crit_cache)
+    params, _, _ = acc.capped_build()
     sg = enumerate_semigroup(generator_series(params)[:1], 2, 1)
     zs = {z for el in sg for z, _ in el.coeffs}
     calls = []
@@ -119,19 +120,19 @@ def test_criterion_5_counts_the_element_models_once(monkeypatch, crit_cache):
         return windows(self, los, width)
 
     monkeypatch.setattr(LevelOccupancy, "pair_shift_windows", counting_windows)
-    res = acc.check_gap_shifts(crit_cache)
+    res = acc.check_gap_shifts()
     assert res.passed and res.detail == CHECK_5_DETAIL
     assert [len(los) for los, _ in calls] == [len(zs) + 64]
 
 
-def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts(crit_cache):
+def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts():
     """A recorded finding, not a target.  m = 4*h5 + 2 lies in check 5's
     stage-5 range and has no bounded decomposition over the lattice its
     sampler rejects (heights and the cap 65537, a <= 3, z <= 128), so the
     sampler would accept it.  A scan with check 5's panel and degree-2
     semigroup ranks 0 best there, but at raw delta 0.1245, not below 0.1:
     check 5 holds for its random samples, not for its whole range."""
-    params, hs, occ = acc.capped_build(crit_cache)
+    params, hs, occ = acc.capped_build()
     h5, h6 = hs[4], hs[5]
     m = 4 * h5 + 2
     assert h5 <= m <= h6 // 2
@@ -144,13 +145,13 @@ def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts(crit_cache):
     assert entry.best_delta >= 0.1 and f"{entry.best_delta:.4f}" == "0.1245"
 
 
-def test_criterion_6_strong_decay(crit_cache):
-    res = _report(acc.check_strong_decay(crit_cache))
+def test_criterion_6_strong_decay():
+    res = _report(acc.check_strong_decay())
     assert res.detail == ("norm^2 at n=32 is 0.0993 (= binom(64,32)/4^32 exactly), "
                           "monotone within 0.05; max coefficient of P^32 = 0.1399")
 
 
-def test_criterion_6_makes_one_recursion_per_norm(monkeypatch, crit_cache):
+def test_criterion_6_makes_one_recursion_per_norm(monkeypatch):
     """Each of check 6's 32 norms is one query, and each query is one
     recursion from the top level, however narrow its rows."""
     top_calls = []
@@ -162,26 +163,26 @@ def test_criterion_6_makes_one_recursion_per_norm(monkeypatch, crit_cache):
         return window_hits(self, level, starts, width)
 
     monkeypatch.setattr(LevelOccupancy, "_window_hits", counting_hits)
-    assert acc.check_strong_decay(crit_cache).passed
+    assert acc.check_strong_decay().passed
     assert len(top_calls) == 32
 
 
-def test_criterion_7_algebra_properties(crit_cache):
-    res = _report(acc.check_algebra_properties(crit_cache))
+def test_criterion_7_algebra_properties():
+    res = _report(acc.check_algebra_properties())
     assert res.detail == "333 random triples x 5 exact identities, 0 failures"
 
 
-def test_criterion_8_sparse_vs_naive(crit_cache):
-    res = _report(acc.check_sparse_vs_naive(crit_cache))
+def test_criterion_8_sparse_vs_naive():
+    res = _report(acc.check_sparse_vs_naive())
     assert res.detail == "100/100 random (m, A, B) agree exactly across 2 small builds"
 
 
-def test_criterion_9_compound_limits(crit_cache):
-    res = _report(acc.check_compound_limits(crit_cache))
+def test_criterion_9_compound_limits():
+    res = _report(acc.check_compound_limits())
     assert res.detail == ("17/17 shifts best-match their predicted product form; "
                           "worst raw delta 0.2529 (tol 1/3 + 3*bloss), "
                           "worst id margin 0.0049")
-    params, hs, occ = acc.twogen_build(crit_cache)
+    params, hs, occ = acc.twogen_build()
     assert tuple(st.r for st in params.stages) == TWOGEN_COLUMNS
     assert hs[-1] == TWOGEN_WINDOW
     assert occ.uses_int64 and occ.n_copies == 2048 * 4096
@@ -244,14 +245,11 @@ def test_conforming_compound_build_matches_a_bisect_recount():
 # failure so a behavior change cannot slip by unnoticed.
 
 @pytest.fixture(scope="module")
-def literal_build(crit_cache):
-    if "literal" not in crit_cache:
-        params = gen_p_construction(
-            [make_admissible({0: F(1, 2), 1: F(1, 2)})], J=6, seed=0,
-            sidon_policy=SidonPolicy(cap=65537))
-        crit_cache["literal"] = (params, heights(params),
-                                 expand_occupancy(params, 4, 6))
-    return crit_cache["literal"]
+def literal_build():
+    params = gen_p_construction(
+        [make_admissible({0: F(1, 2), 1: F(1, 2)})], J=6, seed=0,
+        sidon_policy=SidonPolicy(cap=65537))
+    return params, heights(params), expand_occupancy(params, 4, 6)
 
 
 def _literal_deltas(literal_build, m_abs):

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rankone
-from rankone.cli import main
+from rankone.cli import _parse_tol, main
 from rankone.construction import heights, params_from_json
 
 # the directory holding the imported package, so a subprocess started in any
@@ -229,6 +230,9 @@ DROP = object()  # a meta field a verify case removes
      "gaps hi (1000000000000) is beyond the window"),
     (["scan"], {"gaps": {"n": 2, "lo": -10 ** 12, "hi": 500}},
      "gaps lo (-1000000000000) is beyond the window"),
+    (["scan"], {"tol": float("inf")}, "bad tolerance inf"),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "eps": float("inf")},
+     "bad tolerance inf"),
 ], ids=["scan-base-stage", "scan-panel-span", "scan-gap-range",
         "build-base-stage", "semigroup-degree", "scan-panel-span-type",
         "build-stages-type", "scan-expect-unscanned", "scan-panel-type",
@@ -242,7 +246,7 @@ DROP = object()  # a meta field a verify case removes
         "verify-meta-q", "verify-meta-pre-sidon", "verify-meta-lengths",
         "verify-meta-index", "build-out-empty", "build-out-missing-dir",
         "scan-out-missing-dir", "semigroup-out-missing-dir", "scan-gap-hi-window",
-        "scan-gap-lo-window"])
+        "scan-gap-lo-window", "scan-tol-infinity", "build-eps-infinity"])
 def test_bad_input_is_a_single_line_config_error(built, args, cfg, detail):
     """Inputs the library rejects exit 2 with one error line, no traceback.
 
@@ -294,6 +298,22 @@ def test_unknown_config_key_is_a_config_error(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err == f'error code=config detail="unknown config key {key}"\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_float_tolerances_convert_as_the_library_converts(tmp_path, monkeypatch):
+    """A JSON number tolerance converts by the series float rule, as the
+    library's gate and scan convert a float: eps 0.2857142857142857 gates
+    and records 2/7, and tol 0.3333333333333333 is 1/3.  A string is read
+    as an exact decimal."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps({"p": ["1/2,1/2"], "stages": 4,
+                                                 "eps": 2 / 7}))
+    assert main(["build", "--config", "b.json", "--out", "p.json",
+                 "--no-timestamp"]) == 0
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert [rec["eps"] for rec in doc["meta"]["stages"]] == ["2/7"] * 3
+    assert _parse_tol(1 / 3) == Fraction(1, 3)
+    assert _parse_tol("0.3333333333333333") == Fraction(3333333333333333, 10 ** 16)
 
 
 # --- verify ----------------------------------------------------------------------

@@ -86,14 +86,9 @@ def test_two_column_stage_parameters():
 
 
 def test_mix_identity_stage_parameters():
-    params = gen_example("mix-identity", 3, h1=2, r_schedule=(3, 4))
+    params = gen_example("mix-identity", 3, h1=2)
     assert [(st.r, st.spacers) for st in params.stages] == [
         (3, (2, 2, 2)), (4, (12, 12, 12, 12))]
-
-
-def test_mix_identity_needs_growing_columns():
-    with pytest.raises(ValueError):
-        gen_example("mix-identity", 3, r_schedule=(4, 4))
 
 
 def test_all_limits_stage_parameters():
@@ -183,6 +178,21 @@ def test_pair_shift_count_matches_all_pairs(h1, int64):
     assert len(empty) > 20
     for k in empty:
         assert occ.pair_shift_count(k) == occ.pair_shift_count(-k) == 0
+
+
+def test_positions_past_int64_are_tuples_of_python_ints():
+    """Past 2**62 copy starts and positions are tuples of Python ints.  The
+    two-column offsets scale with h1, so the starts at h1 = 2**62 are 2**62
+    times those at h1 = 1."""
+    occ = expand_occupancy(gen_example("two-column", 6, h1=2 ** 62), 1, 6)
+    small = expand_occupancy(gen_example("two-column", 6, h1=1), 1, 6)
+    assert not occ.uses_int64 and isinstance(occ.copy_starts, tuple)
+    assert list(occ.copy_starts) == [2 ** 62 * int(s) for s in small.copy_starts]
+    for b in (0, 1, occ.base_height - 1):
+        assert occ.positions(b) == tuple(s + b for s in occ.copy_starts)
+    for bad in (-1, occ.base_height):
+        with pytest.raises(ValueError, match="outside"):
+            occ.positions(bad)
 
 
 @pytest.mark.parametrize("params, top", [
@@ -439,6 +449,19 @@ def test_recheck_gates_on_generated_and_example_builds():
     assert [j for j, _ in checks] == [1, 2, 3]
     assert all(rep.passed for _, rep in checks)
     assert recheck_gates(gen_example("two-column", 4)) == []
+
+
+def test_float_eps_schedule_records_the_gate_it_ran():
+    """A float tolerance converts once, by the series float rule: the build
+    gates at 2/7, records "2/7", and the re-check runs at 2/7 again.  The
+    float's decimal string, 0.2857142857142857, was recorded before."""
+    params = gen_p_construction([P()], 4, seed=0, eps_schedule=lambda j: 2 / 7)
+    assert [rec["eps"] for rec in params.meta["stages"]] == ["2/7"] * 3
+    assert params == gen_p_construction([P()], 4, seed=0,
+                                        eps_schedule=lambda j: F(2, 7))
+    checks = recheck_gates(params)
+    assert [rep.eps for _, rep in checks] == [F(2, 7)] * 3
+    assert all(rep.passed for _, rep in checks)
 
 
 @pytest.mark.parametrize("edit, field", [

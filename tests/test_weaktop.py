@@ -422,7 +422,7 @@ def test_scan_csv_shape(tmp_path, small_build):
     rep = scan_limits(occ, hs, sg, [0, hs[-2]], tol=F(1, 3),
                       panel=default_panel(occ), params=params)
     out = tmp_path / "scan.csv"
-    write_scan_csv(rep, out, include_timestamp=False)
+    out.write_text(write_scan_csv(rep, include_timestamp=False))
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("# base_stage=")
     assert lines[1] == "m,id,count,normalized,delta,boundary_loss,best_match_word"
@@ -434,7 +434,7 @@ def test_scan_csv_shape(tmp_path, small_build):
 
     # timestamped variant only adds a header line
     out2 = tmp_path / "scan2.csv"
-    write_scan_csv(rep, out2, include_timestamp=True)
+    out2.write_text(write_scan_csv(rep, include_timestamp=True))
     lines2 = out2.read_text().strip().split("\n")
     assert lines2[0].startswith("# generated ")
     assert lines2[1:] == lines

@@ -4,7 +4,7 @@ Each input is its flag if given, else its --config key if present (even 0,
 "" or null), else its default.  A config value of the wrong type (a bool is
 not an int), and a key the subcommand does not read, are config errors.
 The keys (type, default) of each subcommand, a fraction being a string
-like "1/3" or a number:
+like "1/3" or a number (a tolerance, eps or tol, must be above 0):
 
 build      generate a construction (example family or sampled from series),
            write the parameter artifact plus a heights CSV.  stages int,
@@ -243,12 +243,25 @@ def _parse_shift_expr(expr: int | str, hs: Sequence[int]) -> int:
     return total
 
 
-def _parse_tol(text) -> Fraction:
-    """A string is read exactly; a number as ``series._to_fraction`` reads it."""
+def _tolerance(cfg: dict, key: str, default=None, flag=None) -> Fraction | None:
+    """The tolerance ``_option`` reads for ``key``, as a fraction (None if unset).
+
+    A string is read exactly; a number as ``series._to_fraction`` reads it.
+    A value that does not read as a fraction is a usage error from a flag
+    and a config error from the config; one that reads but is not positive
+    is a config error, like any other out-of-range value.
+    """
+    value = _option(cfg, key, (str, int, float), default, flag=flag)
+    if value is None:
+        return None
     try:
-        return _to_fraction(text)
+        tol = _to_fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise CliError("usage", f"bad tolerance {text!r}: {exc}")
+        raise CliError("config" if flag is None else "usage",
+                       f"bad tolerance {value!r}: {exc}") from None
+    if tol <= 0:
+        raise CliError("config", f"tolerance must be positive, got {value!r}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +284,7 @@ def cmd_build(args) -> int:
             params = gen_example(example, stages)
     elif p_texts:
         series = [_parse_series_text(t) for t in p_texts]
-        eps = _option(cfg, "eps", (str, int, float), flag=args.eps)
+        eps = _tolerance(cfg, "eps", flag=args.eps)
         starts = {int(j): r for j, r in _option(cfg, "starts", {int: int}, {}).items()}
         growth = ColumnGrowthPolicy(
             start=(lambda j: starts.get(j, max(2 * j, 16))) if starts else None)
@@ -279,7 +292,7 @@ def cmd_build(args) -> int:
         with _rejected_as("usage"):
             params = gen_p_construction(
                 series, stages, _option(cfg, "seed", int, 0, flag=args.seed),
-                eps_schedule=None if eps is None else (lambda j, e=_parse_tol(eps): e),
+                eps_schedule=None if eps is None else (lambda j: eps),
                 r_policy=growth, sidon_policy=SidonPolicy(cap=cap))
     else:
         raise CliError("usage", "need --example KIND or --p COEFFS")
@@ -352,7 +365,7 @@ def cmd_scan(args) -> int:
         raise CliError("config", f"expect names shifts that are not scanned: "
                        f"{', '.join(unscanned)}")
 
-    tol = _parse_tol(_option(cfg, "tol", (str, int, float), "1/4", flag=args.tol))
+    tol = _tolerance(cfg, "tol", "1/4", flag=args.tol)
     out = _option(cfg, "out", str, "scan.csv", flag=args.out)
     expect_all_pass = _option(cfg, "expect_all_pass", bool, False)
     with _rejected_as("config"):

@@ -39,11 +39,11 @@ import numpy as np
 
 from .series import (
     AdmissibleSeries,
-    FormalElement,
     _dec,
     _dec_int,
+    _numerators,
+    _product,
     _to_fraction,
-    convolve,
     make_admissible,
 )
 
@@ -124,9 +124,9 @@ def validate_params(params: ConstructionParams) -> list[str]:
         if len(st.spacers) != st.r:
             violations.append(
                 f"stage {idx}: {len(st.spacers)} spacer entries for r = {st.r}")
-        for i, s in enumerate(st.spacers, start=1):
-            if s < 0:
-                violations.append(f"stage {idx}: spacer s({i}) = {s} is negative")
+        if st.spacers and min(st.spacers) < 0:
+            violations.extend(f"stage {idx}: spacer s({i}) = {s} is negative"
+                              for i, s in enumerate(st.spacers, start=1) if s < 0)
     return violations
 
 
@@ -540,22 +540,36 @@ class FrequencyRow:
     def relative_deviation(self) -> Fraction:
         return abs(self.expected - self.observed) / self.expected
 
-    def fails(self, eps: Fraction) -> bool:
-        """relative_deviation >= eps, cross-multiplied in integers."""
-        e, o = self.expected, self.observed
-        return (abs(e.numerator * o.denominator - o.numerator * e.denominator)
-                * eps.denominator >= eps.numerator * e.numerator * o.denominator)
+
+def _cell_fails(cell: tuple[int, ...], eps: Fraction) -> bool:
+    """|n/d - c/w| >= eps * n/d for the cell (m, k, n, d, c, w), cross-multiplied."""
+    _, _, n, d, c, w = cell
+    return abs(n * w - c * d) * eps.denominator >= eps.numerator * n * w
 
 
 @dataclass(frozen=True)
 class FrequencyReport:
+    """The gate's verdict and one integer cell per (m, k) it checked.
+
+    A cell (m, k, n, d, c, w) says that P^m's coefficient at k is n/d and
+    that c of the w windows of length m sum to k.  ``rows`` turns the cells
+    into :class:`FrequencyRow` fractions on first read; the verdict never
+    needs them.
+    """
+
     passed: bool
     max_m: int
     eps: Fraction
-    rows: tuple[FrequencyRow, ...]
+    cells: tuple[tuple[int, int, int, int, int, int], ...]
+
+    @cached_property
+    def rows(self) -> tuple[FrequencyRow, ...]:
+        return tuple(FrequencyRow(m, k, Fraction(n, d), Fraction(c, w))
+                     for m, k, n, d, c, w in self.cells)
 
     def failures(self) -> list[FrequencyRow]:
-        return [row for row in self.rows if row.fails(self.eps)]
+        return [row for row, cell in zip(self.rows, self.cells)
+                if _cell_fails(cell, self.eps)]
 
     def summary(self) -> str:
         worst = max(self.rows, key=lambda r: r.relative_deviation)
@@ -571,9 +585,15 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     For every m = 1..max_m, the sums of the r-m+1 length-m windows of
     ``spacers`` are tallied, and for every k in the support of P^m the
     empirical frequency (denominator r-m+1, windows i = 1..r-m+1 inclusive)
-    must satisfy |c_k - freq_k| < eps * c_k.  Window sums are differences of
-    exact prefix sums, tallied in C, and the test is cross-multiplied in
-    integers, so the verdict has no floating-point fuzz at any spacer size.
+    must satisfy |c_k - freq_k| < eps * c_k, with eps > 0.  P^m's
+    coefficients are integer numerators over d**m.  Each spacer is first
+    clamped to K + 1, K = max_m * P.max_exponent: spacers are nonnegative,
+    so a window holding a clamped spacer sums past every k read, before and
+    after the clamp.  The window sums are differences of prefix sums, int64
+    while r * (K + 1) < 2**62 and Python ints beyond; each m's are sorted
+    once and counted at each k by two binary searches.  The test is
+    cross-multiplied in integers, so the verdict has no floating-point fuzz
+    at any spacer size.
     """
     if P.declared_mass != 1:
         raise ValueError("frequency check is against a mass-1 distribution; "
@@ -582,19 +602,26 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     if max_m < 1 or max_m >= r:
         raise ValueError(f"need 1 <= max_m < len(spacers), got max_m={max_m}, r={r}")
     eps = _to_fraction(eps)
-    rows = []
+    if eps <= 0:
+        raise ValueError(f"tolerance must be positive, got {eps}")
+    top = max_m * P.max_exponent + 1
+    dtype = np.int64 if r * top < _INT64_SAFE_WINDOW else object
+    values = np.minimum(np.array(spacers, dtype=object), top)
+    if values.min() < 0:
+        raise ValueError(f"spacers must be nonnegative, got {values.min()}")
     # window i of length m sums to prefix[i + m] - prefix[i]
-    prefix = list(itertools.accumulate(map(int, spacers), initial=0))
-    gen = FormalElement.from_series(P)
-    power_m = FormalElement.identity()
+    prefix = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(values.astype(dtype))))
+    nums, d = _numerators(P.coeffs)
+    power, cells = [(0, 1)], []
     for m in range(1, max_m + 1):
-        power_m = convolve(power_m, gen)
-        sums = Counter(map(operator.sub, itertools.islice(prefix, m, None), prefix))
-        denom = r - m + 1
-        for k, c in power_m.coeffs:  # sorted by k, every c > 0
-            rows.append(FrequencyRow(m, k, c, Fraction(sums[k], denom)))
-    passed = not any(row.fails(eps) for row in rows)
-    return FrequencyReport(passed, max_m, eps, tuple(rows))
+        power = sorted(_product(power, nums).items())  # every numerator > 0
+        sums = np.sort(prefix[m:] - prefix[:-m])
+        ks = np.array([k for k, _ in power], dtype=dtype)
+        counts = (np.searchsorted(sums, ks, side="right")
+                  - np.searchsorted(sums, ks, side="left")).tolist()
+        cells += [(m, k, n, d ** m, c, r - m + 1) for (k, n), c in zip(power, counts)]
+    passed = not any(_cell_fails(cell, eps) for cell in cells)
+    return FrequencyReport(passed, max_m, eps, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -814,10 +841,14 @@ def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport
         draws = list(st.spacers)
         if not all(1 <= i <= len(draws) for i in indices):
             raise ValueError(f"{where} sidon_indices: each must be in 1..{len(draws)}")
+        if min(pre, default=0) < 0:
+            raise ValueError(f"{where} pre_sidon: each must be >= 0")
         try:
             eps = Fraction(rec["eps"])
         except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"{where} eps must be a fraction, got {rec['eps']!r}") from None
+            eps = 0
+        if eps <= 0:
+            raise ValueError(f"{where} eps must be a fraction > 0, got {rec['eps']!r}")
         for i, v in zip(indices, pre):
             draws[i - 1] = v
         report = verify_frequencies(draws, series[q].renormalized(),

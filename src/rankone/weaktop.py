@@ -515,6 +515,9 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     """
     if not semigroup:
         raise ValueError("semigroup must be nonempty")
+    tol_exact = _to_fraction(tol)
+    if tol_exact <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol_exact}")
     if panel is None:
         panel = default_panel(occ)
     for el in semigroup:
@@ -523,7 +526,6 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     models, profiles = _panel_models(occ, semigroup, panel, m_set)
     D = models.denominator
     words = [el.word for el in semigroup]
-    tol_exact = _to_fraction(tol)
     entries = []
     for m, counts in zip(m_set, profiles):
         dec = hadic_decompose(m, heights, a_bound, z_bound)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rankone
-from rankone.cli import _parse_tol, main
+from rankone.cli import _tolerance, main
 from rankone.construction import heights, params_from_json
 
 # the directory holding the imported package, so a subprocess started in any
@@ -312,8 +312,44 @@ def test_float_tolerances_convert_as_the_library_converts(tmp_path, monkeypatch)
                  "--no-timestamp"]) == 0
     doc = json.loads((tmp_path / "p.json").read_text())
     assert [rec["eps"] for rec in doc["meta"]["stages"]] == ["2/7"] * 3
-    assert _parse_tol(1 / 3) == Fraction(1, 3)
-    assert _parse_tol("0.3333333333333333") == Fraction(3333333333333333, 10 ** 16)
+    assert _tolerance({"tol": 1 / 3}, "tol") == Fraction(1, 3)
+    assert _tolerance({"tol": "0.3333333333333333"}, "tol") == \
+        Fraction(3333333333333333, 10 ** 16)
+
+
+@pytest.mark.parametrize("args, cfg, line", [
+    (["build", "--p", "1/2,1/2", "--stages", "3", "--eps", "-1"], None,
+     "error code=config detail=\"tolerance must be positive, got '-1'\""),
+    (["build", "--p", "1/2,1/2", "--stages", "3", "--eps", "abc"], None,
+     "error code=usage detail=\"bad tolerance 'abc': "),
+    (["build"], {"p": ["1/2,1/2"], "stages": 3, "eps": 0},
+     "error code=config detail=\"tolerance must be positive, got 0\""),
+    (["build"], {"p": ["1/2,1/2"], "stages": 3, "eps": "abc"},
+     "error code=config detail=\"bad tolerance 'abc': "),
+    (["scan"], {"tol": -1}, "error code=config detail=\"tolerance must be positive, got -1\""),
+    (["scan", "--tol=-1/4"], {},
+     "error code=config detail=\"tolerance must be positive, got '-1/4'\""),
+    (["scan"], {"tol": "1/0"}, "error code=config detail=\"bad tolerance '1/0': "),
+    (["scan", "--tol", "x"], {}, "error code=usage detail=\"bad tolerance 'x': "),
+], ids=["build-eps-flag-negative", "build-eps-flag-text", "build-eps-config-zero",
+        "build-eps-config-text", "scan-tol-config-negative", "scan-tol-flag-negative",
+        "scan-tol-config-zero-denominator", "scan-tol-flag-text"])
+def test_tolerance_errors_exit_2(built, monkeypatch, capsys, args, cfg, line):
+    """A tolerance that does not read as a fraction is a usage error from a
+    flag and a config error from a config key; one of zero or less is a
+    config error from either.  A build with --eps -1 used to double stage 1
+    to 262,144 columns and exit 3, and a scan with tol -1 exited 0 with every
+    shift failing."""
+    monkeypatch.chdir(built)
+    if args[0] == "scan":
+        args = [*args, "--config", str(scan_cfg(built, **cfg))]
+    elif cfg is not None:
+        (built / "tol_cfg.json").write_text(json.dumps(cfg))
+        args = [*args, "--config", "tol_cfg.json"]
+    assert main([*args, "--out", "tol.out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1, err
+    assert not (built / "tol.out").exists()
 
 
 # --- verify ----------------------------------------------------------------------
@@ -340,6 +376,18 @@ def test_verify_corrupt_params_blocks_suite(tmp_path):
     res = run_cli("verify", "--params", "bad.json", "--only", "1", cwd=tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("error code=config")
+    assert "PASS" not in res.stdout
+
+
+def test_verify_rejects_a_negative_recorded_draw(built):
+    """A recorded pre-override draw below 0 is a config error naming the
+    field; the gate re-check used to tally it."""
+    doc = json.loads((built / "c.json").read_text())
+    doc["meta"]["stages"][0]["pre_sidon"][0] = -1
+    (built / "neg_draw.json").write_text(json.dumps(doc))
+    res = run_cli("verify", "--params", "neg_draw.json", "--only", "1", cwd=built)
+    assert res.returncode == 2
+    assert res.stderr == 'error code=config detail="meta stage 1 pre_sidon: each must be >= 0"\n'
     assert "PASS" not in res.stdout
 
 

@@ -57,6 +57,12 @@ def test_validate_flags_spacer_count_mismatch():
     assert len(problems) == 1 and "spacer" in problems[0]
 
 
+def test_validate_lists_each_negative_spacer():
+    p = ConstructionParams(2, (StageParams(3, (2, 2, 2)), StageParams(3, (2, -1, -4))))
+    assert validate_params(p) == ["stage 2: spacer s(2) = -1 is negative",
+                                  "stage 2: spacer s(3) = -4 is negative"]
+
+
 def test_heights_single_stage():
     assert heights(ConstructionParams(2, (StageParams(3, (2, 2, 2)),))) == [2, 12]
 
@@ -352,6 +358,31 @@ def test_verify_frequencies_rejects_short_input():
         verify_frequencies((0, 1), P(), 2, F(1, 2))
 
 
+@pytest.mark.parametrize("spacers, eps, message", [
+    ((0, 1, 1, 0), 0, "tolerance must be positive, got 0"),
+    ((0, 1, 1, 0), "-1", "tolerance must be positive, got -1"),
+    ((0, 1, -1, 0), F(1, 2), "spacers must be nonnegative, got -1"),
+    ((0, 1, -2 ** 70, 2 ** 80), F(1, 2), "spacers must be nonnegative"),
+])
+def test_verify_frequencies_rejects_bad_input(spacers, eps, message):
+    """A tolerance of zero or less would fail every cell; a negative spacer
+    could bring a window holding a clamped spacer back into range."""
+    with pytest.raises(ValueError, match=message):
+        verify_frequencies(spacers, P(), 1, eps)
+
+
+def test_verify_frequencies_exponents_past_int64():
+    """The worked example with exponent 1 moved to 2**70: the window sums
+    pass 2**62, are tallied as Python ints, and the cells are unchanged."""
+    big = 2 ** 70
+    rep = verify_frequencies([big * s for s in (0, 1, 1, 0, 1, 0, 0, 1)],
+                             P({0: F(1, 2), big: F(1, 2)}), 2, F(1, 2))
+    small = verify_frequencies((0, 1, 1, 0, 1, 0, 0, 1), P(), 2, F(1, 2))
+    assert rep.passed and small.passed
+    assert [(row.m, row.k, row.expected, row.observed) for row in rep.rows] == \
+        [(row.m, row.k * big, row.expected, row.observed) for row in small.rows]
+
+
 def test_sampled_draws_pass_gate_statistically():
     # 20 seeds at r = 10^5: at least 18 must pass a 5% relative gate
     n_pass = 0
@@ -425,6 +456,29 @@ def test_gen_p_construction_gate_passes_on_draws():
     assert verify_frequencies(draws, P(), rec["max_m"], F(rec["eps"])).passed
 
 
+def test_passing_build_reads_no_frequency_rows(monkeypatch):
+    """The gate decides on integer cells: a build whose stages double
+    before they pass makes no FrequencyRow, and each attempt of the
+    doubling loop is one call of the module's verify_frequencies."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return gate(*args)
+
+    def no_rows(*args):
+        raise AssertionError("a FrequencyRow was built")
+
+    gate = construction.verify_frequencies
+    monkeypatch.setattr(construction, "verify_frequencies", counted)
+    monkeypatch.setattr(construction, "FrequencyRow", no_rows)
+    params = gen_p_construction([P()], 6, seed=0)
+    attempts = [rec["attempts"] for rec in params.meta["stages"]]
+    assert max(attempts) > 1
+    assert len(calls) == sum(attempts)
+    assert calls[-1] == params.stages[-1].r
+
+
 def test_gen_p_construction_point_mass_draws_zero():
     params = gen_p_construction([P({0: F(1, 2), 1: F(1, 2)})], 3, seed=0,
                                 eps_schedule=lambda j: F(1, 2))
@@ -472,6 +526,10 @@ def test_float_eps_schedule_records_the_gate_it_ran():
     (lambda m: m["stages"][2]["sidon_indices"].__setitem__(0, 0),
      "meta stage 3 sidon_indices: each must be in 1.."),
     (lambda m: m["stages"][0].update(eps=None), "meta stage 1 eps must be a fraction"),
+    (lambda m: m["stages"][1].update(eps="-1/3"),
+     "meta stage 2 eps must be a fraction > 0, got '-1/3'"),
+    (lambda m: m["stages"][0]["pre_sidon"].__setitem__(0, -1),
+     "meta stage 1 pre_sidon: each must be >= 0"),
     (lambda m: m["stages"].pop(), "meta stages holds 2 records for 3 stages"),
     (lambda m: m.update(series=[[[0, 1, 2], [1, 1, 0]]]), "meta series term [1, 1, 0]"),
 ])

@@ -374,6 +374,14 @@ def test_exact_tolerance_is_not_rounded(small_build):
         assert e.best_word == "I" and e.best_delta == 0 and e.passed, tol
 
 
+@pytest.mark.parametrize("tol", [0, -1, F(-1, 3), -0.25])
+def test_scan_rejects_a_tolerance_of_zero_or_less(small_build, tol):
+    """No delta is below such a tolerance, so every shift would fail."""
+    params, hs, occ = small_build
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        scan_limits(occ, hs, [FormalElement.identity()], [0], tol=tol, params=params)
+
+
 def test_row_counts_match_corr_and_materialized_starts(small_build):
     """Every PairRow.count of a scan and a discrepancy is the exact pair count.
 

@@ -102,7 +102,13 @@ def _err_line(code: str, detail: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose error path is a single parsable line."""
+    """argparse variant whose error path is a single parsable line, and
+    which reads a negative fraction such as -1/4 as a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d+/\d+$")
 
     def error(self, message):
         _err_line("usage", message)

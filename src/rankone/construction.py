@@ -170,6 +170,13 @@ def _sum_hits(row: np.ndarray, col: np.ndarray, count: np.ndarray, width: int):
 _NO_HITS = (np.zeros(0, dtype=np.int64),) * 3
 
 
+def _meets_band(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per i, whether [a[i], b[i]] meets some band [lo[k], hi[k]]; lo and hi
+    increase with k, so only the first band with hi[k] >= max(a[i], 0) can."""
+    k = np.searchsorted(hi, np.maximum(a, 0))
+    return (k < lo.size) & (lo[np.minimum(k, lo.size - 1)] <= b)
+
+
 def _offset_pairs(offs: np.ndarray, span_lo: np.ndarray, span_hi: np.ndarray):
     """Per search step, the distinct differences offs[i'] - offs[i] that lie
     in some cluster's [span_lo, span_hi], sorted, and the number of offset
@@ -304,9 +311,16 @@ class LevelOccupancy:
     # c_1 < c_2 < ..., merges rows whose ranges of reaching differences
     # overlap or touch into clusters, searches the offset pairs once per
     # cluster (through wrapped int64 keys on a level whose 2 * reach reaches
-    # 2**61), keeps each distinct difference once with the number of pairs
-    # at it, sends it to the rows it reaches, merges the residual starts
-    # c - (O_L[i'] - O_L[i]) across all rows and recurses once on those.
+    # 2**61, a wide level), keeps each distinct difference once with the
+    # number of pairs at it, sends it to the rows it reaches, merges the
+    # residual starts c - (O_L[i'] - O_L[i]) across all rows and recurses
+    # once on those.  At a narrow level a cluster is searched only if it
+    # meets a lag band: with the r_L - 1 positive gaps of O_L, every
+    # O_L[i + k] - O_L[i] is a sum of k consecutive gaps, so it lies between
+    # the sum of the k smallest and the sum of the k largest gaps, and its
+    # negation between their negations (k = 0 gives the band [0, 0]).  A gap
+    # shift leaves most base-level clusters between bands.  Wide levels are
+    # not filtered: their override chains make the bands cover the range.
     # Every level returns only its nonzero counts, as (row, column, count)
     # hits: level 0 has at most one per row (column -c, if in [0, width)),
     # and level L joins each residual's hits to the (row, multiplicity) pairs
@@ -380,6 +394,22 @@ class LevelOccupancy:
         return tuple(itertools.accumulate(
             (int(offs[-1]) for offs in self.stage_offsets), initial=0))
 
+    @cached_property
+    def _lag_bands(self) -> tuple:
+        """Per narrow level, int64 (lo, hi) with lo[k] and hi[k] the sums of
+        the k smallest and the k largest offset gaps (k = 0 .. r - 1); None
+        at a wide level."""
+        bands = []
+        for offs, reach in zip(self.stage_offsets, self._reach[1:]):
+            if 2 * reach >= _KEY_MOD:
+                bands.append(None)
+                continue
+            gaps = np.sort(np.diff(offs.astype(np.int64)))
+            zero = np.zeros(1, dtype=np.int64)
+            bands.append((np.concatenate((zero, np.cumsum(gaps))),
+                          np.concatenate((zero, np.cumsum(gaps[::-1])))))
+        return tuple(bands)
+
     def _window_hits(self, level: int, starts: np.ndarray, width: int):
         """The nonzero count_level(starts[row] + col), col in [0, width), exact.
 
@@ -408,6 +438,15 @@ class LevelOccupancy:
         span_lo = row_lo[np.concatenate(([0], split))]
         span_hi = row_hi[np.concatenate((split - 1, [starts.size - 1]))]
         search = _wrapped_pairs if 2 * reach >= _KEY_MOD else _offset_pairs
+        if search is _offset_pairs:
+            # drop the clusters that no lag band reaches, on either sign
+            span_lo, span_hi = span_lo.astype(np.int64), span_hi.astype(np.int64)
+            lo, hi = self._lag_bands[level - 1]
+            keep = (_meets_band(lo, hi, span_lo, span_hi)
+                    | _meets_band(lo, hi, -span_hi, -span_lo))
+            if not keep.any():
+                return _NO_HITS
+            span_lo, span_hi = span_lo[keep], span_hi[keep]
         row_idx, residual, mult = [], [], []
         # clusters' union ranges are disjoint, so each distinct delta belongs
         # to one cluster and leaves one residual in each of its rows

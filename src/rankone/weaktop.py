@@ -20,9 +20,10 @@ Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
 sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
 (L the lcm of the elements' coefficient denominators, n the copies per
 label), so a scan holds them as integer numerators over D and scores every
-element against a shift with one integer (elements x pairs) matrix of
-Python ints, exact by construction.  A :class:`~fractions.Fraction` or float
-is built only where a report needs a value.
+element against a block of shifts with one integer (shifts x elements x
+pairs) broadcast, int64 where the products provably fit and Python ints
+beyond, exact by construction.  A :class:`~fractions.Fraction` or float is
+built only where a report needs a value.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -47,7 +48,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .construction import ConstructionParams, LevelOccupancy, generator_series
+from .construction import (
+    _INT64_SAFE_WINDOW,
+    ConstructionParams,
+    LevelOccupancy,
+    generator_series,
+)
 from .series import FormalElement, _to_fraction, adjoint, convolve, power
 
 __all__ = [
@@ -74,6 +80,9 @@ __all__ = [
     "weak_discrepancy",
     "write_scan_csv",
 ]
+
+# Entries of the broadcast temporary one scan_limits scoring call holds.
+_SCORE_BLOCK = 1 << 16
 
 
 def boundary_loss(m: int, window: int) -> Fraction:
@@ -258,29 +267,39 @@ def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
             counts[len(zs):])
 
 
-def _max_abs_diff(models: PanelModels, profile: Sequence[int], a: int,
-                  b: int) -> list[int]:
-    """max over pairs i of |a * values[e, i] - b * profile[i]|, per element e."""
-    diff = a * models.values - b * np.array(profile, dtype=object)
-    return np.abs(diff).max(axis=1).tolist()
+def score_elements(models: PanelModels, counts: Sequence[Sequence[int]],
+                   factors: Sequence[Fraction]) -> tuple[list[list[int]], list[list[int]]]:
+    """Corrected and raw scores of every element against a block of shifts.
 
-
-def score_elements(models: PanelModels, counts: Sequence[int],
-                   factor: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
-    """Corrected and raw scores of every element against one shift's counts.
-
-    With p_i = counts[i]/mu(A_i), v the element's model and the excision
-    factor f = N/Dn, corrected[e]/(D*N) is max_i |p_i/f - v_i| and
-    raw[e]/D is max_i |p_i - v_i|, D being ``models.denominator``.  Both
+    ``counts[s]`` is shift s's panel counts and ``factors[s]`` its excision
+    factor.  With p_i = counts[s][i]/mu(A_i), v the element's model and
+    f = N/Dn, corrected[s][e]/(D*N) is max_i |p_i/f - v_i| and
+    raw[s][e]/D is max_i |p_i - v_i|, D being ``models.denominator``.  Both
     share their denominator across elements, so ranking on the integer pair
-    (corrected, raw) is ranking on the exact discrepancies.
+    (corrected, raw) is ranking on the exact discrepancies.  Every score is
+    one max over pairs of |a * v - b * p|, with (a, b) = (1, 1) for the raw
+    rows and (N, Dn) for the corrected rows of shifts whose factor is not 1,
+    all taken in one broadcast: int64 while every |a * v| and |b * p| stays
+    below 2**62, Python ints beyond.
     """
-    profile = [c * w for c, w in zip(counts, models.weights)]
-    raw = _max_abs_diff(models, profile, 1, 1)
-    if factor == 1:
-        return raw, raw
-    return _max_abs_diff(models, profile, factor.numerator,
-                         factor.denominator), raw
+    profile = [[c * w for c, w in zip(row, models.weights)] for row in counts]
+    fixed = [s for s, f in enumerate(factors) if f != 1]
+    rows = list(range(len(profile))) + fixed
+    a = [1] * len(profile) + [factors[s].numerator for s in fixed]
+    b = [1] * len(profile) + [factors[s].denominator for s in fixed]
+    top = max(a + b) * max(1, int(np.abs(models.values).max()),
+                           max(map(max, profile)))
+    dtype = np.int64 if top < _INT64_SAFE_WINDOW else object
+    values = models.values.astype(dtype)
+    p = np.array(profile, dtype=dtype)[rows]
+    score = np.abs(np.array(a, dtype=dtype)[:, None, None] * values[None]
+                   - (np.array(b, dtype=dtype)[:, None] * p)[:, None, :])
+    score = score.max(axis=2).tolist()
+    raw = score[:len(profile)]
+    corrected = list(raw)
+    for s, row in zip(fixed, score[len(profile):]):
+        corrected[s] = row
+    return corrected, raw
 
 
 def _pair_rows(panel: CorrelationPanel, counts: Sequence[int],
@@ -304,7 +323,7 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
     """delta = max over panel pairs of |corr(m)/mu(A) - sum_z Q(z) corr(z)/mu(A)|."""
     _check_support(occ, Q)
     models, [counts] = _panel_models(occ, [Q], panel, [m])
-    _, [raw] = score_elements(models, counts)
+    _, [[raw]] = score_elements(models, [counts], [Fraction(1)])
     delta = Fraction(raw, models.denominator)
     return DiscrepancyReport(int(m), Q.word, float(delta), delta,
                              float(boundary_loss(m, occ.window)),
@@ -526,20 +545,32 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     models, profiles = _panel_models(occ, semigroup, panel, m_set)
     D = models.denominator
     words = [el.word for el in semigroup]
-    entries = []
-    for m, counts in zip(m_set, profiles):
+    decs, factors = [], []
+    for m in m_set:
         dec = hadic_decompose(m, heights, a_bound, z_bound)
         factor = Fraction(1)
         if dec is not None and params is not None and dec.terms and \
                 min(dec.stages) >= occ.base_stage:
             # a zero factor (no copy pair clear of overrides) corrects nothing
             factor = excision_factor(params, dec.terms) or Fraction(1)
-        cor, raw = score_elements(models, counts, factor)
+        decs.append(dec)
+        factors.append(factor)
+    cors, raws = [], []
+    # shifts per scoring call: its (2 * shifts x elements x pairs)
+    # temporary stays within _SCORE_BLOCK entries
+    step = max(1, _SCORE_BLOCK // (2 * len(semigroup) * len(panel)))
+    for first in range(0, len(m_set), step):
+        c, r = score_elements(models, profiles[first:first + step],
+                              factors[first:first + step])
+        cors += c
+        raws += r
+    entries = []
+    for m, counts, dec, factor, cor, raw in zip(m_set, profiles, decs, factors, cors, raws):
         DN = D * factor.numerator  # the corrected scores' denominator
-        order = sorted(range(len(semigroup)),
-                       key=lambda e: (cor[e], raw[e], words[e]))
-        best = order[0]
-        runner = order[1] if len(order) > 1 else None
+        # ties break toward smaller words, then toward earlier elements
+        ranked = sorted(zip(cor, raw, words, range(len(words))))
+        best = ranked[0][3]
+        runner = ranked[1][3] if len(ranked) > 1 else None
 
         predicted = None
         predicted_delta = None

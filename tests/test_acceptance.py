@@ -6,13 +6,16 @@ The frozen values pinned here (column counts, windows, match counts)
 were measured once at the pinned seeds and must reproduce exactly.
 """
 
+import dataclasses
 import functools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from rankone import acceptance as acc
+from rankone import weaktop
 from rankone.construction import (
     ColumnGrowthPolicy,
     LevelOccupancy,
@@ -186,6 +189,58 @@ def test_criterion_9_compound_limits():
     assert tuple(st.r for st in params.stages) == TWOGEN_COLUMNS
     assert hs[-1] == TWOGEN_WINDOW
     assert occ.uses_int64 and occ.n_copies == 2048 * 4096
+
+
+def _check_9_scan(m_set):
+    params, hs, occ = acc.twogen_build()
+    sg = enumerate_semigroup(generator_series(params), 4, 1)
+    panel = default_panel(occ, span=10, controls=(13, 97))
+    return scan_limits(occ, hs, sg, m_set, tol=F(1, 3), panel=panel,
+                       params=params, a_bound=3, z_bound=4)
+
+
+def test_criterion_9_scores_its_shifts_in_blocks(monkeypatch):
+    """Check 9's 17 shifts scanned in one call (two scoring blocks of 106
+    elements x 24 pairs) give the entries of 17 one-shift scans, field by
+    field."""
+    _, hs, _ = acc.twogen_build()
+    h5, h4 = hs[4], hs[3]
+    m_set = [0] + [s * (a1 * h5 + a2 * h4) for a1 in (0, 1, 2) for a2 in (0, 1, 2)
+                   if a1 or a2 for s in (1, -1)]
+    blocks = []
+    score = weaktop.score_elements
+
+    def counting_score(models, counts, factors):
+        blocks.append(len(counts))
+        return score(models, counts, factors)
+
+    monkeypatch.setattr(weaktop, "score_elements", counting_score)
+    together = _check_9_scan(m_set).entries
+    assert len(together) == 17 and blocks == [12, 5]
+    for m, entry in zip(m_set, together):
+        (alone,) = _check_9_scan([m]).entries
+        assert dataclasses.asdict(entry) == dataclasses.asdict(alone), m
+
+
+def test_mixed_sign_compound_shifts_miss_on_the_capped_build():
+    """A recorded finding, not a target.  At m = +-(h4 - h5) the predicted
+    P1(T)*P2(T*) (or its adjoint) does not rank first on check 9's panel.
+    The pair count at h5 - h4 is exactly the tally of equal spacers,
+    sum over v of #{i < r4 - 1 : s4[i] = v} * #{i < r5 - 1 : s5[i] = v},
+    and its v = 65537 term, 511 * 819 (the overrides clamped to the cap on
+    either stage), is the cap echo the predicted element does not model."""
+    params, hs, occ = acc.twogen_build()
+    h4, h5 = hs[3], hs[4]
+    minus, plus = _check_9_scan([h4 - h5, h5 - h4]).entries
+    assert (minus.best_word, minus.predicted_word) == ("P1^2*P1*", "P1**P2")
+    assert (plus.best_word, plus.predicted_word) == ("P1*P1*^2", "P1*P2*")
+    for e in (minus, plus):
+        assert e.predicted_is_best is False
+        assert e.correction == float(F(4914, 8192))
+        assert e.rows[0].name == "d=+0" and e.rows[0].count == 2_066_359
+    s4, s5 = (Counter(st.spacers[:-1]) for st in params.stages[3:5])
+    assert sum(n * s5[v] for v, n in s4.items()) == occ.pair_shift_count(h5 - h4) == 2_066_359
+    assert s4[65537] * s5[65537] == 511 * 819
 
 
 def _bisect_pair_counts(stage_offsets):

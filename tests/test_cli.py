@@ -329,10 +329,15 @@ def test_float_tolerances_convert_as_the_library_converts(tmp_path, monkeypatch)
     (["scan"], {"tol": -1}, "error code=config detail=\"tolerance must be positive, got -1\""),
     (["scan", "--tol=-1/4"], {},
      "error code=config detail=\"tolerance must be positive, got '-1/4'\""),
+    (["scan", "--tol", "-1/4"], {},
+     "error code=config detail=\"tolerance must be positive, got '-1/4'\""),
+    (["build", "--p", "1/2,1/2", "--stages", "3", "--eps", "-1/4"], None,
+     "error code=config detail=\"tolerance must be positive, got '-1/4'\""),
     (["scan"], {"tol": "1/0"}, "error code=config detail=\"bad tolerance '1/0': "),
     (["scan", "--tol", "x"], {}, "error code=usage detail=\"bad tolerance 'x': "),
 ], ids=["build-eps-flag-negative", "build-eps-flag-text", "build-eps-config-zero",
         "build-eps-config-text", "scan-tol-config-negative", "scan-tol-flag-negative",
+        "scan-tol-flag-negative-fraction", "build-eps-flag-negative-fraction",
         "scan-tol-config-zero-denominator", "scan-tol-flag-text"])
 def test_tolerance_errors_exit_2(built, monkeypatch, capsys, args, cfg, line):
     """A tolerance that does not read as a fraction is a usage error from a

@@ -272,6 +272,85 @@ def test_wrapped_keys_keep_each_difference_in_its_own_cluster():
     assert got[0][7:10] == [2, 4, 2] and got[1][7:10] == [1, 2, 1]
 
 
+def _all_pairs(occ):
+    starts = [int(s) for s in occ.copy_starts]
+    return Counter(b - a for a in starts for b in starts)
+
+
+def test_lag_band_edges_are_counted():
+    """Level 1's offsets 0, 100, 201, 303 have gaps 100, 101, 102, so its
+    lag bands are [0, 0], [100, 102], [201, 203] and [303, 303], with empty
+    stretches between them.  A query row that ends exactly at a band's low
+    end or starts exactly at its high end, on either sign and under every
+    level-2 difference, still counts that band's pair; a row between bands
+    reads what the all-pairs tally reads (zeros at level-2 difference 0)."""
+    occ = LevelOccupancy(1, 3, 1, 3000, ([0, 100, 201, 303], [0, 1000, 2500]))
+    lo, hi = occ._lag_bands[0]
+    assert lo.tolist() == [0, 100, 201, 303] and hi.tolist() == [0, 102, 203, 303]
+    diffs = _all_pairs(occ)
+    for d in (0, 1000, 1500, 2500, -1000, -1500, -2500):
+        for k in range(1, 4):
+            for sign in (1, -1):
+                a, b = sorted((sign * int(lo[k]), sign * int(hi[k])))
+                for row_lo, row_hi in ((a - 4, a), (b, b + 4)):
+                    want = [diffs.get(d + t, 0) for t in range(row_lo, row_hi + 1)]
+                    assert occ.pair_shift_window(d + row_lo, d + row_hi) == want
+                    assert sum(want) > 0
+        assert occ.pair_shift_window(d + 103, d + 200) == [
+            diffs.get(d + t, 0) for t in range(103, 201)]
+    assert occ.pair_shift_window(103, 200) == [0] * 98
+
+
+def test_narrow_levels_of_an_object_occupancy_are_filtered():
+    """h1 = 2**52 puts the two-column window past 2**62 (object offsets)
+    while levels 1-4 stay narrow, so their spans are cast to int64 before
+    the band test.  (At h1 = 2**62 every level is wide.)"""
+    occ = expand_occupancy(gen_example("two-column", 6, h1=2 ** 52), 1, 6)
+    assert not occ.uses_int64 and occ.n_copies == 32
+    assert [bands is not None for bands in occ._lag_bands] == [True] * 4 + [False]
+    diffs = _all_pairs(occ)
+    ks = sorted({k + t for k in diffs for t in (-1, 0, 1)})
+    assert occ.pair_shift_windows([k - 2 for k in ks], 5) == [
+        [diffs.get(k + t, 0) for t in range(-2, 3)] for k in ks]
+
+
+def test_gap_shifts_skip_most_base_level_searches(monkeypatch):
+    """Check 5's 32 stage-4 gap shifts, one panel-wide query: the base
+    level forms clusters of residual rows, and the lag bands leave fewer
+    than half of them to search.  The first shift's row equals an
+    ``np.intersect1d`` recount over the materialized starts."""
+    from rankone.acceptance import capped_build
+    from rankone.weaktop import sample_gap_shifts
+
+    _, hs, occ = capped_build()
+    gaps = sample_gap_shifts(hs, 32, rng_seed=[7, 4], lo=hs[3], hi=hs[4] // 2,
+                             extra_lattice=(65537,))
+    base = occ.stage_offsets[0]
+    formed, searched = [], []
+    meets, search = construction._meets_band, construction._offset_pairs
+
+    def spy_meets(lo, hi, a, b):
+        if lo.size == base.size:
+            formed.append(a.size)
+        return meets(lo, hi, a, b)
+
+    def spy_search(offs, span_lo, span_hi):
+        if offs is base:
+            searched.append(span_lo.size)
+        return search(offs, span_lo, span_hi)
+
+    monkeypatch.setattr(construction, "_meets_band", spy_meets)
+    monkeypatch.setattr(construction, "_offset_pairs", spy_search)
+    rows = occ.pair_shift_windows([m - 6 for m in gaps], 13)
+    # the band test runs once per sign on the same clusters
+    assert len(formed) == 2 and formed[0] == formed[1] > 20
+    assert 0 < sum(searched) < formed[0] / 2
+    starts = occ.copy_starts
+    m = gaps[0]
+    assert rows[0] == [int(np.intersect1d(starts, starts + k, assume_unique=True).size)
+                       for k in range(m - 6, m + 7)]
+
+
 def test_occupancies_compare_by_identity():
     params = gen_example("two-column", 4)
     occ = expand_occupancy(params, 1, 3)

@@ -68,7 +68,7 @@ def oracle_scores(occ, m, elements, panel, factor):
 def integer_scores(occ, m, elements, panel, factor):
     """(d_cor, d_raw) per element from the integer scores, as Fractions."""
     models, [counts] = weaktop._panel_models(occ, elements, panel, [m])
-    cor, raw = score_elements(models, counts, factor)
+    [cor], [raw] = score_elements(models, [counts], [factor])
     D = models.denominator
     return [(Fraction(c, D * factor.numerator), Fraction(r, D))
             for c, r in zip(cor, raw)], models
@@ -77,6 +77,30 @@ def integer_scores(occ, m, elements, panel, factor):
 def ranking(scores, elements):
     return sorted(range(len(elements)),
                   key=lambda e: (scores[e][0], scores[e][1], elements[e].word))
+
+
+def check_entry(e, elems, panel):
+    """Best and runner-up words, deltas and margin of a scan entry, against
+    the oracle at the entry's excision factor.
+
+    Lattice shifts carry their exact excision factor (below 1 on this
+    overridden build, 0 for two h2 steps); other shifts, and a factor of 0,
+    a factor of 1.
+    """
+    factor = Fraction(1)
+    dec = e.decomposition
+    if dec is not None and dec.terms and min(dec.stages) >= OCC.base_stage:
+        factor = weaktop.excision_factor(PARAMS, dec.terms) or Fraction(1)
+    assert e.correction == float(factor)
+    want = oracle_scores(OCC, e.m, elems, panel, factor)
+    order = ranking(want, elems)
+    best, runner = order[0], order[1]
+    assert e.best_word == elems[best].word
+    assert e.best_delta == float(want[best][1])
+    assert e.best_delta_corrected == float(want[best][0])
+    assert e.runner_up_word == elems[runner].word
+    assert e.margin == float(want[runner][0] - want[best][0])
+    return factor
 
 
 # --- strategies ----------------------------------------------------------------
@@ -140,27 +164,10 @@ def test_integer_scores_equal_fraction_oracle(panel, elems, factor, m):
 @settings(max_examples=25, deadline=None)
 @given(panel=panels(), elems=elements(), m=shifts)
 def test_scan_entries_equal_fraction_oracle(panel, elems, m):
-    """Best and runner-up words, deltas and margin of a scan, against the oracle.
-
-    Lattice shifts carry their exact excision factor (below 1 on this
-    overridden build, 0 for two h2 steps); other shifts, and a factor of 0,
-    a factor of 1.
-    """
+    """Best and runner-up words, deltas and margin of a scan, against the oracle."""
     rep = scan_limits(OCC, HS, elems, [m], tol=F(1, 3), panel=panel, params=PARAMS)
     [e] = rep.entries
-    factor = Fraction(1)
-    dec = e.decomposition
-    if dec is not None and dec.terms and min(dec.stages) >= OCC.base_stage:
-        factor = weaktop.excision_factor(PARAMS, dec.terms) or Fraction(1)
-    assert e.correction == float(factor)
-    want = oracle_scores(OCC, m, elems, panel, factor)
-    order = ranking(want, elems)
-    best, runner = order[0], order[1]
-    assert e.best_word == elems[best].word
-    assert e.best_delta == float(want[best][1])
-    assert e.best_delta_corrected == float(want[best][0])
-    assert e.runner_up_word == elems[runner].word
-    assert e.margin == float(want[runner][0] - want[best][0])
+    check_entry(e, elems, panel)
 
 
 def test_zero_excision_factor_ranks_on_raw_deltas():
@@ -195,6 +202,28 @@ def test_factor_past_int64_uses_python_ints():
     got, models = integer_scores(OCC, 7, elems, panel, factor)
     assert max(models.values.flat) < 2 ** 63
     assert got == oracle_scores(OCC, 7, elems, panel, factor)
+
+
+def test_one_block_mixes_factors_and_python_int_scores():
+    """One scoring call over shifts with factor 1 and factors below 1, and
+    an element whose denominator 2**61 - 1 puts the scores past int64, equals
+    the oracle shift by shift; so does a scan of the same shifts."""
+    panel = weaktop.default_panel(OCC)
+    elems = [FormalElement.zero(), FormalElement.identity(), FormalElement.t_power(1),
+             FormalElement.from_coeffs({0: F(1, BIG), 1: F(1, 3)}, word="big")]
+    ms = [7, HS[-2], -HS[-2] + 1, -HS[-3] - 2, 2 * HS[-2], 3000]
+    factors = [F(1), F(3, 7), F(1), F(2 ** 40 + 1, 2 ** 66), F(5, 6), F(1)]
+    models, counts = weaktop._panel_models(OCC, elems, panel, ms)
+    cor, raw = score_elements(models, counts, factors)
+    D = models.denominator
+    for m, factor, cor_m, raw_m in zip(ms, factors, cor, raw):
+        got = [(Fraction(c, D * factor.numerator), Fraction(r, D))
+               for c, r in zip(cor_m, raw_m)]
+        assert got == oracle_scores(OCC, m, elems, panel, factor)
+    rep = scan_limits(OCC, HS, elems, ms, tol=F(1, 3), panel=panel, params=PARAMS)
+    scan_factors = [check_entry(e, elems, panel) for e in rep.entries]
+    assert F(1) in scan_factors and min(scan_factors) < 1
+    assert max(models.values.flat) >= 2 ** 62
 
 
 def test_strong_norm_of_generator_powers_is_central_binomial():

@@ -73,9 +73,11 @@ __all__ = [
 # Positions are kept in numpy int64 while every coordinate stays below this;
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
-# Elements of the (clusters x offsets) arrays one search step holds, at
-# any level of the pair-count recursion.
+# Elements of the (clusters x offsets) arrays one wide-level search step
+# holds, and the candidate differences one narrow-level block holds (a
+# block of whole clusters may run over by one cluster's candidates).
 _WINDOW_BLOCK = 1 << 12
+_LAG_BLOCK = 1 << 14
 # A recursion level whose 2 * reach reaches this searches wrapped int64
 # keys (offset >> s) mod _KEY_MOD instead of the offsets themselves.
 _KEY_MOD = 1 << 61
@@ -170,35 +172,61 @@ def _sum_hits(row: np.ndarray, col: np.ndarray, count: np.ndarray, width: int):
 _NO_HITS = (np.zeros(0, dtype=np.int64),) * 3
 
 
-def _meets_band(lo: np.ndarray, hi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per i, whether [a[i], b[i]] meets some band [lo[k], hi[k]]; lo and hi
-    increase with k, so only the first band with hi[k] >= max(a[i], 0) can."""
-    k = np.searchsorted(hi, np.maximum(a, 0))
-    return (k < lo.size) & (lo[np.minimum(k, lo.size - 1)] <= b)
+def _lag_pieces(bands: tuple, span_lo: np.ndarray, span_hi: np.ndarray):
+    """(cluster, lag) of every lag whose band meets the cluster's span.
+
+    The difference offs[i + k] - offs[i] at lag k >= 0 lies in the band
+    [lo[k], hi[k]] and at lag -k in [-hi[k], -lo[k]].  Both lo and hi
+    increase with k, so the lags k >= 0 whose band meets [a, b] run from
+    the first with hi[k] >= a to the last with lo[k] <= b, and the lags
+    -k <= -1 are those k >= 1 whose band meets [-b, -a]; lag 0 is counted
+    once.  The pieces come sorted by cluster, then by lag.
+    """
+    lo, hi = bands
+    pos = np.searchsorted(hi, span_lo)
+    neg = np.maximum(np.searchsorted(hi, -span_hi), 1)
+    n_pos = np.maximum(np.searchsorted(lo, span_hi, side="right") - pos, 0)
+    n_neg = np.maximum(np.searchsorted(lo, -span_lo, side="right") - neg, 0)
+    # cluster c's lags are two runs: from -(neg + n_neg - 1) up to -neg,
+    # then from pos up to pos + n_pos - 1
+    first = np.stack((1 - neg - n_neg, pos), axis=1).ravel()
+    lag = _runs(first, np.stack((n_neg, n_pos), axis=1).ravel())
+    return np.repeat(np.arange(span_lo.size), n_neg + n_pos), lag
 
 
-def _offset_pairs(offs: np.ndarray, span_lo: np.ndarray, span_hi: np.ndarray):
-    """Per search step, the distinct differences offs[i'] - offs[i] that lie
-    in some cluster's [span_lo, span_hi], sorted, and the number of offset
-    pairs at each.
+def _lag_pairs(offs: np.ndarray, bands: tuple, span_lo: np.ndarray, span_hi: np.ndarray):
+    """Per block of whole clusters, the distinct differences offs[i'] - offs[i]
+    that lie in some cluster's [span_lo, span_hi], sorted, and the number of
+    offset pairs at each.
 
-    The offsets are searched directly.  At a narrow level every offset and
-    bound lies within +-2**61, so the search runs in int64 on any occupancy.
+    Each (cluster, lag k) piece of :func:`_lag_pieces` compares the r - |k|
+    differences at lag k with the cluster's span directly, so a cluster
+    that meets no band costs nothing.  A block holds the pieces of whole
+    clusters, about _LAG_BLOCK differences, and the clusters' spans are
+    disjoint, so each difference is yielded once.  At a narrow level every
+    offset and bound lies within +-2**61, so the search runs in int64 on
+    any occupancy.
     """
     offs, span_lo, span_hi = (np.asarray(a, dtype=np.int64) for a in (offs, span_lo, span_hi))
-    step = max(1, _WINDOW_BLOCK // offs.size)
-    for first in range(0, span_lo.size, step):
-        # for each (cluster, i), the targets i' in [lo, hi)
-        lo = np.searchsorted(offs, (offs[None, :] + span_lo[first:first + step, None]).ravel())
-        hi = np.searchsorted(
-            offs, (offs[None, :] + span_hi[first:first + step, None]).ravel(), side="right")
-        yield np.unique(offs[_runs(lo, hi - lo)]
-                        - offs[np.repeat(np.arange(lo.size) % offs.size, hi - lo)],
-                        return_counts=True)
+    cluster, lag = _lag_pieces(bands, span_lo, span_hi)
+    if cluster.size == 0:
+        return
+    size = offs.size - np.abs(lag)
+    # a cluster's block is the block in which its first piece starts
+    start = np.cumsum(size) - size
+    block = start[np.searchsorted(cluster, cluster)] // _LAG_BLOCK
+    bounds = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1], [True])))
+    for p, q in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        k, n = lag[p:q], size[p:q]
+        i = _runs(np.maximum(-k, 0), n)
+        diff = offs[i + np.repeat(k, n)] - offs[i]
+        c = np.repeat(cluster[p:q], n)
+        yield np.unique(diff[(diff >= span_lo[c]) & (diff <= span_hi[c])], return_counts=True)
 
 
 def _wrapped_pairs(offs: np.ndarray, span_lo: np.ndarray, span_hi: np.ndarray):
-    """What :func:`_offset_pairs` yields, found through int64 keys.
+    """What :func:`_lag_pairs` yields at a narrow level, found through int64
+    keys at a wide one.
 
     The key of offset O is (O >> s) mod 2**61, with s chosen so that the
     widest cluster covers at most about 2**40 keys.  A difference in
@@ -314,13 +342,15 @@ class LevelOccupancy:
     # 2**61, a wide level), keeps each distinct difference once with the
     # number of pairs at it, sends it to the rows it reaches, merges the
     # residual starts c - (O_L[i'] - O_L[i]) across all rows and recurses
-    # once on those.  At a narrow level a cluster is searched only if it
-    # meets a lag band: with the r_L - 1 positive gaps of O_L, every
-    # O_L[i + k] - O_L[i] is a sum of k consecutive gaps, so it lies between
-    # the sum of the k smallest and the sum of the k largest gaps, and its
-    # negation between their negations (k = 0 gives the band [0, 0]).  A gap
-    # shift leaves most base-level clusters between bands.  Wide levels are
-    # not filtered: their override chains make the bands cover the range.
+    # once on those.  A narrow level searches lag by lag: with the r_L - 1
+    # positive gaps of O_L, every O_L[i + k] - O_L[i] is a sum of k
+    # consecutive gaps, so it lies between the sum of the k smallest and the
+    # sum of the k largest gaps, and its negation between their negations
+    # (k = 0 gives the band [0, 0]).  Each cluster compares the differences
+    # of only the lags whose band meets its range; a gap shift leaves most
+    # base-level clusters between bands, where they cost nothing.  Wide
+    # levels search keys instead: their override chains make the bands
+    # cover the range.
     # Every level returns only its nonzero counts, as (row, column, count)
     # hits: level 0 has at most one per row (column -c, if in [0, width)),
     # and level L joins each residual's hits to the (row, multiplicity) pairs
@@ -437,20 +467,15 @@ class LevelOccupancy:
         split = np.flatnonzero(row_lo[1:] > row_hi[:-1] + 1) + 1
         span_lo = row_lo[np.concatenate(([0], split))]
         span_hi = row_hi[np.concatenate((split - 1, [starts.size - 1]))]
-        search = _wrapped_pairs if 2 * reach >= _KEY_MOD else _offset_pairs
-        if search is _offset_pairs:
-            # drop the clusters that no lag band reaches, on either sign
-            span_lo, span_hi = span_lo.astype(np.int64), span_hi.astype(np.int64)
-            lo, hi = self._lag_bands[level - 1]
-            keep = (_meets_band(lo, hi, span_lo, span_hi)
-                    | _meets_band(lo, hi, -span_hi, -span_lo))
-            if not keep.any():
-                return _NO_HITS
-            span_lo, span_hi = span_lo[keep], span_hi[keep]
+        bands = self._lag_bands[level - 1]
+        if bands is None:
+            found = _wrapped_pairs(offs, span_lo, span_hi)
+        else:
+            found = _lag_pairs(offs, bands, span_lo, span_hi)
         row_idx, residual, mult = [], [], []
         # clusters' union ranges are disjoint, so each distinct delta belongs
         # to one cluster and leaves one residual in each of its rows
-        for delta, count in search(offs, span_lo, span_hi):
+        for delta, count in found:
             # the rows holding delta are those from the first with
             # row_hi >= delta up to the last with row_lo <= delta
             row_first = np.searchsorted(row_hi, delta)
@@ -459,7 +484,7 @@ class LevelOccupancy:
             row_idx.append(row)
             residual.append(starts[row] - np.repeat(delta, n_rows))
             mult.append(np.repeat(count, n_rows))
-        residual = np.concatenate(residual)
+        residual = np.concatenate(residual) if residual else _NO_HITS[0]
         if residual.size == 0:
             return _NO_HITS
         # group the (row, residual, multiplicity) triples by residual start

@@ -40,7 +40,9 @@ against the uncorrected discrepancy.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,13 +304,13 @@ def score_elements(models: PanelModels, counts: Sequence[Sequence[int]],
     return corrected, raw
 
 
-def _pair_rows(panel: CorrelationPanel, counts: Sequence[int],
-               models: PanelModels, e: int) -> tuple[PairRow, ...]:
-    """The report rows of one shift's counts against element ``e``'s model."""
-    D = models.denominator
+def _pair_rows(names: Sequence[str], counts: Sequence[int], weights: Sequence[int],
+               model: Sequence[int], D: int) -> tuple[PairRow, ...]:
+    """The report rows of one shift's counts against one element's model:
+    pair i's profile entry is counts[i] * weights[i] / D and its model entry
+    model[i] / D."""
     return tuple(PairRow(name, c, c * w / D, v / D, abs(c * w - v) / D)
-                 for name, c, w, v in zip(panel.names, counts, models.weights,
-                                          models.values[e].tolist()))
+                 for name, c, w, v in zip(names, counts, weights, model))
 
 
 def _check_support(occ: LevelOccupancy, Q: FormalElement) -> None:
@@ -327,7 +329,8 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
     delta = Fraction(raw, models.denominator)
     return DiscrepancyReport(int(m), Q.word, float(delta), delta,
                              float(boundary_loss(m, occ.window)),
-                             _pair_rows(panel, counts, models, 0))
+                             _pair_rows(panel.names, counts, models.weights,
+                                        models.values[0].tolist(), models.denominator))
 
 
 def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
@@ -362,6 +365,18 @@ class HadicDecomposition:
         return tuple(j for j, _ in self.terms)
 
 
+@functools.lru_cache(maxsize=16)
+def _hadic_reach(hs: tuple[int, ...], a_bound: int, z_bound: int) -> tuple[int, ...]:
+    """reach[i] = a_bound * (h_0 + ... + h_{i-1}) + z_bound, the largest |m|
+    that stages below i and the remainder can represent; checks the inputs
+    (an input that raises is not cached, so it raises on every call)."""
+    if any(h < 1 for h in hs) or any(b <= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("heights must be positive and strictly increasing")
+    if a_bound < 0 or z_bound < 0:
+        raise ValueError("a_bound >= 0 and z_bound >= 0 required")
+    return tuple(itertools.accumulate((a_bound * h for h in hs), initial=z_bound))
+
+
 def hadic_decompose(m: int, heights: Sequence[int], a_bound: int,
                     z_bound: int) -> HadicDecomposition | None:
     """Bounded representation m = sum a_i h_{j_i} + z over distinct stages.
@@ -372,15 +387,8 @@ def hadic_decompose(m: int, heights: Sequence[int], a_bound: int,
     rather than spent on low-stage terms).  Returns None when no bounded
     representation exists.
     """
-    hs = [int(h) for h in heights]
-    if any(h < 1 for h in hs) or any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("heights must be positive and strictly increasing")
-    if a_bound < 0 or z_bound < 0:
-        raise ValueError("a_bound >= 0 and z_bound >= 0 required")
-    n = len(hs)
-    reach = [0] * (n + 1)  # reach[i] = a_bound * (h_0 + ... + h_{i-1}) + z_bound
-    for i in range(n):
-        reach[i + 1] = reach[i] + a_bound * hs[i]
+    hs = tuple(map(int, heights))
+    reach = _hadic_reach(hs, a_bound, z_bound)
     best: tuple[tuple[int, int, int], HadicDecomposition] | None = None
 
     def consider(terms: list[tuple[int, int]], z: int) -> None:
@@ -391,11 +399,10 @@ def hadic_decompose(m: int, heights: Sequence[int], a_bound: int,
             best = (key, HadicDecomposition(ordered, z))
 
     def dfs(idx: int, rem: int, terms: list[tuple[int, int]]) -> None:
-        if abs(rem) > reach[idx + 1] + z_bound:
+        if abs(rem) > reach[idx + 1]:
             return
         if idx < 0:
-            if abs(rem) <= z_bound:
-                consider(terms, rem)
+            consider(terms, rem)
             return
         h = hs[idx]
         q = (rem + h // 2) // h
@@ -411,7 +418,7 @@ def hadic_decompose(m: int, heights: Sequence[int], a_bound: int,
             else:
                 dfs(idx - 1, rem, terms)
 
-    dfs(n - 1, int(m), [])
+    dfs(len(hs) - 1, int(m), [])
     return best[1] if best else None
 
 
@@ -451,8 +458,10 @@ def _clean_window_count(r: int, width: int, overridden: Sequence[int]) -> int:
     Between consecutive cut points p < q (0, the overridden t in (0, r), r)
     the clean windows are those inside [p + 1, q - 1].
     """
-    cuts = [0, *sorted({t for t in overridden if 0 < t < r}), r]
-    return sum(max(0, q - p - width) for p, q in zip(cuts, cuts[1:]))
+    t = np.asarray(overridden, dtype=np.int64)
+    # a repeated cut leaves a gap of 0, which holds no window
+    gaps = np.diff(np.sort(np.concatenate(([0, r], t[(t > 0) & (t < r)])))) - width
+    return int(gaps[gaps > 0].sum())
 
 
 def excision_factor(params: ConstructionParams,
@@ -497,7 +506,20 @@ class ScanEntry:
     predicted_is_best: bool | None
     runner_up_word: str | None
     margin: float | None
-    rows: tuple[PairRow, ...]
+    # the best match's panel evidence, in integers over ``denominator``: pair
+    # names[i] holds counts[i] copy-start pairs, read as weights[i] each,
+    # against the model's model[i]
+    names: tuple[str, ...]
+    counts: tuple[int, ...]
+    weights: tuple[int, ...]
+    model: tuple[int, ...]
+    denominator: int
+
+    @property
+    def rows(self) -> tuple[PairRow, ...]:
+        """The report rows of the shift's counts against the best match's model."""
+        return _pair_rows(self.names, self.counts, self.weights, self.model,
+                          self.denominator)
 
 
 @dataclass(frozen=True)
@@ -544,6 +566,7 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
 
     models, profiles = _panel_models(occ, semigroup, panel, m_set)
     D = models.denominator
+    values = models.values.tolist()
     words = [el.word for el in semigroup]
     decs, factors = [], []
     for m in m_set:
@@ -593,7 +616,8 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
             predicted_is_best=predicted_is_best,
             runner_up_word=None if runner is None else words[runner],
             margin=None if runner is None else (cor[runner] - cor[best]) / DN,
-            rows=_pair_rows(panel, counts, models, best)))
+            names=panel.names, counts=tuple(counts), weights=models.weights,
+            model=tuple(values[best]), denominator=D))
     return ScanReport(occ.base_stage, occ.top_stage, float(tol), tuple(entries))
 
 

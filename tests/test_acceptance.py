@@ -8,9 +8,13 @@ were measured once at the pinned seeds and must reproduce exactly.
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,22 @@ def test_criterion_9_scores_its_shifts_in_blocks(monkeypatch):
     for m, entry in zip(m_set, together):
         (alone,) = _check_9_scan([m]).entries
         assert dataclasses.asdict(entry) == dataclasses.asdict(alone), m
+        assert entry.rows == alone.rows, m
+
+
+def test_gap_and_compound_scans_do_not_import_numpy_ma():
+    """Checks 5 and 9, in a fresh interpreter, leave ``numpy.ma`` unimported.
+    Plain ``np.unique(x)`` imports it on first use (about 12 ms and its
+    memory); ``return_counts=True`` does not."""
+    src = str(Path(acc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; from rankone import acceptance as acc; "
+            "assert acc.check_gap_shifts().passed and acc.check_compound_limits().passed; "
+            "print('numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
 
 
 def test_mixed_sign_compound_shifts_miss_on_the_capped_build():

@@ -232,16 +232,16 @@ def test_window_rows_cluster_edges(params, top):
     def spy(name):
         search = getattr(construction, name)
 
-        def recording(offs, span_lo, span_hi):
-            searched.append((name, span_lo.size))
-            return search(offs, span_lo, span_hi)
+        def recording(*args):
+            searched.append((name, args[-2].size))  # args end with span_lo, span_hi
+            return search(*args)
         return mock.patch.object(construction, name, recording)
 
-    with spy("_offset_pairs"), spy("_wrapped_pairs"):
+    with spy("_lag_pairs"), spy("_wrapped_pairs"):
         row, col, count = occ._window_hits(level, np.array(starts, dtype=occ._dtype), width)
     # the top level searches 3 clusters: {s0, s1, s2}, {s3} and {s4}; the
     # object build's top level is wide (2 * reach >= 2**61)
-    assert searched[0] == ("_offset_pairs" if occ.uses_int64 else "_wrapped_pairs", 3)
+    assert searched[0] == ("_lag_pairs" if occ.uses_int64 else "_wrapped_pairs", 3)
     rows = np.zeros((len(starts), width), dtype=np.int64)
     np.add.at(rows, (row, col), count)
     copy_starts = [int(s) for s in occ.copy_starts]
@@ -317,34 +317,31 @@ def test_narrow_levels_of_an_object_occupancy_are_filtered():
 def test_gap_shifts_skip_most_base_level_searches(monkeypatch):
     """Check 5's 32 stage-4 gap shifts, one panel-wide query: the base
     level forms clusters of residual rows, and the lag bands leave fewer
-    than half of them to search.  The first shift's row equals an
-    ``np.intersect1d`` recount over the materialized starts."""
+    (cluster, lag) pieces to search than half those clusters.  The first
+    shift's row equals an ``np.intersect1d`` recount over the materialized
+    starts."""
     from rankone.acceptance import capped_build
     from rankone.weaktop import sample_gap_shifts
 
     _, hs, occ = capped_build()
     gaps = sample_gap_shifts(hs, 32, rng_seed=[7, 4], lo=hs[3], hi=hs[4] // 2,
                              extra_lattice=(65537,))
-    base = occ.stage_offsets[0]
+    base_bands = occ._lag_bands[0]
     formed, searched = [], []
-    meets, search = construction._meets_band, construction._offset_pairs
+    pieces = construction._lag_pieces
 
-    def spy_meets(lo, hi, a, b):
-        if lo.size == base.size:
-            formed.append(a.size)
-        return meets(lo, hi, a, b)
+    def spy_pieces(bands, span_lo, span_hi):
+        cluster, lag = pieces(bands, span_lo, span_hi)
+        if bands is base_bands:
+            formed.append(span_lo.size)
+            searched.append(lag.size)
+        return cluster, lag
 
-    def spy_search(offs, span_lo, span_hi):
-        if offs is base:
-            searched.append(span_lo.size)
-        return search(offs, span_lo, span_hi)
-
-    monkeypatch.setattr(construction, "_meets_band", spy_meets)
-    monkeypatch.setattr(construction, "_offset_pairs", spy_search)
+    monkeypatch.setattr(construction, "_lag_pieces", spy_pieces)
     rows = occ.pair_shift_windows([m - 6 for m in gaps], 13)
-    # the band test runs once per sign on the same clusters
-    assert len(formed) == 2 and formed[0] == formed[1] > 20
-    assert 0 < sum(searched) < formed[0] / 2
+    # the base level is searched once, in one recursion
+    assert len(formed) == 1 and formed[0] > 20
+    assert 0 < searched[0] < formed[0] / 2
     starts = occ.copy_starts
     m = gaps[0]
     assert rows[0] == [int(np.intersect1d(starts, starts + k, assume_unique=True).size)

@@ -293,6 +293,69 @@ def test_windows_at_the_dtype_edges(params, base, top):
     # one cluster per search step at every level
     los = [anchor - t for anchor in sorted(set(diffs) | {-w, w}) for t in (0, 5, 12)]
     los = (los + los)[::-1]
-    with mock.patch.object(construction, "_WINDOW_BLOCK", 1):
+    with mock.patch.object(construction, "_WINDOW_BLOCK", 1), \
+            mock.patch.object(construction, "_LAG_BLOCK", 1):
         assert occ.pair_shift_windows(los, 20) == [
             [diffs.get(k, 0) for k in range(lo, lo + 20)] for lo in los]
+
+
+# Offset gaps from 1 up to 10**15, so the lag bands [sum of the k smallest
+# gaps, sum of the k largest] are loose and overlap from some k on.
+GAPS = st.one_of(st.integers(1, 4), st.integers(1, 10 ** 6), st.integers(1, 10 ** 15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(GAPS, min_size=1, max_size=40), st.integers(-10 ** 15, 10 ** 15),
+       st.booleans(), st.data())
+def test_lag_search_matches_all_pairs(gaps, first, as_object, data):
+    """The narrow-level lag search against a tally of every offset pair.
+
+    Cluster spans are disjoint and sorted, lie below, across and above 0,
+    and end on band edges (and one past them) as well as between bands.
+    The lag pieces are exactly the signed lags whose band meets a span,
+    and the blocks (``_LAG_BLOCK`` drawn small, so that many clusters fill
+    several) yield every difference in a span once, with its pair count,
+    from the block that holds its whole cluster.  Object offsets are
+    searched in int64 like int64 ones.
+    """
+    offs = np.cumsum([first] + gaps)
+    r = offs.size
+    lo, hi = LevelOccupancy(1, 2, 1, 2 ** 61, (offs - offs[0],))._lag_bands[0]
+    edges = [e for k in range(r) for b in (int(lo[k]), int(hi[k]))
+             for e in (b - 1, b, b + 1, -b - 1, -b, -b + 1)]
+    ends = data.draw(st.lists(st.one_of(st.sampled_from(edges),
+                                        st.integers(-2 * 10 ** 16, 2 * 10 ** 16)),
+                              min_size=1, max_size=24))
+    ends = sorted(set(ends))
+    spans, i = [], 0
+    while i < len(ends):
+        if i + 1 < len(ends) and data.draw(st.booleans()):
+            spans.append((ends[i], ends[i + 1]))
+            i += 2
+        else:
+            spans.append((ends[i], ends[i]))
+            i += 1
+    span_lo = np.array([a for a, _ in spans], dtype=np.int64)
+    span_hi = np.array([b for _, b in spans], dtype=np.int64)
+    if as_object:
+        offs = np.array(offs.tolist(), dtype=object)
+
+    cluster, lag = construction._lag_pieces((lo, hi), span_lo, span_hi)
+    want_pieces = [(c, k) for c, (a, b) in enumerate(spans) for k in range(1 - r, r)
+                   if (lo[k] <= b and hi[k] >= a if k >= 0 else -hi[-k] <= b and -lo[-k] >= a)]
+    assert sorted(zip(cluster.tolist(), lag.tolist())) == want_pieces
+    assert (np.diff(cluster) >= 0).all()  # a cluster's pieces are consecutive
+
+    pairs = Counter(int(b) - int(a) for a in offs for b in offs)
+    want = sorted((d, n) for d, n in pairs.items() if any(a <= d <= b for a, b in spans))
+    block = data.draw(st.sampled_from([1, 3, 40, 1 << 14]))
+    with mock.patch.object(construction, "_LAG_BLOCK", block):
+        found = list(construction._lag_pairs(offs, (lo, hi), span_lo, span_hi))
+    assert all(delta.dtype == np.int64 for delta, _ in found)
+    got = [(d, n) for delta, count in found for d, n in zip(delta.tolist(), count.tolist())]
+    assert got == want
+    # each block holds whole clusters: no cluster's differences in two blocks
+    owners = [set(np.searchsorted(span_hi, delta).tolist()) for delta, _ in found]
+    assert sum(map(len, owners)) == len(set().union(*owners))
+    if block == 1:
+        assert len(found) == len(set(cluster.tolist()))

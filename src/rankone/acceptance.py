@@ -332,20 +332,19 @@ def check_strong_decay() -> tuple[bool, str]:
     gen = FormalElement.from_series(generator_series(params)[0])
     vals: list[Fraction] = []
     ok = True
-    q = gen
+    q = FormalElement.identity()
     for n in range(1, 33):
+        q = convolve(q, gen)
         v = strong_norm_sq(occ, q, (0,))
         vals.append(v)
         if v != Fraction(math.comb(2 * n, n), 4 ** n):
             ok = False
-        q = convolve(q, gen)
     if vals[-1] > Fraction(3, 10):
         ok = False
     slack = Fraction(1, 20)
     if any(b > a + slack for a, b in zip(vals, vals[1:])):
         ok = False
-    p32 = power(gen, 32)
-    max_coeff = max(c for _, c in p32.coeffs)
+    max_coeff = max(c for _, c in q.coeffs)  # q = P^32
     if max_coeff >= Fraction(15, 100):
         ok = False
     return ok, (

@@ -86,6 +86,10 @@ __all__ = [
 # Entries of the broadcast temporary one scan_limits scoring call holds.
 _SCORE_BLOCK = 1 << 16
 
+# Bounds on |a_i| and |z| of a decomposition that rejects a sampled gap shift.
+_GAP_A_BOUND = 3
+_GAP_Z_BOUND = 128
+
 
 def boundary_loss(m: int, window: int) -> Fraction:
     """Fraction of the window a shift by m can push past the edge."""
@@ -384,42 +388,33 @@ def hadic_decompose(m: int, heights: Sequence[int], a_bound: int,
     Among all representations with |a_i| <= a_bound and |z| <= z_bound, the
     preferred one has the fewest nonzero terms, then the smallest total
     |a|-weight, then the smallest |z| (small remainders are absorbed into z
-    rather than spent on low-stage terms).  Returns None when no bounded
-    representation exists.
+    rather than spent on low-stage terms), then the smallest terms (stages
+    decreasing).  Returns None exactly when no bounded representation exists.
     """
     hs = tuple(map(int, heights))
     reach = _hadic_reach(hs, a_bound, z_bound)
-    best: tuple[tuple[int, int, int], HadicDecomposition] | None = None
+    memo: dict[tuple[int, int], tuple | None] = {}
 
-    def consider(terms: list[tuple[int, int]], z: int) -> None:
-        nonlocal best
-        ordered = tuple(terms)  # DFS descends, so stages come out decreasing
-        key = (len(terms), sum(abs(a) for _, a in terms), abs(z), ordered, z)
-        if best is None or key < best[0]:
-            best = (key, HadicDecomposition(ordered, z))
-
-    def dfs(idx: int, rem: int, terms: list[tuple[int, int]]) -> None:
-        if abs(rem) > reach[idx + 1]:
-            return
+    def best(idx: int, rem: int) -> tuple | None:
+        # The least (count, weight, |z|, terms, z) for rem over stages <= idx
+        # + 1.  A term in front adds the same to every completion's key.
         if idx < 0:
-            consider(terms, rem)
-            return
-        h = hs[idx]
-        q = (rem + h // 2) // h
-        cands = {0}
-        for d in (-1, 0, 1):
-            # clamp to the coefficient bound so saturated choices stay in play
-            cands.add(min(a_bound, max(-a_bound, q + d)))
-        for a in sorted(cands, key=abs):
-            if a:
-                terms.append((idx + 1, a))
-                dfs(idx - 1, rem - a * h, terms)
-                terms.pop()
-            else:
-                dfs(idx - 1, rem, terms)
+            return (0, 0, abs(rem), (), rem) if abs(rem) <= z_bound else None
+        if (idx, rem) not in memo:
+            h, r, found = hs[idx], reach[idx], None
+            for a in range(max(-a_bound, -((r - rem) // h)),
+                           min(a_bound, (rem + r) // h) + 1):
+                sub = best(idx - 1, rem - a * h)
+                if sub and a:
+                    n, w, az, terms, z = sub
+                    sub = (n + 1, w + abs(a), az, ((idx + 1, a),) + terms, z)
+                if sub and (found is None or sub < found):
+                    found = sub
+            memo[idx, rem] = found
+        return memo[idx, rem]
 
-    dfs(len(hs) - 1, int(m), [])
-    return best[1] if best else None
+    found = best(len(hs) - 1, int(m))
+    return None if found is None else HadicDecomposition(found[3], found[4])
 
 
 def predicted_element(dec: HadicDecomposition,
@@ -623,12 +618,14 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
 
 def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
                       lo: int | None = None, hi: int | None = None,
-                      a_bound: int = 3, z_bound: int = 128,
                       extra_lattice: Sequence[int] = ()) -> list[int]:
     """n shifts with no bounded h-adic representation (rejection sampling).
 
-    Candidates are uniform over [lo, hi] (defaults: second-largest height up
-    to a quarter window) and rejected while they decompose over the height
+    A candidate is lo + floor(w * span / 2^32) for a uniform 32-bit word w,
+    span = hi - lo + 1 (defaults: second-largest height up to a quarter
+    window): near-uniform for spans up to 2^32, a grid of step about
+    span / 2^32 above (about 1,240 on check 5's range [h5, h6/2]).  It is
+    rejected while it decomposes (|a_i| <= 3, |z| <= 128) over the height
     lattice extended by ``extra_lattice`` (e.g. an override cap, whose
     echoes would otherwise show up as structured correlations).  A range too
     poor in gap shifts to yield n of them in 1000*n draws is a ValueError.
@@ -652,9 +649,9 @@ def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
         if attempts > 1000 * n:
             raise ValueError(f"no {n} gap shifts found in [{lo}, {hi}]: "
                              f"rejection sampling is not converging")
-        # draw via two 32-bit words so the value is seed-stable for any span
+        # one 32-bit word scaled by the span: a seed gives the same shifts anywhere
         m = lo + (int(rng.integers(0, 1 << 32)) * span >> 32)
-        if hadic_decompose(m, lattice, a_bound, z_bound) is None:
+        if hadic_decompose(m, lattice, _GAP_A_BOUND, _GAP_Z_BOUND) is None:
             out.append(m)
     return out
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -180,43 +181,63 @@ def test_hadic_unreachable_returns_none():
     assert hadic_decompose(7, [1, 12], 0, 2) is None
 
 
+# check 5's rejection lattice: capped_build's heights and the cap 65537
+_STOCK_GAP_LATTICE = [4, 264, 65537, 137068, 20297299, 10400606016, 10650233930334]
+
+
+def _brute_hadic(m, hs, a_bound, z_bound):
+    """The docstring's preferred representation as (terms, z), or None: the
+    least key (count, weight, |z|, terms, z) over every bounded
+    representation.  Every coefficient vector is walked, pruned only where
+    the stages below cannot reach the remainder any more."""
+    keys = []
+
+    def walk(i, rem, terms):
+        if i < 0:
+            if abs(rem) <= z_bound:
+                weight = sum(abs(a) for _, a in terms)
+                keys.append((len(terms), weight, abs(rem), tuple(terms), rem))
+            return
+        below = a_bound * sum(hs[:i]) + z_bound
+        for a in range(-a_bound, a_bound + 1):
+            if abs(rem - a * hs[i]) <= below:
+                walk(i - 1, rem - a * hs[i], terms + [(i + 1, a)] if a else terms)
+
+    walk(len(hs) - 1, m, [])
+    return min(keys)[3:] if keys else None
+
+
 def test_hadic_brute_force_agreement():
-    """Any value the DFS finds must satisfy the identity and respect bounds;
-    absence must match a brute-force search."""
-    hs = [2, 11, 61, 500]
-    a_bound, z_bound = 2, 3
-
-    def brute(m):
-        from itertools import product
-        best = None
-        for coeffs in product(range(-a_bound, a_bound + 1), repeat=len(hs)):
-            val = sum(a * h for a, h in zip(coeffs, hs))
-            z = m - val
-            if abs(z) <= z_bound:
-                return True
-        return False
-
-    for m in range(-150, 151):
+    """hadic_decompose returns the preferred representation, and None
+    exactly when no bounded one exists, also on lattices whose stages lie
+    close together."""
+    cases = [([2, 11, 61, 500], 2, 3, m) for m in range(-150, 151)]
+    cases += [
+        ([3, 5], 1, 1, -4),  # -3 - 1 and -5 + 1 tie up to the terms
+        ([17, 36, 46], 3, 2, -197),
+        ([23, 33, 44, 49], 2, 0, -172),  # -49 - 44 - 33 - 2*23
+        # 20297299 - 2*137068 - 4*65537 + 264 + 110
+        (_STOCK_GAP_LATTICE, 4, 128, 19761389),
+        (_STOCK_GAP_LATTICE, 3, 128, 65403),  # 65537 - 2*4 - 126
+    ]
+    rng = random.Random(3)
+    for _ in range(300):
+        hs = sorted(rng.sample(range(1, 60), rng.randint(1, 4)))
+        cases.append((hs, rng.randint(0, 3), rng.randint(0, 4), rng.randint(-250, 250)))
+    for hs, a_bound, z_bound, m in cases:
         dec = hadic_decompose(m, hs, a_bound, z_bound)
-        if dec is None:
-            assert not brute(m)
-        else:
-            total = sum(a * hs[j - 1] for j, a in dec.terms) + dec.z
-            assert total == m
-            assert all(abs(a) <= a_bound for _, a in dec.terms)
-            assert abs(dec.z) <= z_bound
-            js = [j for j, _ in dec.terms]
-            assert js == sorted(js, reverse=True)
+        got = None if dec is None else (dec.terms, dec.z)
+        assert got == _brute_hadic(m, hs, a_bound, z_bound), (hs, a_bound, z_bound, m)
 
 
 # --- gap sampling, excision factor, scans ---------------------------------------
 
 def test_sample_gap_shifts_avoids_lattice():
     hs = [4, 64, 1024, 16384, 262144]
-    gaps = sample_gap_shifts(hs, 16, rng_seed=2, a_bound=3, z_bound=32)
+    gaps = sample_gap_shifts(hs, 16, rng_seed=2)
     assert len(gaps) == len(set(gaps)) == 16
     for m in gaps:
-        assert hadic_decompose(m, hs, 3, 32) is None
+        assert hadic_decompose(m, hs, 3, 128) is None
         assert hs[-2] <= m < hs[-1] // 4
 
 

@@ -370,18 +370,19 @@ class LevelOccupancy:
     _count_pairs = pair_shift_count
 
     def pair_shift_window(self, lo: int, hi: int) -> list[int]:
-        """pair_shift_count(k) for every k in [lo, hi]."""
-        return self.pair_shift_windows([lo], int(hi) - int(lo) + 1)[0]
+        """pair_shift_count(k) for every k in [lo, hi], as Python ints."""
+        return self.pair_shift_windows([lo], int(hi) - int(lo) + 1)[0].tolist()
 
-    def pair_shift_windows(self, los: Sequence[int], width: int) -> list[list[int]]:
+    def pair_shift_windows(self, los: Sequence[int], width: int) -> np.ndarray:
         """Row i is pair_shift_count(k) for every k in [los[i], los[i] + width).
 
-        ``los`` may be in any order, repeat, or lie past the top reach (rows
-        there read as zeros).  No two starts differ by more than the top
-        reach, so each row is counted as a row of width
-        w = min(width, 2 * reach + 1) moved inside [-reach, reach].  The
-        distinct moved rows go to the top level together, in one recursion,
-        and its sparse hits are scattered once into the (rows x w) counts.
+        Returns a (len(los) x width) int64 array.  ``los`` may be in any
+        order, repeat, or lie past the top reach (rows there read as zeros).
+        No two starts differ by more than the top reach, so each row is
+        counted as a row of width w = min(width, 2 * reach + 1) moved inside
+        [-reach, reach].  The distinct moved rows go to the top level
+        together, in one recursion, its sparse hits are scattered once into
+        the (rows x w) counts, and one gather lays those into the result.
         Below the top, the recursion holds residual (row, start,
         multiplicity) triples, a few per row and offset, and their hits, not
         rows of counts, so what a query holds grows with its rows.  Counts
@@ -390,7 +391,7 @@ class LevelOccupancy:
         """
         los, width = [int(lo) for lo in los], int(width)
         if width < 1:
-            return [[] for _ in los]
+            return np.zeros((len(los), 0), dtype=np.int64)
         if self.n_copies >= 1 << 63:
             raise OverflowError(f"{self.n_copies} copies: pair counts overflow int64")
         reach = self._reach[-1]
@@ -398,21 +399,21 @@ class LevelOccupancy:
         moved = {lo: min(max(lo, -reach), reach - w + 1)
                  for lo in los if -reach - width < lo <= reach}
         starts = sorted(set(moved.values()))
-        counted = np.zeros((len(starts), w), dtype=np.int64)
+        # the last row stays zero: rows that miss [-reach, reach] read it
+        counted = np.zeros((len(starts) + 1, w), dtype=np.int64)
         if starts:
             row, col, count = self._window_hits(
                 len(self.stage_offsets), np.array(starts, dtype=self._dtype), w)
             np.add.at(counted, (row, col), count)
         index = {c: i for i, c in enumerate(starts)}
-        out = []
-        for lo in los:
-            row = [0] * width
-            if lo in moved:
-                # copy the overlap [a, b) of [lo, lo + width) and [c, c + w)
-                c = moved[lo]
-                a, b = max(lo, c), min(lo + width, c + w)
-                row[a - lo:b - lo] = counted[index[c], a - c:b - c].tolist()
-            out.append(row)
+        # row lo reads counted[moved[lo], lo - moved[lo] + t]; that offset
+        # lies in (-width, w), and entries outside [0, w) read 0
+        src = np.array([index[moved[lo]] if lo in moved else len(starts)
+                        for lo in los], dtype=np.intp)
+        col = np.array([lo - moved.get(lo, lo) for lo in los],
+                       dtype=np.intp)[:, None] + np.arange(width)
+        out = counted[src[:, None], np.clip(col, 0, w - 1)]
+        out[(col < 0) | (col >= w)] = 0
         return out
 
     @cached_property

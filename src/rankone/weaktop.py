@@ -12,9 +12,10 @@ exponents, asked in the same query as its shifts).  The occupancy answers
 a query with one recursion over its per-stage offsets (numpy passes over
 the r_j offsets of each stage, never over the prod r_j copy starts, none
 of which is materialized).  Each level of the recursion passes up only its
-nonzero counts, and the query lays them into its windows with one
-scatter, so a gap shift, whose window is nearly all zeros, costs little
-beyond its offset searches.
+nonzero counts, and the query lays them into one int64 array of windows
+with one scatter and one gather, so a gap shift, whose window is nearly
+all zeros, costs little beyond its offset searches.  Each pair's counts
+are summed from that array by one ``np.add.reduceat`` over its columns.
 
 Scoring is integer too.  Profiles corr(m; A, B)/mu(A) and element models
 sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
@@ -22,8 +23,10 @@ sum_z Q(z) corr(z; A, B)/mu(A) all share the denominator D = L * lcm|A| * n
 label), so a scan holds them as integer numerators over D and scores every
 element against a block of shifts with one integer (shifts x elements x
 pairs) broadcast, int64 where the products provably fit and Python ints
-beyond, exact by construction.  A :class:`~fractions.Fraction` or float is
-built only where a report needs a value.
+beyond, exact by construction.  Each block of shifts is ranked with one
+``np.lexsort``, and a shift's verdict against its tolerance is one integer
+comparison.  A :class:`~fractions.Fraction` or float is built only where a
+report needs a value.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -128,16 +131,24 @@ def pair_counts(occ: LevelOccupancy, ms: Sequence[int],
     Positions of label b are copy_starts + b, so each (a, b) pair contributes
     the number of copy-start pairs differing by exactly m + a - b.  Shift m's
     row counts the differences [m + lo, m + hi], lo and hi the extremes of
-    a - b over all pairs, and pair (A, B) reads its entries a - b - lo.
+    a - b over all pairs, and pair (A, B) reads its entries a - b - lo: one
+    ``np.add.reduceat`` over the pairs' columns, laid out pair by pair.
+    Each entry is at most n_copies, so the sums are int64 while
+    max |A||B| * n_copies < 2**63 and Python ints beyond.
     """
     bad = [b for A, B in pairs for b in (*A, *B) if not 0 <= b < occ.base_height]
     if bad:
         raise ValueError(f"labels outside [0, {occ.base_height}): {bad}")
+    if not all(A and B for A, B in pairs):
+        raise ValueError("empty label set")
     diffs = [a - b for A, B in pairs for a in A for b in B]
     lo, hi = min(diffs), max(diffs)
     rows = occ.pair_shift_windows([m + lo for m in ms], hi - lo + 1)
-    return [[sum(row[a - b - lo] for a in A for b in B) for A, B in pairs]
-            for row in rows]
+    sizes = [len(A) * len(B) for A, B in pairs]
+    dtype = np.int64 if max(sizes) * occ.n_copies < 1 << 63 else object
+    firsts = list(itertools.accumulate(sizes[:-1], initial=0))
+    cols = rows[:, [d - lo for d in diffs]].astype(dtype)
+    return np.add.reduceat(cols, firsts, axis=1).tolist()
 
 
 def corr(occ: LevelOccupancy, m: int, A, B) -> CorrCount:
@@ -573,22 +584,34 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
             factor = excision_factor(params, dec.terms) or Fraction(1)
         decs.append(dec)
         factors.append(factor)
-    cors, raws = [], []
+    # rank[e] is the place of (word, e) in sorted order: ties on the scores
+    # break toward smaller words, then toward earlier elements
+    rank = np.empty(len(words), dtype=np.int64)
+    rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    cors, raws, ranked = [], [], []
     # shifts per scoring call: its (2 * shifts x elements x pairs)
     # temporary stays within _SCORE_BLOCK entries
     step = max(1, _SCORE_BLOCK // (2 * len(semigroup) * len(panel)))
     for first in range(0, len(m_set), step):
         c, r = score_elements(models, profiles[first:first + step],
                               factors[first:first + step])
+        # each shift's best and runner-up, on (corrected, raw, rank); the
+        # dtype is explicit, as numpy reads ints in [2**63, 2**64) as floats
+        fits = max(map(max, c + r)) < 1 << 63
+        keys = np.array((c, r), dtype=np.int64 if fits else object)
+        order = np.lexsort((np.broadcast_to(rank, keys[0].shape), keys[1], keys[0]))
+        ranked += order[:, :2].tolist()
         cors += c
         raws += r
+    # with tol = tn/td and the window W, an entry's tolerance is
+    # tol + 3 * min(|m|, W)/W = (tn * W + 3 * td * min(|m|, W)) / (td * W)
+    W = occ.window
+    tn, td = tol_exact.numerator, tol_exact.denominator
     entries = []
-    for m, counts, dec, factor, cor, raw in zip(m_set, profiles, decs, factors, cors, raws):
+    for m, counts, dec, factor, cor, raw, (best, *runner) in zip(
+            m_set, profiles, decs, factors, cors, raws, ranked):
         DN = D * factor.numerator  # the corrected scores' denominator
-        # ties break toward smaller words, then toward earlier elements
-        ranked = sorted(zip(cor, raw, words, range(len(words))))
-        best = ranked[0][3]
-        runner = ranked[1][3] if len(ranked) > 1 else None
+        runner = runner[0] if runner else None
 
         predicted = None
         predicted_delta = None
@@ -599,13 +622,13 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
             predicted_delta = raw[hits[0]] / D if hits else None
             predicted_is_best = semigroup[best] == predicted
 
-        bloss = boundary_loss(m, occ.window)
-        tol_eff = tol_exact + 3 * bloss
+        edge = min(abs(int(m)), W)
+        tol_num = tn * W + 3 * td * edge
         entries.append(ScanEntry(
             m=int(m), best_word=words[best], best_delta=raw[best] / D,
-            best_delta_corrected=cor[best] / DN, tol_effective=float(tol_eff),
-            passed=Fraction(raw[best], D) < tol_eff, boundary_loss=float(bloss),
-            correction=float(factor), decomposition=dec,
+            best_delta_corrected=cor[best] / DN, tol_effective=tol_num / (td * W),
+            passed=raw[best] * td * W < D * tol_num, boundary_loss=edge / W,
+            correction=factor.numerator / factor.denominator, decomposition=dec,
             predicted_word=None if predicted is None else predicted.word,
             predicted_delta=predicted_delta,
             predicted_is_best=predicted_is_best,
@@ -613,7 +636,7 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
             margin=None if runner is None else (cor[runner] - cor[best]) / DN,
             names=panel.names, counts=tuple(counts), weights=models.weights,
             model=tuple(values[best]), denominator=D))
-    return ScanReport(occ.base_stage, occ.top_stage, float(tol), tuple(entries))
+    return ScanReport(occ.base_stage, occ.top_stage, tn / td, tuple(entries))
 
 
 def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
@@ -642,17 +665,20 @@ def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
         raise ValueError(f"empty sampling range [{lo}, {hi}]")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
     out: list[int] = []
-    attempts = 0
+    drawn = 0
     span = hi - lo + 1
     while len(out) < n:
-        attempts += 1
-        if attempts > 1000 * n:
+        if drawn == 1000 * n:
             raise ValueError(f"no {n} gap shifts found in [{lo}, {hi}]: "
                              f"rejection sampling is not converging")
-        # one 32-bit word scaled by the span: a seed gives the same shifts anywhere
-        m = lo + (int(rng.integers(0, 1 << 32)) * span >> 32)
-        if hadic_decompose(m, lattice, _GAP_A_BOUND, _GAP_Z_BOUND) is None:
-            out.append(m)
+        # a batch of k words is the words of k single draws, so batching
+        # leaves the shifts as they are: a seed gives the same shifts anywhere
+        batch = min(n - len(out), 1000 * n - drawn)
+        drawn += batch
+        for w in rng.integers(0, 1 << 32, size=batch).tolist():
+            m = lo + (w * span >> 32)
+            if hadic_decompose(m, lattice, _GAP_A_BOUND, _GAP_Z_BOUND) is None:
+                out.append(m)
     return out
 
 

@@ -267,7 +267,7 @@ def test_wrapped_keys_keep_each_difference_in_its_own_cluster():
     assert starts == [0, 1, x, x + 1]
     diffs = Counter(b - a for a in starts for b in starts)
     los = [-8, x - 8]
-    got = occ.pair_shift_windows(los, 17)
+    got = occ.pair_shift_windows(los, 17).tolist()
     assert got == [[diffs.get(lo + t, 0) for t in range(17)] for lo in los]
     assert got[0][7:10] == [2, 4, 2] and got[1][7:10] == [1, 2, 1]
 
@@ -310,7 +310,7 @@ def test_narrow_levels_of_an_object_occupancy_are_filtered():
     assert [bands is not None for bands in occ._lag_bands] == [True] * 4 + [False]
     diffs = _all_pairs(occ)
     ks = sorted({k + t for k in diffs for t in (-1, 0, 1)})
-    assert occ.pair_shift_windows([k - 2 for k in ks], 5) == [
+    assert occ.pair_shift_windows([k - 2 for k in ks], 5).tolist() == [
         [diffs.get(k + t, 0) for t in range(-2, 3)] for k in ks]
 
 
@@ -338,7 +338,7 @@ def test_gap_shifts_skip_most_base_level_searches(monkeypatch):
         return cluster, lag
 
     monkeypatch.setattr(construction, "_lag_pieces", spy_pieces)
-    rows = occ.pair_shift_windows([m - 6 for m in gaps], 13)
+    rows = occ.pair_shift_windows([m - 6 for m in gaps], 13).tolist()
     # the base level is searched once, in one recursion
     assert len(formed) == 1 and formed[0] > 20
     assert 0 < searched[0] < formed[0] / 2

@@ -158,7 +158,7 @@ def test_batched_windows_match_single_windows_and_starts(occ, data):
     with mock.patch.object(construction, "_WINDOW_BLOCK", block), \
             mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
                               side_effect=LevelOccupancy._window_hits) as spy:
-        assert occ.pair_shift_windows(los, width) == want, (los, width, block)
+        assert occ.pair_shift_windows(los, width).tolist() == want, (los, width, block)
     top = len(occ.stage_offsets)
     top_calls = sum(c.args[1] == top for c in spy.call_args_list)
     assert top_calls == any(-reach - width < lo <= reach for lo in los)
@@ -185,7 +185,7 @@ def test_sparse_hits_past_int64(occ, data):
     los = [data.draw(st.sampled_from(anchors)) - data.draw(st.integers(0, width + 2))
            for _ in range(data.draw(st.integers(1, 12)))]
     want = [[diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
-    got = occ.pair_shift_windows(los, width)
+    got = occ.pair_shift_windows(los, width).tolist()
     assert got == want and all(type(c) is int for row in got for c in row)
 
     # a row starting right after an occurring difference, up to the next one
@@ -195,14 +195,14 @@ def test_sparse_hits_past_int64(occ, data):
         gap_los = data.draw(st.lists(st.sampled_from(gaps), min_size=1, max_size=6))
         with mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
                                side_effect=LevelOccupancy._window_hits) as spy:
-            assert occ.pair_shift_windows(gap_los, width) == [[0] * width] * len(gap_los)
+            assert occ.pair_shift_windows(gap_los, width).tolist() == [[0] * width] * len(gap_los)
         assert all(c.args[1] > 0 for c in spy.call_args_list)
 
     # with _WINDOW_BLOCK = 1 the query is still one top-level recursion
     with mock.patch.object(construction, "_WINDOW_BLOCK", 1), \
             mock.patch.object(LevelOccupancy, "_window_hits", autospec=True,
                               side_effect=LevelOccupancy._window_hits) as spy:
-        assert occ.pair_shift_windows(los, width) == want
+        assert occ.pair_shift_windows(los, width).tolist() == want
     top = len(occ.stage_offsets)
     top_calls = sum(c.args[1] == top for c in spy.call_args_list)
     assert top_calls == (0 if all(lo + width <= -reach or lo > reach for lo in los) else 1)
@@ -233,7 +233,7 @@ def test_levels_below_the_top_pass_each_cell_up_once(occ, data):
         return hits
 
     with mock.patch.object(LevelOccupancy, "_window_hits", recording):
-        assert occ.pair_shift_windows(los, width) == [
+        assert occ.pair_shift_windows(los, width).tolist() == [
             [diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
     top = len(occ.stage_offsets)
     for level, (row, col, count) in seen:
@@ -258,7 +258,7 @@ def test_wrapped_keys_match_materialized_starts(occ, data):
     anchors = sorted(set(diffs) | {-reach, reach})
     los = [data.draw(st.sampled_from(anchors)) - data.draw(st.integers(0, width + 2))
            for _ in range(data.draw(st.integers(1, 12)))]
-    assert occ.pair_shift_windows(los, width) == [
+    assert occ.pair_shift_windows(los, width).tolist() == [
         [diffs.get(k, 0) for k in range(lo, lo + width)] for lo in los]
 
 
@@ -295,7 +295,7 @@ def test_windows_at_the_dtype_edges(params, base, top):
     los = (los + los)[::-1]
     with mock.patch.object(construction, "_WINDOW_BLOCK", 1), \
             mock.patch.object(construction, "_LAG_BLOCK", 1):
-        assert occ.pair_shift_windows(los, 20) == [
+        assert occ.pair_shift_windows(los, 20).tolist() == [
             [diffs.get(k, 0) for k in range(lo, lo + 20)] for lo in los]
 
 

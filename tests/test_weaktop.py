@@ -18,6 +18,7 @@ from rankone.construction import (
 )
 from rankone.series import (
     FormalElement,
+    _to_fraction,
     enumerate_semigroup,
     make_admissible,
     power,
@@ -241,6 +242,73 @@ def test_sample_gap_shifts_avoids_lattice():
         assert hs[-2] <= m < hs[-1] // 4
 
 
+def _gap_shifts_one_word_at_a_time(heights, n, rng_seed, lo, hi, extra_lattice=()):
+    """The sampler's draw, one 32-bit word per call: (shifts, words drawn),
+    or (None, words drawn) when 1000 * n words yield fewer than n shifts."""
+    lattice = sorted(set(heights) | set(extra_lattice))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
+    out, span = [], hi - lo + 1
+    for drawn in range(1000 * n):
+        if len(out) == n:
+            return out, drawn
+        m = lo + (int(rng.integers(0, 1 << 32)) * span >> 32)
+        if hadic_decompose(m, lattice, 3, 128) is None:
+            out.append(m)
+    return (out if len(out) == n else None), 1000 * n
+
+
+def _count_decompositions(monkeypatch):
+    """Record the shift of every hadic_decompose call from here on."""
+    calls = []
+    decompose = weaktop.hadic_decompose
+
+    def counting(m, heights, a_bound, z_bound):
+        calls.append(m)
+        return decompose(m, heights, a_bound, z_bound)
+
+    monkeypatch.setattr(weaktop, "hadic_decompose", counting)
+    return calls
+
+
+def test_sample_gap_shifts_matches_single_word_draws(monkeypatch):
+    """Words drawn in batches are the words of one draw per candidate, so
+    the shifts equal those of the one-word oracle, and the sampler
+    decomposes exactly the candidates the oracle draws: on spans below
+    2**32 over several seeds, on check 5's stage-5 span above 2**32, and
+    on a range around h4 where most candidates decompose."""
+    from rankone.acceptance import capped_build
+
+    calls = _count_decompositions(monkeypatch)
+    hs = [4, 64, 1024, 16384, 262144]
+    _, caps, _ = capped_build()
+    assert caps[5] // 2 - caps[4] > 2 ** 32
+    cases = [(hs, n, seed, hs[-2], hs[-1] // 4, ()) for n, seed in
+             ((16, 2), (5, 0), (40, [7, 4]), (1, 2 ** 40))]
+    cases += [(caps, 32, [seed, 5], caps[4], caps[5] // 2, (65537,)) for seed in (1, 1003)]
+    cases.append((hs, 12, 3, hs[3] - 3000, hs[3] + 3000, ()))
+    rejected = 0
+    for heights, n, seed, lo, hi, extra in cases:
+        want, drawn = _gap_shifts_one_word_at_a_time(heights, n, seed, lo, hi, extra)
+        calls.clear()
+        got = sample_gap_shifts(heights, n, rng_seed=seed, lo=lo, hi=hi,
+                                extra_lattice=extra)
+        assert got == want and len(calls) == drawn, (n, seed, lo, hi)
+        rejected += drawn - n
+    assert rejected > 24
+
+
+def test_sample_gap_shifts_gives_up_after_1000_draws_per_shift(monkeypatch):
+    """Every shift in [1, 100] is its own remainder (|z| <= 128), so no
+    candidate is a gap shift: the sampler raises once it has drawn and
+    decomposed 1000 * n of them."""
+    calls = _count_decompositions(monkeypatch)
+    for n in (1, 3):
+        calls.clear()
+        with pytest.raises(ValueError, match="not converging"):
+            sample_gap_shifts([4, 64, 1024], n, rng_seed=0, lo=1, hi=100)
+        assert len(calls) == 1000 * n
+
+
 def test_sample_gap_shifts_rejects_a_negative_count():
     hs = [4, 64, 1024, 16384, 262144]
     assert sample_gap_shifts(hs, 0, rng_seed=2) == []
@@ -361,6 +429,25 @@ def test_pair_counts_match_corr(small_build):
     assert pair_counts(occ, [], pairs) == []
 
 
+def test_pair_counts_sum_past_int64():
+    """2**62 copies: pair ((0, 1), (0, 1)) at m = 0 reads 2**62 pairs at each
+    of its two diagonal terms, so its sum 2**63 is taken in Python ints,
+    where int64 would wrap it to -2**63."""
+    occ = LevelOccupancy(1, 63, 2, 2 ** 63, tuple([0, 2 ** (j + 1)] for j in range(62)))
+    assert occ.n_copies == 2 ** 62
+    assert pair_counts(occ, [0], [((0, 1), (0, 1))]) == [[2 ** 63]]
+    [[small, big]] = pair_counts(occ, [0], [((0,), (0,)), ((0, 1), (0, 1))])
+    assert (small, big) == (2 ** 62, 2 ** 63) and type(small) is int
+    # a repeated label counts twice: |A||B| * n_copies is exactly 2**63 here
+    assert pair_counts(occ, [0], [((0, 0), (0,))]) == [[2 ** 63]]
+
+
+def test_pair_counts_reject_an_empty_label_set(small_build):
+    _, _, occ = small_build
+    with pytest.raises(ValueError, match="empty label set"):
+        pair_counts(occ, [0], [((0,), (1,)), ((), (1,))])
+
+
 def test_every_reader_rejects_out_of_range_labels(small_build):
     """A label outside [0, base_height) is a ValueError in every reader, not a
     count of positions that belong to no level."""
@@ -401,6 +488,110 @@ def test_scan_rejects_a_tolerance_of_zero_or_less(small_build, tol):
     params, hs, occ = small_build
     with pytest.raises(ValueError, match="tolerance must be positive"):
         scan_limits(occ, hs, [FormalElement.identity()], [0], tol=tol, params=params)
+
+
+def test_scan_tolerance_forms_give_equal_reports(small_build):
+    """A tolerance given as the string "1/3", Fraction(1, 3) or the float
+    1/3 is the same exact 1/3, and "0.1" and 0.1 the same 1/10: the
+    reports are equal, their float tol included."""
+    params, hs, occ = small_build
+    sg = enumerate_semigroup(generator_series(params), 2, 1)
+    ms = [0, 3, hs[-2], -hs[-2] + 1, 2 * hs[-2]]
+    for forms in (("1/3", F(1, 3), 1 / 3), ("0.1", 0.1)):
+        reps = [scan_limits(occ, hs, sg, ms, tol=tol, params=params) for tol in forms]
+        assert all(rep == reps[0] for rep in reps[1:]), forms
+        assert type(reps[0].tol) is float and reps[0].tol == float(F(forms[0]))
+
+
+def _ranking_oracle(occ, hs, elems, panel, params, m):
+    """(cor, raw, denominator, factor) of shift m as scan_limits scores it,
+    and its elements sorted by (corrected, raw, word, index)."""
+    factor = F(1)
+    dec = hadic_decompose(m, hs, 3, 4)
+    if dec is not None and dec.terms and min(dec.stages) >= occ.base_stage:
+        factor = excision_factor(params, dec.terms) or F(1)
+    models, [counts] = weaktop._panel_models(occ, elems, panel, [m])
+    [cor], [raw] = weaktop.score_elements(models, [counts], [factor])
+    ranked = sorted(zip(cor, raw, [el.word for el in elems], range(len(elems))))
+    return cor, raw, models, factor, [e for *_, e in ranked]
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_scan_ranking_matches_a_sorted_oracle(small_build, big):
+    """Each entry's best and runner-up are the first two of
+    sorted(zip(cor, raw, words, range(E))).  The elements tie on
+    (cor, raw) under different words (I and its copy "A"), repeat a word
+    ("0" on the zero element and on T^2) and repeat an element exactly (a
+    second I).  With an element of denominator 2**61 - 1 the scores are
+    Python ints (object arrays)."""
+    params, hs, occ = small_build
+    panel = default_panel(occ)
+    ident = FormalElement.identity()
+    elems = [FormalElement.zero(), ident, FormalElement.t_power(1),
+             FormalElement.from_coeffs({0: 1}, word="A"), ident,
+             FormalElement.from_coeffs({2: 1}, word="0"),
+             FormalElement.from_coeffs({0: F(1, 2), 1: F(1, 2)}, word="P")]
+    if big:
+        elems.append(FormalElement.from_coeffs({0: F(1, 2 ** 61 - 1), 1: F(1, 3)},
+                                               word="big"))
+    ms = [0, 1, -1, 2, 3, hs[-2], -hs[-2] + 1, 2 * hs[-2], -hs[-3] - 2, 3000]
+    rep = scan_limits(occ, hs, elems, ms, tol=F(1, 3), panel=panel, params=params)
+    assert rep.entry(0).best_word == "A" and rep.entry(0).runner_up_word == "I"
+    assert rep.entry(2).best_word == "0" and rep.entry(2).model != rep.entry(3).model
+    for m, e in zip(ms, rep.entries):
+        cor, raw, models, factor, order = _ranking_oracle(occ, hs, elems, panel, params, m)
+        best, runner = order[:2]
+        D = models.denominator
+        assert (e.best_word, e.runner_up_word) == (elems[best].word, elems[runner].word), m
+        assert e.model == tuple(models.values[best].tolist()), m
+        assert e.best_delta == raw[best] / D and e.correction == float(factor)
+        assert e.best_delta_corrected == cor[best] / (D * factor.numerator)
+        assert e.margin == (cor[runner] - cor[best]) / (D * factor.numerator)
+        assert all(type(v) is int for v in (*e.counts, *e.model, e.denominator))
+        assert all(type(v) is float for v in (e.best_delta, e.tol_effective,
+                                              e.boundary_loss, e.correction, e.margin))
+    # the big element's scores pass int64, so the block is ranked as objects
+    assert (max(max(cor), max(raw)) >= 2 ** 63) is big
+
+
+def test_scan_verdicts_are_decided_exactly_at_the_edge(small_build):
+    """passed is raw/D < tol + 3 * bloss, decided in integers: a tolerance
+    that puts the edge exactly on raw/D fails, and one that puts it one unit
+    1/D above passes.  tol_effective, boundary_loss and correction equal the
+    floats of their Fractions, and |m| >= window saturates the loss at 1."""
+    params, hs, occ = small_build
+    sg = enumerate_semigroup(generator_series(params), 2, 1)
+    W = occ.window
+    for m in (3, -hs[-2] + 1, hs[-2], 2 * hs[-2]):
+        [e] = scan_limits(occ, hs, sg, [m], tol=1, params=params).entries
+        D = e.denominator
+        raw = max(abs(c * w - v) for c, w, v in zip(e.counts, e.weights, e.model))
+        assert raw / D == e.best_delta
+        bloss = boundary_loss(m, W)
+        edge = F(raw, D) - 3 * bloss
+        assert edge > 0, m
+        for tol, passed in ((edge, False), (edge + F(1, D), True)):
+            [e] = scan_limits(occ, hs, sg, [m], tol=tol, params=params).entries
+            assert e.passed is passed, (m, tol)
+            assert e.tol_effective == float(tol + 3 * bloss)
+            assert e.boundary_loss == float(bloss)
+    for m in (W + 50, -W - 50, 3 * W + 77, -2 * W - 60):
+        for tol in (F(1, 3), 0.1, F(1, 10 ** 30)):
+            [e] = scan_limits(occ, hs, sg, [m], tol=tol, params=params).entries
+            assert e.boundary_loss == 1.0 and e.passed
+            assert e.tol_effective == float(_to_fraction(tol) + 3)
+    ms = [0, 1, 7, hs[-2], -hs[-2], 2 * hs[-2] + 1, W // 3, -W // 2]
+    for tol in (F(1, 3), 0.1, F(2, 7), F(1, 10 ** 30)):
+        rep = scan_limits(occ, hs, sg, ms, tol=tol, params=params)
+        for m, e in zip(ms, rep.entries):
+            bloss = boundary_loss(m, W)
+            assert e.tol_effective == float(_to_fraction(tol) + 3 * bloss)
+            assert e.boundary_loss == float(bloss)
+            factor = F(1)
+            if e.decomposition is not None and e.decomposition.terms and \
+                    min(e.decomposition.stages) >= occ.base_stage:
+                factor = excision_factor(params, e.decomposition.terms) or F(1)
+            assert e.correction == float(factor)
 
 
 def test_row_counts_match_corr_and_materialized_starts(small_build):

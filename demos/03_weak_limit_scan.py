@@ -41,10 +41,10 @@ print(f"build: heights={hs}, expanded 3->5 with {occ.n_copies} copies/label")
 gen = FormalElement.from_series(generator_series(params)[0])
 for m_abs, Q in ((1, gen), (2, power(gen, 2))):
     rep = weak_discrepancy(occ, -m_abs * hs[-2], Q, panel)
-    print(f"delta(T^-{m_abs}*h4, {Q.word}) = {rep.delta:.4f} "
+    print(f"delta(T^-{m_abs}*h4, {Q.word}) = {float(rep.delta):.4f} "
           f"(boundary loss {float(rep.boundary_loss):.2e})")
 rep = weak_discrepancy(occ, hs[-2], adjoint(gen), panel)
-print(f"delta(T^+h4, {adjoint(gen).word}) = {rep.delta:.4f}")
+print(f"delta(T^+h4, {adjoint(gen).word}) = {float(rep.delta):.4f}")
 
 # --- ranked scan over a whole semigroup -----------------------------------------
 
@@ -55,7 +55,7 @@ report = scan_limits(occ, hs, sg, shifts, tol=Fraction(1, 3),
                      panel=panel, params=params)
 print(f"\nscan of {len(report.entries)} shifts vs {len(sg)} candidates:")
 for e in report.entries:
-    print(f"  m={e.m:>12}  best={e.best_word:<6} raw delta={e.best_delta:.4f} "
+    print(f"  m={e.m:>12}  best={e.best_word:<6} raw delta={float(e.delta):.4f} "
           f"within tol: {e.passed}")
 
 with open("scan_demo.csv", "w") as fh:

@@ -24,9 +24,10 @@ label), so a scan holds them as integer numerators over D and scores every
 element against a block of shifts with one integer (shifts x elements x
 pairs) broadcast, int64 where the products provably fit and Python ints
 beyond, exact by construction.  Each block of shifts is ranked with one
-``np.lexsort``, and a shift's verdict against its tolerance is one integer
-comparison.  A :class:`~fractions.Fraction` or float is built only where a
-report needs a value.
+``np.lexsort``.  Reports hold every value once, exactly: an ``int`` or a
+:class:`~fractions.Fraction` built from those numerators, so a shift's
+verdict against its tolerance is one exact comparison.  Floats are made
+only where text is printed.
 
 The scan machinery matches a lattice shift m = sum a_i * h_{j_i} + z against
 the element algebra: the h-adic decomposition of m predicts an element (one
@@ -217,9 +218,9 @@ class SupportTooWideError(ValueError):
 class PairRow:
     name: str
     count: int
-    normalized: float
-    model: float
-    delta: float
+    normalized: Fraction
+    model: Fraction
+    delta: Fraction
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,14 @@ class DiscrepancyReport:
 
     m: int
     element_word: str
-    delta: float
-    delta_exact: Fraction
-    boundary_loss: float
+    delta: Fraction
+    boundary_loss: Fraction
     rows: tuple[PairRow, ...]
+
+    @property
+    def delta_exact(self) -> Fraction:
+        # perfbench reads this; goes with ROADMAP item 1
+        return self.delta
 
 
 def _integer_coeffs(elements: Sequence[FormalElement]):
@@ -285,19 +290,21 @@ def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
 
 
 def score_elements(models: PanelModels, counts: Sequence[Sequence[int]],
-                   factors: Sequence[Fraction]) -> tuple[list[list[int]], list[list[int]]]:
+                   factors: Sequence[Fraction]) -> tuple[np.ndarray, np.ndarray]:
     """Corrected and raw scores of every element against a block of shifts.
 
     ``counts[s]`` is shift s's panel counts and ``factors[s]`` its excision
     factor.  With p_i = counts[s][i]/mu(A_i), v the element's model and
-    f = N/Dn, corrected[s][e]/(D*N) is max_i |p_i/f - v_i| and
-    raw[s][e]/D is max_i |p_i - v_i|, D being ``models.denominator``.  Both
+    f = N/Dn, corrected[s, e]/(D*N) is max_i |p_i/f - v_i| and
+    raw[s, e]/D is max_i |p_i - v_i|, D being ``models.denominator``.  Both
     share their denominator across elements, so ranking on the integer pair
     (corrected, raw) is ranking on the exact discrepancies.  Every score is
     one max over pairs of |a * v - b * p|, with (a, b) = (1, 1) for the raw
     rows and (N, Dn) for the corrected rows of shifts whose factor is not 1,
-    all taken in one broadcast: int64 while every |a * v| and |b * p| stays
-    below 2**62, Python ints beyond.
+    all taken in one broadcast.  The two (shifts x elements) arrays are
+    int64 while every |a * v| and |b * p| stays below 2**62, and Python ints
+    (object dtype) beyond; pass an entry through ``int()`` before building a
+    Fraction from it, as an np.int64 numerator overflows.
     """
     profile = [[c * w for c, w in zip(row, models.weights)] for row in counts]
     fixed = [s for s, f in enumerate(factors) if f != 1]
@@ -311,11 +318,10 @@ def score_elements(models: PanelModels, counts: Sequence[Sequence[int]],
     p = np.array(profile, dtype=dtype)[rows]
     score = np.abs(np.array(a, dtype=dtype)[:, None, None] * values[None]
                    - (np.array(b, dtype=dtype)[:, None] * p)[:, None, :])
-    score = score.max(axis=2).tolist()
+    score = score.max(axis=2)
     raw = score[:len(profile)]
-    corrected = list(raw)
-    for s, row in zip(fixed, score[len(profile):]):
-        corrected[s] = row
+    corrected = raw.copy()
+    corrected[fixed] = score[len(profile):]
     return corrected, raw
 
 
@@ -324,7 +330,8 @@ def _pair_rows(names: Sequence[str], counts: Sequence[int], weights: Sequence[in
     """The report rows of one shift's counts against one element's model:
     pair i's profile entry is counts[i] * weights[i] / D and its model entry
     model[i] / D."""
-    return tuple(PairRow(name, c, c * w / D, v / D, abs(c * w - v) / D)
+    return tuple(PairRow(name, c, Fraction(c * w, D), Fraction(v, D),
+                         Fraction(abs(c * w - v), D))
                  for name, c, w, v in zip(names, counts, weights, model))
 
 
@@ -341,9 +348,8 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
     _check_support(occ, Q)
     models, [counts] = _panel_models(occ, [Q], panel, [m])
     _, [[raw]] = score_elements(models, [counts], [Fraction(1)])
-    delta = Fraction(raw, models.denominator)
-    return DiscrepancyReport(int(m), Q.word, float(delta), delta,
-                             float(boundary_loss(m, occ.window)),
+    return DiscrepancyReport(int(m), Q.word, Fraction(int(raw), models.denominator),
+                             boundary_loss(m, occ.window),
                              _pair_rows(panel.names, counts, models.weights,
                                         models.values[0].tolist(), models.denominator))
 
@@ -498,20 +504,28 @@ def excision_factor(params: ConstructionParams,
 
 @dataclass(frozen=True)
 class ScanEntry:
+    """One shift's best match, verdict and evidence, each value held exactly.
+
+    ``delta`` is the best match's raw panel deviation and ``delta_corrected``
+    the excision-corrected one that ranked it first; ``tol`` is the scan's
+    tolerance plus 3 * ``boundary_loss``; ``correction`` is the excision
+    factor (1 when no override metadata applies) and ``margin`` the
+    runner-up's corrected deviation minus the best's.
+    """
+
     m: int
     best_word: str
-    best_delta: float            # uncorrected delta of the best match
-    best_delta_corrected: float  # corrected delta that ranked it first
-    tol_effective: float
-    passed: bool
-    boundary_loss: float
-    correction: float            # 1.0 when no override metadata applies
+    delta: Fraction
+    delta_corrected: Fraction
+    tol: Fraction
+    boundary_loss: Fraction
+    correction: Fraction
     decomposition: HadicDecomposition | None
     predicted_word: str | None
-    predicted_delta: float | None
+    predicted_delta: Fraction | None
     predicted_is_best: bool | None
     runner_up_word: str | None
-    margin: float | None
+    margin: Fraction | None
     # the best match's panel evidence, in integers over ``denominator``: pair
     # names[i] holds counts[i] copy-start pairs, read as weights[i] each,
     # against the model's model[i]
@@ -520,6 +534,20 @@ class ScanEntry:
     weights: tuple[int, ...]
     model: tuple[int, ...]
     denominator: int
+
+    @property
+    def passed(self) -> bool:
+        return self.delta < self.tol
+
+    @property
+    def best_delta(self) -> float:
+        # perfbench reads this; goes with ROADMAP item 1
+        return float(self.delta)
+
+    @property
+    def tol_effective(self) -> float:
+        # perfbench reads this; goes with ROADMAP item 1
+        return float(self.tol)
 
     @property
     def rows(self) -> tuple[PairRow, ...]:
@@ -532,7 +560,7 @@ class ScanEntry:
 class ScanReport:
     base_stage: int
     top_stage: int
-    tol: float
+    tol: Fraction
     entries: tuple[ScanEntry, ...]
 
     @property
@@ -558,7 +586,10 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     the shift decomposes over stages >= base_stage and the factor is not
     zero), then the raw one; ties break toward smaller words.  ``tol`` is
     checked against the best match's uncorrected delta, loosened by 3x the
-    boundary loss of the shift.
+    boundary loss of the shift.  Shifts decompose over the heights below
+    the window only: the window's own height h_top has no stage the
+    occupancy composes, so a shift through it gets no prediction and a
+    correction of 1.
     """
     if not semigroup:
         raise ValueError("semigroup must be nonempty")
@@ -574,14 +605,16 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     D = models.denominator
     values = models.values.tolist()
     words = [el.word for el in semigroup]
+    lattice = [h for h in heights if h < occ.window]
+    one = Fraction(1)
     decs, factors = [], []
     for m in m_set:
-        dec = hadic_decompose(m, heights, a_bound, z_bound)
-        factor = Fraction(1)
+        dec = hadic_decompose(m, lattice, a_bound, z_bound)
+        factor = one
         if dec is not None and params is not None and dec.terms and \
                 min(dec.stages) >= occ.base_stage:
             # a zero factor (no copy pair clear of overrides) corrects nothing
-            factor = excision_factor(params, dec.terms) or Fraction(1)
+            factor = excision_factor(params, dec.terms) or one
         decs.append(dec)
         factors.append(factor)
     # rank[e] is the place of (word, e) in sorted order: ties on the scores
@@ -595,14 +628,11 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     for first in range(0, len(m_set), step):
         c, r = score_elements(models, profiles[first:first + step],
                               factors[first:first + step])
-        # each shift's best and runner-up, on (corrected, raw, rank); the
-        # dtype is explicit, as numpy reads ints in [2**63, 2**64) as floats
-        fits = max(map(max, c + r)) < 1 << 63
-        keys = np.array((c, r), dtype=np.int64 if fits else object)
-        order = np.lexsort((np.broadcast_to(rank, keys[0].shape), keys[1], keys[0]))
+        # each shift's best and runner-up, on (corrected, raw, rank)
+        order = np.lexsort((np.broadcast_to(rank, c.shape), r, c))
         ranked += order[:, :2].tolist()
-        cors += c
-        raws += r
+        cors.extend(c)
+        raws.extend(r)
     # with tol = tn/td and the window W, an entry's tolerance is
     # tol + 3 * min(|m|, W)/W = (tn * W + 3 * td * min(|m|, W)) / (td * W)
     W = occ.window
@@ -619,24 +649,27 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
         if dec is not None and params is not None and params.meta.get("series"):
             predicted = predicted_element(dec, params)
             hits = [e for e, el in enumerate(semigroup) if el == predicted]
-            predicted_delta = raw[hits[0]] / D if hits else None
+            if hits:
+                predicted_delta = Fraction(int(raw[hits[0]]), D)
             predicted_is_best = semigroup[best] == predicted
 
         edge = min(abs(int(m)), W)
-        tol_num = tn * W + 3 * td * edge
+        delta = Fraction(int(raw[best]), D)
         entries.append(ScanEntry(
-            m=int(m), best_word=words[best], best_delta=raw[best] / D,
-            best_delta_corrected=cor[best] / DN, tol_effective=tol_num / (td * W),
-            passed=raw[best] * td * W < D * tol_num, boundary_loss=edge / W,
-            correction=factor.numerator / factor.denominator, decomposition=dec,
+            m=int(m), best_word=words[best], delta=delta,
+            # a factor of 1 leaves the corrected scores the raw ones
+            delta_corrected=delta if factor == 1 else Fraction(int(cor[best]), DN),
+            tol=Fraction(tn * W + 3 * td * edge, td * W),
+            boundary_loss=Fraction(edge, W), correction=factor, decomposition=dec,
             predicted_word=None if predicted is None else predicted.word,
             predicted_delta=predicted_delta,
             predicted_is_best=predicted_is_best,
             runner_up_word=None if runner is None else words[runner],
-            margin=None if runner is None else (cor[runner] - cor[best]) / DN,
+            margin=None if runner is None else
+            Fraction(int(cor[runner]) - int(cor[best]), DN),
             names=panel.names, counts=tuple(counts), weights=models.weights,
             model=tuple(values[best]), denominator=D))
-    return ScanReport(occ.base_stage, occ.top_stage, tn / td, tuple(entries))
+    return ScanReport(occ.base_stage, occ.top_stage, tol_exact, tuple(entries))
 
 
 def sample_gap_shifts(heights: Sequence[int], n: int, rng_seed, *,
@@ -699,12 +732,12 @@ def write_scan_csv(report: ScanReport, include_timestamp: bool = True) -> str:
     buf = io.StringIO()
     buf.write(timestamp_header(include_timestamp))
     buf.write(f"# base_stage={report.base_stage} top_stage={report.top_stage} "
-              f"tol={report.tol:.6g}\n")
+              f"tol={float(report.tol):.6g}\n")
     buf.write("m,id,count,normalized,delta,boundary_loss,best_match_word\n")
     for e in report.entries:
+        bloss = f"{float(e.boundary_loss):.6g}"
         for row in e.rows:
-            buf.write(f"{e.m},{row.name},{row.count},{row.normalized:.6g},"
-                      f"{row.delta:.6g},{e.boundary_loss:.6g},{e.best_word}\n")
-        buf.write(f"{e.m},OVERALL,,,{e.best_delta:.6g},{e.boundary_loss:.6g},"
-                  f"{e.best_word}\n")
+            buf.write(f"{e.m},{row.name},{row.count},{float(row.normalized):.6g},"
+                      f"{float(row.delta):.6g},{bloss},{e.best_word}\n")
+        buf.write(f"{e.m},OVERALL,,,{float(e.delta):.6g},{bloss},{e.best_word}\n")
     return buf.getvalue()

@@ -149,7 +149,7 @@ def test_criterion_5_claim_fails_at_a_shift_its_sampler_accepts():
                       params=params, z_bound=4)
     (entry,) = rep.entries
     assert entry.best_word == "0"
-    assert entry.best_delta >= 0.1 and f"{entry.best_delta:.4f}" == "0.1245"
+    assert entry.delta >= F(1, 10) and f"{float(entry.delta):.4f}" == "0.1245"
 
 
 def test_criterion_6_strong_decay():
@@ -256,7 +256,7 @@ def test_mixed_sign_compound_shifts_miss_on_the_capped_build():
     assert (plus.best_word, plus.predicted_word) == ("P1*P1*^2", "P1*P2*")
     for e in (minus, plus):
         assert e.predicted_is_best is False
-        assert e.correction == float(F(4914, 8192))
+        assert e.correction == F(4914, 8192)
         assert e.rows[0].name == "d=+0" and e.rows[0].count == 2_066_359
     s4, s5 = (Counter(st.spacers[:-1]) for st in params.stages[3:5])
     assert sum(n * s5[v] for v, n in s4.items()) == occ.pair_shift_count(h5 - h4) == 2_066_359
@@ -337,7 +337,7 @@ def _literal_deltas(literal_build, m_abs):
                      if rec["j"] == j))
         rep = weak_discrepancy(occ, m_abs * hs[j - 1],
                                power(adjoint(gen), m_abs), panel)
-        out.append((rep.delta, float(eps + 3 * rep.boundary_loss)))
+        out.append((rep.delta, eps + 3 * rep.boundary_loss))
     return out
 
 

@@ -163,6 +163,23 @@ def test_scan_default_gaps_lie_inside_a_lower_window(built):
     assert len(ms) == 2 and all(abs(m) < window for m in ms), (ms, window)
 
 
+def test_scan_through_the_top_height_exits_0(tmp_path):
+    """The README's 6-stage build scanned at h6 - h5, which lies inside the
+    window h6: the shift decomposes over the heights below the window only,
+    so it gets no prediction, and the scan writes its OVERALL row."""
+    res = run_cli("build", "--p", "1/2,1/2", "--stages", "6", "--seed", "0",
+                  "--cap", "65537", "--eps", "2/7", "--out", "p.json",
+                  "--no-timestamp", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    (tmp_path / "top.json").write_text(json.dumps({"params": "p.json", "m": ["h6-h5"]}))
+    res = run_cli("scan", "--config", "top.json", "--out", "top.csv",
+                  "--no-timestamp", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    hs = heights(params_from_json((tmp_path / "p.json").read_text()))
+    lines = (tmp_path / "top.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines if ",OVERALL," in ln] == [str(hs[5] - hs[4])]
+
+
 def test_scan_missing_params_config_error(built):
     cfg = scan_cfg(built, params="nope.json")
     res = run_cli("scan", "--config", str(cfg), cwd=built)

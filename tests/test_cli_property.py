@@ -59,7 +59,8 @@ anything = st.recursive(
     max_leaves=5)
 small = st.integers(-2, 6)
 shift = st.integers(-40, 40) | st.sampled_from(
-    ["0", "h3", "-h3", "2*h2+h1", "h9", "3*h4", "x", "", "+", "h0"])
+    ["0", "h3", "-h3", "2*h2+h1", "h9", "3*h4", "x", "", "+", "h0", "h4-h3",
+     "-h4+h3", "h3-h2"])
 word = st.sampled_from(["I", "P1", "P1*", "0", "T^1"])
 
 

@@ -70,7 +70,7 @@ def integer_scores(occ, m, elements, panel, factor):
     models, [counts] = weaktop._panel_models(occ, elements, panel, [m])
     [cor], [raw] = score_elements(models, [counts], [factor])
     D = models.denominator
-    return [(Fraction(c, D * factor.numerator), Fraction(r, D))
+    return [(Fraction(int(c), D * factor.numerator), Fraction(int(r), D))
             for c, r in zip(cor, raw)], models
 
 
@@ -91,15 +91,15 @@ def check_entry(e, elems, panel):
     dec = e.decomposition
     if dec is not None and dec.terms and min(dec.stages) >= OCC.base_stage:
         factor = weaktop.excision_factor(PARAMS, dec.terms) or Fraction(1)
-    assert e.correction == float(factor)
+    assert e.correction == factor
     want = oracle_scores(OCC, e.m, elems, panel, factor)
     order = ranking(want, elems)
     best, runner = order[0], order[1]
     assert e.best_word == elems[best].word
-    assert e.best_delta == float(want[best][1])
-    assert e.best_delta_corrected == float(want[best][0])
+    assert e.delta == want[best][1] and type(e.delta) is Fraction
+    assert e.delta_corrected == want[best][0] and type(e.delta_corrected) is Fraction
     assert e.runner_up_word == elems[runner].word
-    assert e.margin == float(want[runner][0] - want[best][0])
+    assert e.margin == want[runner][0] - want[best][0] and type(e.margin) is Fraction
     return factor
 
 
@@ -178,7 +178,7 @@ def test_zero_excision_factor_ranks_on_raw_deltas():
     [e] = scan_limits(OCC, HS, sg, [m], tol=F(1, 3), panel=weaktop.default_panel(OCC),
                       params=PARAMS).entries
     assert e.decomposition.terms == ((2, 2),)
-    assert e.correction == 1.0 and e.best_delta_corrected == e.best_delta
+    assert e.correction == 1 and e.delta_corrected == e.delta
 
 
 # --- scores past int64 ------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_one_block_mixes_factors_and_python_int_scores():
     cor, raw = score_elements(models, counts, factors)
     D = models.denominator
     for m, factor, cor_m, raw_m in zip(ms, factors, cor, raw):
-        got = [(Fraction(c, D * factor.numerator), Fraction(r, D))
+        got = [(Fraction(int(c), D * factor.numerator), Fraction(int(r), D))
                for c, r in zip(cor_m, raw_m)]
         assert got == oracle_scores(OCC, m, elems, panel, factor)
     rep = scan_limits(OCC, HS, elems, ms, tol=F(1, 3), panel=panel, params=PARAMS)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from rankone.weaktop import (
     excision_factor,
     hadic_decompose,
     pair_counts,
+    predicted_element,
     sample_gap_shifts,
     scan_limits,
     strong_norm_sq,
@@ -120,14 +125,14 @@ def test_weak_discrepancy_self_match_is_zero(small_build):
     panel = default_panel(occ)
     for m in (0, 5, -1234, 58999):
         rep = weak_discrepancy(occ, m, FormalElement.t_power(m), panel)
-        assert rep.delta == 0.0
+        assert rep.delta == 0 and type(rep.delta) is F
 
 
 def test_weak_discrepancy_zero_element_reads_peak(small_build):
     _, _, occ = small_build
     panel = default_panel(occ)
     rep = weak_discrepancy(occ, 0, FormalElement.zero(), panel)
-    assert rep.delta == 1.0  # corr(0; A, A) = 1 on singletons
+    assert rep.delta == 1 and type(rep.delta) is F  # corr(0; A, A) = 1 on singletons
 
 
 def test_weak_discrepancy_tracks_generator(small_build):
@@ -137,7 +142,8 @@ def test_weak_discrepancy_tracks_generator(small_build):
     rec = params.meta["stages"][-1]
     eps = F(rec["eps"])
     rep = weak_discrepancy(occ, -hs[-2], gen, panel)
-    assert rep.delta < float(eps) + 3 * float(rep.boundary_loss)
+    assert rep.delta < eps + 3 * rep.boundary_loss
+    assert type(rep.boundary_loss) is F and rep.delta_exact is rep.delta
 
 
 def test_support_too_wide_raises():
@@ -355,8 +361,8 @@ def test_scan_identifies_trivial_shifts(small_build):
     sg = enumerate_semigroup(generator_series(params), 2, 1)
     rep = scan_limits(occ, hs, sg, [0, 1, -1], tol=F(1, 4),
                       panel=default_panel(occ), params=params)
-    assert rep.entry(0).best_word == "I" and rep.entry(0).best_delta == 0
-    assert rep.entry(1).best_word == "T" and rep.entry(1).best_delta == 0
+    assert rep.entry(0).best_word == "I" and rep.entry(0).delta == 0
+    assert rep.entry(1).best_word == "T" and rep.entry(1).delta == 0
     assert rep.entry(-1).best_word == "T^-1"
     assert rep.passed
 
@@ -479,7 +485,7 @@ def test_exact_tolerance_is_not_rounded(small_build):
     sg = [FormalElement.zero(), FormalElement.identity()]
     for tol in (F(1, 10 ** 30), 1e-13):
         [e] = scan_limits(occ, hs, sg, [0], tol=tol, params=params).entries
-        assert e.best_word == "I" and e.best_delta == 0 and e.passed, tol
+        assert e.best_word == "I" and e.delta == 0 and e.passed, tol
 
 
 @pytest.mark.parametrize("tol", [0, -1, F(-1, 3), -0.25])
@@ -493,14 +499,14 @@ def test_scan_rejects_a_tolerance_of_zero_or_less(small_build, tol):
 def test_scan_tolerance_forms_give_equal_reports(small_build):
     """A tolerance given as the string "1/3", Fraction(1, 3) or the float
     1/3 is the same exact 1/3, and "0.1" and 0.1 the same 1/10: the
-    reports are equal, their float tol included."""
+    reports are equal, their exact tol included."""
     params, hs, occ = small_build
     sg = enumerate_semigroup(generator_series(params), 2, 1)
     ms = [0, 3, hs[-2], -hs[-2] + 1, 2 * hs[-2]]
     for forms in (("1/3", F(1, 3), 1 / 3), ("0.1", 0.1)):
         reps = [scan_limits(occ, hs, sg, ms, tol=tol, params=params) for tol in forms]
         assert all(rep == reps[0] for rep in reps[1:]), forms
-        assert type(reps[0].tol) is float and reps[0].tol == float(F(forms[0]))
+        assert type(reps[0].tol) is F and reps[0].tol == F(forms[0])
 
 
 def _ranking_oracle(occ, hs, elems, panel, params, m):
@@ -544,21 +550,21 @@ def test_scan_ranking_matches_a_sorted_oracle(small_build, big):
         D = models.denominator
         assert (e.best_word, e.runner_up_word) == (elems[best].word, elems[runner].word), m
         assert e.model == tuple(models.values[best].tolist()), m
-        assert e.best_delta == raw[best] / D and e.correction == float(factor)
-        assert e.best_delta_corrected == cor[best] / (D * factor.numerator)
-        assert e.margin == (cor[runner] - cor[best]) / (D * factor.numerator)
+        assert e.delta == F(int(raw[best]), D) and e.correction == factor
+        assert e.delta_corrected == F(int(cor[best]), D * factor.numerator)
+        assert e.margin == F(int(cor[runner]) - int(cor[best]), D * factor.numerator)
         assert all(type(v) is int for v in (*e.counts, *e.model, e.denominator))
-        assert all(type(v) is float for v in (e.best_delta, e.tol_effective,
-                                              e.boundary_loss, e.correction, e.margin))
+        assert all(type(v) is F for v in (e.delta, e.delta_corrected, e.tol,
+                                          e.boundary_loss, e.correction, e.margin))
     # the big element's scores pass int64, so the block is ranked as objects
-    assert (max(max(cor), max(raw)) >= 2 ** 63) is big
+    assert (max(int(cor.max()), int(raw.max())) >= 2 ** 63) is big
 
 
 def test_scan_verdicts_are_decided_exactly_at_the_edge(small_build):
     """passed is raw/D < tol + 3 * bloss, decided in integers: a tolerance
     that puts the edge exactly on raw/D fails, and one that puts it one unit
-    1/D above passes.  tol_effective, boundary_loss and correction equal the
-    floats of their Fractions, and |m| >= window saturates the loss at 1."""
+    1/D above passes.  tol, boundary_loss and correction are those exact
+    Fractions, and |m| >= window saturates the loss at 1."""
     params, hs, occ = small_build
     sg = enumerate_semigroup(generator_series(params), 2, 1)
     W = occ.window
@@ -566,32 +572,51 @@ def test_scan_verdicts_are_decided_exactly_at_the_edge(small_build):
         [e] = scan_limits(occ, hs, sg, [m], tol=1, params=params).entries
         D = e.denominator
         raw = max(abs(c * w - v) for c, w, v in zip(e.counts, e.weights, e.model))
-        assert raw / D == e.best_delta
+        assert F(raw, D) == e.delta
         bloss = boundary_loss(m, W)
         edge = F(raw, D) - 3 * bloss
         assert edge > 0, m
         for tol, passed in ((edge, False), (edge + F(1, D), True)):
             [e] = scan_limits(occ, hs, sg, [m], tol=tol, params=params).entries
             assert e.passed is passed, (m, tol)
-            assert e.tol_effective == float(tol + 3 * bloss)
-            assert e.boundary_loss == float(bloss)
+            assert e.tol == tol + 3 * bloss and type(e.tol) is F
+            assert e.boundary_loss == bloss and type(e.boundary_loss) is F
     for m in (W + 50, -W - 50, 3 * W + 77, -2 * W - 60):
         for tol in (F(1, 3), 0.1, F(1, 10 ** 30)):
             [e] = scan_limits(occ, hs, sg, [m], tol=tol, params=params).entries
-            assert e.boundary_loss == 1.0 and e.passed
-            assert e.tol_effective == float(_to_fraction(tol) + 3)
+            assert e.boundary_loss == 1 and e.passed
+            assert e.tol == _to_fraction(tol) + 3
     ms = [0, 1, 7, hs[-2], -hs[-2], 2 * hs[-2] + 1, W // 3, -W // 2]
     for tol in (F(1, 3), 0.1, F(2, 7), F(1, 10 ** 30)):
         rep = scan_limits(occ, hs, sg, ms, tol=tol, params=params)
         for m, e in zip(ms, rep.entries):
             bloss = boundary_loss(m, W)
-            assert e.tol_effective == float(_to_fraction(tol) + 3 * bloss)
-            assert e.boundary_loss == float(bloss)
+            assert e.tol == _to_fraction(tol) + 3 * bloss
+            assert e.boundary_loss == bloss
             factor = F(1)
             if e.decomposition is not None and e.decomposition.terms and \
                     min(e.decomposition.stages) >= occ.base_stage:
                 factor = excision_factor(params, e.decomposition.terms) or F(1)
-            assert e.correction == float(factor)
+            assert e.correction == factor and type(e.correction) is F
+
+
+def test_shifts_through_the_window_height_get_no_prediction(small_build):
+    """Shifts decompose over the heights below the window only, as the
+    window's own height h_top is no stage the occupancy composes.  h4, -h4,
+    2*h4 + 1 and +-(h4 - h3) then have no decomposition, no prediction and
+    a correction of 1.  On the occupancy expanded over stages 2..3, whose
+    window is h3, h3 - h2 gets none either, though it decomposes over the
+    whole tower as h3 - h2, through stage 3's overrides."""
+    params, hs, occ = small_build
+    sg = enumerate_semigroup(generator_series(params), 2, 1)
+    low = expand_occupancy(params, 2, 3)
+    assert hadic_decompose(hs[2] - hs[1], hs, 3, 4).terms == ((3, 1), (2, -1))
+    for o, ms in ((occ, [hs[3], -hs[3], 2 * hs[3] + 1, hs[3] - hs[2], hs[2] - hs[3]]),
+                  (low, [hs[2] - hs[1]])):
+        rep = scan_limits(o, hs, sg, ms, tol=F(1, 3), params=params)
+        for e in rep.entries:
+            assert e.decomposition is None and e.predicted_word is None, e.m
+            assert e.predicted_is_best is None and e.correction == 1, e.m
 
 
 def test_row_counts_match_corr_and_materialized_starts(small_build):
@@ -636,6 +661,24 @@ def test_scan_matches_late_stage_powers(small_build):
         assert e.predicted_is_best
 
 
+def test_predicted_delta_is_the_predicted_elements_discrepancy(small_build):
+    """An entry's predicted_delta is weak_discrepancy's exact delta of the
+    shift against the element its decomposition predicts."""
+    params, hs, occ = small_build
+    panel = default_panel(occ)
+    sg = enumerate_semigroup(generator_series(params), 2, 1)
+    ms = [0, 1, hs[-2], -hs[-2], 2 * hs[-2], -2 * hs[-2], hs[-2] + 1, hs[-3] - hs[-2]]
+    rep = scan_limits(occ, hs, sg, ms, tol=F(1, 3), panel=panel, params=params)
+    n_predicted = 0
+    for e in rep.entries:
+        if e.predicted_delta is not None:
+            want = weak_discrepancy(occ, e.m, predicted_element(e.decomposition, params),
+                                    panel).delta
+            assert e.predicted_delta == want and type(e.predicted_delta) is F, e.m
+            n_predicted += 1
+    assert n_predicted >= 6
+
+
 def test_scan_csv_shape(tmp_path, small_build):
     params, hs, occ = small_build
     sg = enumerate_semigroup(generator_series(params), 2, 1)
@@ -658,6 +701,19 @@ def test_scan_csv_shape(tmp_path, small_build):
     lines2 = out2.read_text().strip().split("\n")
     assert lines2[0].startswith("# generated ")
     assert lines2[1:] == lines
+
+
+def test_demo_scan_csv_is_byte_identical(tmp_path):
+    """Demo 03 writes the scan CSV checked in as tests/data/scan_demo.csv."""
+    src = Path(weaktop.__file__).resolve().parent.parent
+    demo = Path(__file__).resolve().parent.parent / "demos" / "03_weak_limit_scan.py"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    want = Path(__file__).resolve().parent / "data" / "scan_demo.csv"
+    assert (tmp_path / "scan_demo.csv").read_bytes() == want.read_bytes()
 
 
 def test_boundary_loss_saturates():

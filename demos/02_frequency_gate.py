@@ -35,8 +35,8 @@ for row in report.rows:
 
 # --- seeded sampling is reproducible -------------------------------------------
 
-print("\nsample_spacers(P, 8, seed=0):", sample_spacers(P, 8, 0))
-print("sample_spacers(P, 8, seed=0):", sample_spacers(P, 8, 0), "(same)")
+print("\nsample_spacers(P, 8, seed=0):", sample_spacers(P, 8, 0).tolist())
+print("sample_spacers(P, 8, seed=0):", sample_spacers(P, 8, 0).tolist(), "(same)")
 
 # --- the separated-override chain ----------------------------------------------
 

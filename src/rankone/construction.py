@@ -32,7 +32,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -86,13 +86,17 @@ _JSON_INT_LIMIT = 1 << 53
 
 @dataclass(frozen=True)
 class StageParams:
-    """One cutting stage: r columns, one spacer count per column."""
+    """One cutting stage: r columns, one spacer count per column.
+
+    The spacers are kept as Python ints; numpy integers convert, and a
+    float raises TypeError instead of being truncated.
+    """
 
     r: int
     spacers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "spacers", tuple(map(int, self.spacers)))
+        object.__setattr__(self, "spacers", tuple(map(operator.index, self.spacers)))
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,16 @@ class ConstructionParams:
     def n_stages(self) -> int:
         return len(self.stages)
 
+    @cached_property
+    def _heights(self) -> tuple[int, ...]:
+        violations = validate_params(self)
+        if violations:
+            raise ValueError("invalid parameters: " + "; ".join(violations))
+        hs = [self.h1]
+        for st in self.stages:
+            hs.append(hs[-1] * st.r + sum(st.spacers))
+        return tuple(hs)
+
 
 def validate_params(params: ConstructionParams) -> list[str]:
     """Every invariant violation, with stage index; empty list iff valid."""
@@ -133,14 +147,11 @@ def validate_params(params: ConstructionParams) -> list[str]:
 
 
 def heights(params: ConstructionParams) -> list[int]:
-    """[h_1, ..., h_J] by the exact recurrence h_{j+1} = h_j*r_j + sum(s_j)."""
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("invalid parameters: " + "; ".join(violations))
-    hs = [params.h1]
-    for st in params.stages:
-        hs.append(hs[-1] * st.r + sum(st.spacers))
-    return hs
+    """[h_1, ..., h_J] by the exact recurrence h_{j+1} = h_j*r_j + sum(s_j).
+
+    Parameters are immutable, so each instance validates and sums once.
+    """
+    return list(params._heights)
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +535,15 @@ def expand_occupancy(params: ConstructionParams, base_stage: int,
             f"<= top_stage ({top_stage}) <= {n + 1}")
     hs = heights(params)
     window = hs[top_stage - 1]
-    base_height = hs[base_stage - 1]
-
-    stage_offsets = tuple(
-        list(itertools.accumulate(
-            (hs[j - 1] + s for s in params.stages[j - 1].spacers[:-1]), initial=0))
-        for j in range(base_stage, top_stage))
-    return LevelOccupancy(base_stage, top_stage, base_height, window, stage_offsets)
+    # the occupancy's dtype: every offset is below the window
+    dtype = np.int64 if window < _INT64_SAFE_WINDOW else object
+    stage_offsets = []
+    for j in range(base_stage, top_stage):
+        steps = np.array((0, *params.stages[j - 1].spacers[:-1]), dtype=dtype)
+        steps[1:] += hs[j - 1]
+        stage_offsets.append(np.cumsum(steps))
+    return LevelOccupancy(base_stage, top_stage, hs[base_stage - 1], window,
+                          tuple(stage_offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +586,47 @@ def gen_example(kind: str, J: int, h1: int | None = None) -> ConstructionParams:
 # Randomized spacers and the frequency gate
 # ---------------------------------------------------------------------------
 
-def sample_spacers(P: AdmissibleSeries, r: int, rng_seed) -> list[int]:
+# rng.random() returns exact multiples of 2**-53: u = U / 2**53, U an integer
+_UNIFORM_BITS = 53
+
+
+@lru_cache(maxsize=64)
+def _inverse_cdf(P: AdmissibleSeries) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact inverse CDF of a mass-1 series, on integer uniforms U.
+
+    With A_k the cumulative mass c_0 + ... + c_k, the uniform U / 2**53
+    lies below A_k iff the integer U lies below t_k = ceil(A_k * 2**53), so
+    U draws the exponent at #{k : t_k <= U}.  The last threshold is 2**53,
+    which no U reaches.  Exponents are int64 while every one stays below
+    2**62 and Python ints (object dtype) beyond.  Cached by series value:
+    every gate attempt of a stage draws from the same series.
+    """
+    exponents = [k for k, _ in P.coeffs]
+    support = np.array(exponents, dtype=np.int64 if exponents[-1] < _INT64_SAFE_WINDOW
+                       else object)
+    thresholds = np.array([-(-(a.numerator << _UNIFORM_BITS) // a.denominator)
+                           for a in itertools.accumulate(v for _, v in P.coeffs)],
+                          dtype=np.int64)
+    return lambda uniforms: support[np.searchsorted(thresholds, uniforms, side="right")]
+
+
+def sample_spacers(P: AdmissibleSeries, r: int, rng_seed) -> np.ndarray:
     """r i.i.d. draws from the distribution (c_k); deterministic in the seed.
 
     ``P`` must have total mass exactly 1.  Sampling is inverse-CDF over the
-    exact cumulative distribution (uniforms from a counter-based Philox
-    generator), so the draw is reproducible across platforms.  ``rng_seed``
-    is an integer or a sequence of integers.
+    exact cumulative distribution: each uniform from a counter-based Philox
+    generator is a multiple of 2**-53 and is compared, as an integer, with
+    integer thresholds (:func:`_inverse_cdf`), so the draw is reproducible
+    across platforms and has no rounding edge.  ``rng_seed`` is an integer
+    or a sequence of integers.  Returns an int64 array, or an object array
+    of Python ints when an exponent reaches 2**62.
     """
     if P.declared_mass != 1:
         raise ValueError(f"sampling needs total mass 1, got {P.declared_mass}")
     if r < 1:
         raise ValueError("r >= 1 required")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    # object dtype keeps the exponents Python ints at any size
-    support = np.array([k for k, _ in P.coeffs], dtype=object)
-    cum = np.cumsum([float(v) for _, v in P.coeffs])
-    idx = np.searchsorted(cum, rng.random(r), side="right")
-    idx = np.minimum(idx, support.size - 1)  # guard the fp roundoff edge
-    return support[idx].tolist()
+    return _inverse_cdf(P)((rng.random(r) * float(1 << _UNIFORM_BITS)).astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -658,7 +693,8 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     while r * (K + 1) < 2**62 and Python ints beyond; each m's are sorted
     once and counted at each k by two binary searches.  The test is
     cross-multiplied in integers, so the verdict has no floating-point fuzz
-    at any spacer size.
+    at any spacer size.  An int64 array (as :func:`sample_spacers` returns)
+    is clamped in int64; any other sequence is read as Python ints first.
     """
     if P.declared_mass != 1:
         raise ValueError("frequency check is against a mass-1 distribution; "
@@ -671,7 +707,11 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
         raise ValueError(f"tolerance must be positive, got {eps}")
     top = max_m * P.max_exponent + 1
     dtype = np.int64 if r * top < _INT64_SAFE_WINDOW else object
-    values = np.minimum(np.array(spacers, dtype=object), top)
+    if isinstance(spacers, np.ndarray) and spacers.dtype == np.int64:
+        # no int64 spacer exceeds the int64 maximum, so clamping there is a no-op
+        values = np.minimum(spacers, min(top, np.iinfo(np.int64).max))
+    else:
+        values = np.minimum(np.array(spacers, dtype=object), top)
     if values.min() < 0:
         raise ValueError(f"spacers must be nonnegative, got {values.min()}")
     # window i of length m sums to prefix[i + m] - prefix[i]
@@ -731,7 +771,7 @@ def apply_sidon(spacers: Sequence[int], stage_j: int, h_j: int,
     if stage_j < 1:
         raise ValueError("stage_j >= 1 required")
     policy = policy or SidonPolicy()
-    out = [int(s) for s in spacers]
+    out = np.asarray(spacers).tolist()
     r = len(out)
     override = set(range(stage_j, r + 1, stage_j))
     tail_from = None
@@ -844,7 +884,7 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
         stage_meta.append({
             "j": j, "q": q, "r": r, "attempts": attempt + 1, "eps": str(eps),
             "max_m": max_m, "sidon_indices": list(over.indices),
-            "pre_sidon": [draws[i - 1] for i in over.indices],
+            "pre_sidon": draws[np.array(over.indices, dtype=np.intp) - 1].tolist(),
             "tail_from": over.tail_from, "conforming": over.conforming,
         })
         h = h * r + sum(over.spacers)

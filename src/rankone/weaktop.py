@@ -225,18 +225,33 @@ class PairRow:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Max panel deviation between a shift's counts and an element's model."""
+    """Max panel deviation between a shift's counts and an element's model.
+
+    The panel evidence is held in integers over ``denominator``, as in
+    :class:`ScanEntry`: pair names[i] holds counts[i] copy-start pairs,
+    read as weights[i] each, against the model's model[i].
+    """
 
     m: int
     element_word: str
     delta: Fraction
     boundary_loss: Fraction
-    rows: tuple[PairRow, ...]
+    names: tuple[str, ...]
+    counts: tuple[int, ...]
+    weights: tuple[int, ...]
+    model: tuple[int, ...]
+    denominator: int
 
     @property
     def delta_exact(self) -> Fraction:
         # perfbench reads this; goes with ROADMAP item 1
         return self.delta
+
+    @property
+    def rows(self) -> tuple[PairRow, ...]:
+        """The report rows of the shift's counts against the element's model."""
+        return _pair_rows(self.names, self.counts, self.weights, self.model,
+                          self.denominator)
 
 
 def _integer_coeffs(elements: Sequence[FormalElement]):
@@ -349,9 +364,9 @@ def weak_discrepancy(occ: LevelOccupancy, m: int, Q: FormalElement,
     models, [counts] = _panel_models(occ, [Q], panel, [m])
     _, [[raw]] = score_elements(models, [counts], [Fraction(1)])
     return DiscrepancyReport(int(m), Q.word, Fraction(int(raw), models.denominator),
-                             boundary_loss(m, occ.window),
-                             _pair_rows(panel.names, counts, models.weights,
-                                        models.values[0].tolist(), models.denominator))
+                             boundary_loss(m, occ.window), panel.names, tuple(counts),
+                             models.weights, tuple(models.values[0].tolist()),
+                             models.denominator)
 
 
 def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import rankone
+from rankone.acceptance import capped_build, twogen_build
 from rankone.cli import _tolerance, main
-from rankone.construction import heights, params_from_json
+from rankone.construction import gen_p_construction, heights, params_from_json, params_to_json
+from rankone.series import make_admissible
 
 # the directory holding the imported package, so a subprocess started in any
 # working directory imports the same code
@@ -49,6 +51,27 @@ def test_build_seeded_params_pinned_hash(tmp_path):
     params = params_from_json((tmp_path / "pin.json").read_text())
     assert params.meta["seed"] == 7
     assert params.meta["sidon_policy"]["cap"] is None
+
+
+def _half_mass_build():
+    """Mass 1/2: the trailing half of each stage's indices takes the uncapped
+    override chain, past 2**53, so the artifact holds decimal strings."""
+    half = make_admissible({0: Fraction(1, 4), 1: Fraction(1, 4)})
+    return gen_p_construction([half], J=5, seed=0)
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: capped_build()[0],
+     "6f3e59a8d453e91930605ec2b06fa2fae89e7c2f5bd33bf8706de5f2545dc1ba"),
+    (lambda: twogen_build()[0],
+     "5797d61662b8b236219f6bb137620cbcbdafb936552519f049f6987b615af614"),
+    (_half_mass_build,
+     "920180c1b507d583307e59ff1813c4ca5ef82ef23ed85bf145dde590dee747d2"),
+], ids=["capped", "twogen", "half-mass"])
+def test_pinned_builds_params_hash(build, digest):
+    """The builds checks 4 to 6 and 9 read, and a low-mass build with tail
+    overrides, serialize to the same bytes on every run."""
+    assert hashlib.sha256(params_to_json(build()).encode()).hexdigest() == digest
 
 
 def test_build_low_mass_series_marks_tail(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from collections import Counter
@@ -65,6 +66,28 @@ def test_validate_lists_each_negative_spacer():
 
 def test_heights_single_stage():
     assert heights(ConstructionParams(2, (StageParams(3, (2, 2, 2)),))) == [2, 12]
+
+
+def test_stage_params_keep_python_ints():
+    st = StageParams(3, np.array([2, 0, 7], dtype=np.int64))
+    assert st.spacers == (2, 0, 7) and all(type(v) is int for v in st.spacers)
+    with pytest.raises(TypeError):
+        StageParams(2, (1, 2.5))
+
+
+def test_heights_are_summed_once_and_returned_fresh(monkeypatch):
+    calls = []
+    validate = construction.validate_params
+    monkeypatch.setattr(construction, "validate_params",
+                        lambda params: calls.append(1) or validate(params))
+    params = gen_example("two-column", 4)
+    hs = heights(params)
+    hs.append(0)
+    assert heights(params) == [1, 3, 12, 60] and len(calls) == 1
+    bad = ConstructionParams(2, (StageParams(1, (0,)),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="r >= 2"):
+            heights(bad)
 
 
 def test_heights_two_column_family():
@@ -383,10 +406,29 @@ def test_uncapped_stage_seven_counts_without_materializing():
     assert "copy_starts" not in occ.__dict__
 
 
+@pytest.mark.parametrize("cap, dtype", [(65537, np.int64), (None, object)])
+def test_expand_offsets_match_accumulate(cap, dtype):
+    """Each stage's offsets, built by one cumsum in the occupancy's dtype,
+    equal O_1 = 0, O_{i+1} = O_i + h_j + s_j(i) accumulated in Python ints:
+    int64 on a capped build, Python ints on the uncapped one past 2**62."""
+    params = gen_p_construction([P()], 6, seed=0, eps_schedule=lambda j: F(2, j + 1),
+                                sidon_policy=SidonPolicy(cap=cap))
+    hs = heights(params)
+    occ = expand_occupancy(params, 1, len(hs))
+    assert occ._dtype is dtype and (cap is None) == (hs[-1] >= 2 ** 62)
+    for j, offs in enumerate(occ.stage_offsets, 1):
+        want = list(itertools.accumulate(
+            (hs[j - 1] + s for s in params.stages[j - 1].spacers[:-1]), initial=0))
+        assert offs.dtype == dtype and offs.tolist() == want
+        assert all(type(v) is int for v in offs.tolist())
+
+
 # --- spacer sampling and the frequency gate ----------------------------------
 
 def test_sample_spacers_regression_pin():
-    assert sample_spacers(P(), 8, 0) == [0, 0, 0, 0, 1, 0, 1, 0]
+    draws = sample_spacers(P(), 8, 0)
+    assert draws.dtype == np.int64
+    assert draws.tolist() == [0, 0, 0, 0, 1, 0, 1, 0]
 
 
 def test_sample_spacers_point_mass():
@@ -394,11 +436,11 @@ def test_sample_spacers_point_mass():
     # only needs a unit-mass distribution
     from rankone.construction import AdmissibleSeries
     point = AdmissibleSeries(((0, F(1)),), F(1))
-    assert sample_spacers(point, 5, 3) == [0, 0, 0, 0, 0]
+    assert sample_spacers(point, 5, 3).tolist() == [0, 0, 0, 0, 0]
 
 
 def test_sample_spacers_support():
-    vals = sample_spacers(P({0: F(1, 2), 2: F(1, 2)}), 6, 5)
+    vals = sample_spacers(P({0: F(1, 2), 2: F(1, 2)}), 6, 5).tolist()
     assert vals == [2, 2, 0, 0, 2, 2]
     assert set(vals) <= {0, 2}
 
@@ -406,6 +448,26 @@ def test_sample_spacers_support():
 def test_sample_spacers_requires_unit_mass():
     with pytest.raises(ValueError):
         sample_spacers(P({0: F(1, 4), 1: F(1, 4)}), 4, 0)
+
+
+def test_sample_spacers_past_int64_are_python_ints():
+    big = 2 ** 70
+    draws = sample_spacers(P({0: F(1, 2), big: F(1, 2)}), 8, 0)
+    assert draws.dtype == object
+    assert draws.tolist() == [big * s for s in sample_spacers(P(), 8, 0).tolist()]
+
+
+def test_inverse_cdf_is_exact_at_the_float_edge():
+    """float(1/3) + float(1/3) lies below 2/3, so a float cumulative sum
+    draws exponent 2 at the uniform 6004799503160661 / 2**53; the exact
+    cumulative distribution gives exponent 1."""
+    third = P({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})
+    U = 6004799503160661
+    assert F(U, 2 ** 53) < F(2, 3)
+    assert np.searchsorted(np.cumsum([1 / 3] * 3), U / 2 ** 53, side="right") == 2
+    # U + 1 = ceil(2**54 / 3) is the first uniform at or past 2/3
+    draw = construction._inverse_cdf(third)
+    assert draw(np.array([U, U + 1], dtype=np.int64)).tolist() == [1, 2]
 
 
 def test_verify_frequencies_worked_example():
@@ -459,6 +521,19 @@ def test_verify_frequencies_exponents_past_int64():
         [(row.m, row.k * big, row.expected, row.observed) for row in small.rows]
 
 
+def test_verify_frequencies_cells_equal_across_sequence_types():
+    """An int64 array is clamped in int64 and any other sequence as Python
+    ints; a spacer past 2**63 clamps like any spacer past the largest k."""
+    draws = sample_spacers(P(), 64, 3)
+    draws[[5, 40]] = 2 ** 62
+    huge = draws.tolist()
+    huge[5], huge[40] = 2 ** 64, 2 ** 63 + 1
+    reports = [verify_frequencies(s, P(), 3, F(1, 2))
+               for s in (draws, draws.tolist(), tuple(draws.tolist()), huge)]
+    assert all(rep.cells == reports[0].cells for rep in reports)
+    assert any(c for _, _, _, _, c, _ in reports[0].cells)
+
+
 def test_sampled_draws_pass_gate_statistically():
     # 20 seeds at r = 10^5: at least 18 must pass a 5% relative gate
     n_pass = 0
@@ -476,6 +551,13 @@ def test_apply_sidon_pinned_chain():
     assert out.spacers == (5, 5, 37, 5, 5, 112, 5, 5, 337)
     assert out.indices == (3, 6, 9)
     assert out.conforming
+
+
+def test_apply_sidon_reads_an_int64_array_as_python_ints():
+    draws = np.array([5] * 9, dtype=np.int64)
+    out = apply_sidon(draws, 3, 12, SidonPolicy())
+    assert out == apply_sidon([5] * 9, 3, 12, SidonPolicy())
+    assert all(type(v) is int for v in out.spacers)
 
 
 def test_apply_sidon_growth_inequalities():

@@ -13,15 +13,17 @@ Kept in its own module so that an environment without hypothesis still
 collects the other tests.
 """
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rankone.construction import FrequencyRow, verify_frequencies  # noqa: E402
+from rankone.construction import FrequencyRow, _inverse_cdf, verify_frequencies  # noqa: E402
 from rankone.series import (  # noqa: E402
     FormalElement,
     _merge_factorizations,
@@ -236,3 +238,30 @@ def test_verify_frequencies_exact_on_spacers_past_int64():
     want = oracle_frequencies(spacers, P, 3, Fraction(1, 2))
     assert (report.passed, report.max_m, report.eps, report.rows) == want
     assert any(row.observed for row in report.rows)
+
+
+@SETTINGS
+@given(P=generators)
+def test_inverse_cdf_matches_fraction_cdf_at_each_edge(P):
+    """The uniform U / 2**53 draws the first exponent whose cumulative mass
+    A_k exceeds it.  On each side of every edge t_k = ceil(A_k * 2**53),
+    at U = t_k - 1 and U = t_k, the integer search picks the exponent that
+    comparing Fraction(U, 2**53) with the cumulative masses picks."""
+    P = P.renormalized()
+    cdf = list(itertools.accumulate(v for _, v in P.coeffs))
+    edges = [math.ceil(a * 2 ** 53) for a in cdf]
+    uniforms = sorted({U for t in edges for U in (t - 1, t) if 0 <= U < 2 ** 53})
+    want = [P.coeffs[sum(1 for a in cdf if a <= Fraction(U, 2 ** 53))][0] for U in uniforms]
+    assert _inverse_cdf(P)(np.array(uniforms, dtype=np.int64)).tolist() == want
+
+
+@SETTINGS
+@given(args=gate_inputs())
+def test_verify_frequencies_int64_array_matches_list(args):
+    """An int64 array is clamped in int64; its cells equal the list's."""
+    spacers, P, max_m, eps = args
+    if max(spacers) >= 2 ** 63:
+        spacers = [min(s, 2 ** 63 - 1) for s in spacers]
+    want = verify_frequencies(spacers, P, max_m, eps)
+    got = verify_frequencies(np.array(spacers, dtype=np.int64), P, max_m, eps)
+    assert (got.passed, got.cells) == (want.passed, want.cells)

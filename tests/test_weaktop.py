@@ -146,6 +146,22 @@ def test_weak_discrepancy_tracks_generator(small_build):
     assert type(rep.boundary_loss) is F and rep.delta_exact is rep.delta
 
 
+def test_weak_discrepancy_rows_match_corr(small_build):
+    """Each row read from a report is count / mu(A) against
+    sum_z Q(z) corr(z; A, B) / mu(A), and the largest row deviation is the
+    report's delta."""
+    params, hs, occ = small_build
+    panel = default_panel(occ)
+    gen = FormalElement.from_series(generator_series(params)[0])
+    rep = weak_discrepancy(occ, -hs[-2], gen, panel)
+    for row, (A, B) in zip(rep.rows, panel.pairs):
+        mu = len(A) * occ.n_copies
+        model = sum(q * F(corr(occ, z, A, B).count, mu) for z, q in gen.coeffs)
+        assert (row.normalized, row.model) == (F(row.count, mu), model), row.name
+        assert row.delta == abs(row.normalized - row.model)
+    assert max(row.delta for row in rep.rows) == rep.delta
+
+
 def test_support_too_wide_raises():
     occ = expand_occupancy(gen_example("two-column", 4), 2, 4)  # window 60
     panel = default_panel(occ, span=2, controls=())

@@ -8,8 +8,9 @@ like "1/3" or a number (a tolerance, eps or tol, must be above 0):
 
 build      generate a construction (example family or sampled from series),
            write the parameter artifact plus a heights CSV.  stages int,
-           example str, p [str], seed int (0), cap int|null, eps fraction,
-           starts {stage: int}.
+           example str, p [str], seed int (0, >= 0), cap int|null (>= 0),
+           eps fraction, starts {stage in 1..stages-1: int above
+           min(stage, 4)}.
 scan       run the weak-limit scanner over a shift list, write the report
            CSV, check optional expectations.  params str, base_stage int,
            top_stage int, panel {span int (6), controls [int] ([97]),
@@ -43,6 +44,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .construction import (
+    _MAX_M,
     ColumnGrowthPolicy,
     ConstructionParams,
     GenerationError,
@@ -292,12 +294,20 @@ def cmd_build(args) -> int:
         series = [_parse_series_text(t) for t in p_texts]
         eps = _tolerance(cfg, "eps", flag=args.eps)
         starts = {int(j): r for j, r in _option(cfg, "starts", {int: int}, {}).items()}
+        for j, r in starts.items():  # stage j's gate reads windows of min(j, _MAX_M)
+            if not 1 <= j < stages or r <= min(j, _MAX_M):
+                raise CliError("config", f"starts {j} = {r}: need a stage in 1..{stages - 1}"
+                               f" and a start above min(stage, {_MAX_M})")
         growth = ColumnGrowthPolicy(
             start=(lambda j: starts.get(j, max(2 * j, 16))) if starts else None)
         cap = _option(cfg, "cap", (int, type(None)), flag=args.cap)
+        seed = _option(cfg, "seed", int, 0, flag=args.seed)
+        for key, value in (("cap", cap), ("seed", seed)):
+            if value is not None and value < 0:
+                raise CliError("config", f"{key} must be >= 0, got {value}")
         with _rejected_as("usage"):
             params = gen_p_construction(
-                series, stages, _option(cfg, "seed", int, 0, flag=args.seed),
+                series, stages, seed,
                 eps_schedule=None if eps is None else (lambda j: eps),
                 r_policy=growth, sidon_policy=SidonPolicy(cap=cap))
     else:

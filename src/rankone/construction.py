@@ -41,7 +41,6 @@ from .series import (
     AdmissibleSeries,
     _dec,
     _dec_int,
-    _numerators,
     _product,
     _to_fraction,
     make_admissible,
@@ -594,18 +593,18 @@ _UNIFORM_BITS = 53
 def _inverse_cdf(P: AdmissibleSeries) -> Callable[[np.ndarray], np.ndarray]:
     """The exact inverse CDF of a mass-1 series, on integer uniforms U.
 
-    With A_k the cumulative mass c_0 + ... + c_k, the uniform U / 2**53
-    lies below A_k iff the integer U lies below t_k = ceil(A_k * 2**53), so
+    With A_k / den the cumulative mass c_0 + ... + c_k, U / 2**53 lies below
+    it iff the integer U lies below t_k = ceil(A_k * 2**53 / den), so
     U draws the exponent at #{k : t_k <= U}.  The last threshold is 2**53,
     which no U reaches.  Exponents are int64 while every one stays below
     2**62 and Python ints (object dtype) beyond.  Cached by series value:
     every gate attempt of a stage draws from the same series.
     """
-    exponents = [k for k, _ in P.coeffs]
+    exponents = [k for k, _ in P.nums]
     support = np.array(exponents, dtype=np.int64 if exponents[-1] < _INT64_SAFE_WINDOW
                        else object)
-    thresholds = np.array([-(-(a.numerator << _UNIFORM_BITS) // a.denominator)
-                           for a in itertools.accumulate(v for _, v in P.coeffs)],
+    thresholds = np.array([-(-(a << _UNIFORM_BITS) // P.den)
+                           for a in itertools.accumulate(n for _, n in P.nums)],
                           dtype=np.int64)
     return lambda uniforms: support[np.searchsorted(thresholds, uniforms, side="right")]
 
@@ -621,7 +620,7 @@ def sample_spacers(P: AdmissibleSeries, r: int, rng_seed) -> np.ndarray:
     or a sequence of integers.  Returns an int64 array, or an object array
     of Python ints when an exponent reaches 2**62.
     """
-    if P.declared_mass != 1:
+    if sum(n for _, n in P.nums) != P.den:
         raise ValueError(f"sampling needs total mass 1, got {P.declared_mass}")
     if r < 1:
         raise ValueError("r >= 1 required")
@@ -686,7 +685,7 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     ``spacers`` are tallied, and for every k in the support of P^m the
     empirical frequency (denominator r-m+1, windows i = 1..r-m+1 inclusive)
     must satisfy |c_k - freq_k| < eps * c_k, with eps > 0.  P^m's
-    coefficients are integer numerators over d**m.  Each spacer is first
+    coefficients are integer numerators over P.den**m.  Each spacer is first
     clamped to K + 1, K = max_m * P.max_exponent: spacers are nonnegative,
     so a window holding a clamped spacer sums past every k read, before and
     after the clamp.  The window sums are differences of prefix sums, int64
@@ -696,7 +695,7 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     at any spacer size.  An int64 array (as :func:`sample_spacers` returns)
     is clamped in int64; any other sequence is read as Python ints first.
     """
-    if P.declared_mass != 1:
+    if sum(n for _, n in P.nums) != P.den:
         raise ValueError("frequency check is against a mass-1 distribution; "
                          "renormalize first")
     r = len(spacers)
@@ -716,15 +715,14 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
         raise ValueError(f"spacers must be nonnegative, got {values.min()}")
     # window i of length m sums to prefix[i + m] - prefix[i]
     prefix = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(values.astype(dtype))))
-    nums, d = _numerators(P.coeffs)
     power, cells = [(0, 1)], []
     for m in range(1, max_m + 1):
-        power = sorted(_product(power, nums).items())  # every numerator > 0
+        power = sorted(_product(power, P.nums).items())  # every numerator > 0
         sums = np.sort(prefix[m:] - prefix[:-m])
         ks = np.array([k for k, _ in power], dtype=dtype)
         counts = (np.searchsorted(sums, ks, side="right")
                   - np.searchsorted(sums, ks, side="left")).tolist()
-        cells += [(m, k, n, d ** m, c, r - m + 1) for (k, n), c in zip(power, counts)]
+        cells += [(m, k, n, P.den ** m, c, r - m + 1) for (k, n), c in zip(power, counts)]
     passed = not any(_cell_fails(cell, eps) for cell in cells)
     return FrequencyReport(passed, max_m, eps, tuple(cells))
 

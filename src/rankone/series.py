@@ -9,13 +9,15 @@ their adjoints.
 
 Because T is invertible and everything here commutes, every semigroup
 element is fully described by a finitely supported map z -> q_z over the
-integers (negative z encoding adjoint powers).  :class:`FormalElement`
-holds that map together with a symbolic word; products are coefficient
-convolutions.  A product multiplies integer numerators over one common
-denominator per operand (the lcm of its coefficient denominators) and
-builds one :class:`fractions.Fraction` per output coefficient, at the edge
-where ``coeffs`` is stored.  All arithmetic is exact, so element equality
--- and hence deduplication during enumeration -- is decidable.
+integers (negative z encoding adjoint powers).  A series and an element
+hold that map once, in integers: a positive denominator ``den`` and a
+tuple ``nums`` of (exponent, numerator) pairs, in lowest terms, with
+increasing exponents and positive numerators, so that q_z = n / den.
+Equal maps have equal forms, so equality and hashing compare the two
+fields, and deduplication during enumeration is exact.  A product
+multiplies numerators and denominators.  ``coeffs`` and the masses are
+:class:`fractions.Fraction` views, built only when read, for printing.
+:class:`FormalElement` carries a symbolic word beside its map.
 """
 
 from __future__ import annotations
@@ -67,16 +69,11 @@ class SeriesValidationError(ValueError):
 
 def validate_coeffs(coeffs: Mapping[int, object]) -> list[str]:
     """Return every admissibility violation of ``coeffs`` (empty list = ok)."""
-    violations = []
-    frac = {}
-    for k, v in coeffs.items():
-        if not isinstance(k, int) or k < 0:
-            violations.append(f"exponent {k!r} is not a nonnegative integer")
-            continue
-        frac[k] = _to_fraction(v)
-    for k, v in sorted(frac.items()):
-        if v < 0:
-            violations.append(f"coefficient c_{k} = {v} is negative")
+    violations = [f"exponent {k!r} is not a nonnegative integer"
+                  for k in coeffs if type(k) is not int or k < 0]  # True is not 1
+    frac = {k: _to_fraction(v) for k, v in coeffs.items() if type(k) is int and k >= 0}
+    violations += [f"coefficient c_{k} = {v} is negative"
+                   for k, v in sorted(frac.items()) if v < 0]
     mass = sum(frac.values(), Fraction(0))
     if mass > 1:
         violations.append(f"total mass {mass} exceeds 1")
@@ -88,26 +85,53 @@ def validate_coeffs(coeffs: Mapping[int, object]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class AdmissibleSeries:
-    """Finitely supported admissible coefficient series.
+class _IntegerForm:
+    """A map z -> n / den held once: ``den`` and (z, n) pairs ``nums``.
 
-    ``coeffs`` is stored as a sorted tuple of (exponent, Fraction) pairs with
-    zero entries dropped; ``declared_mass`` is the exact total mass (<= 1).
+    Every constructor ends here.  ``nums`` may come in any order and hold
+    zeros; it is stored in lowest terms, with increasing exponents and
+    positive numerators.  A bad denominator or numerator raises ValueError.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    declared_mass: Fraction
+    den: int
+    nums: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        nums = sorted(p for p in self.nums if p[1])
+        ns = [n for _, n in nums]
+        if self.den < 1 or min(ns, default=0) < 0 or len({z for z, _ in nums}) < len(nums):
+            raise ValueError("need a positive denominator, nonnegative numerators "
+                             "and distinct exponents")
+        g = math.gcd(self.den, *ns)
+        if g > 1:
+            nums = [(z, n // g) for z, n in nums]
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", tuple(nums))
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (exponent, coefficient) pairs as Fractions, built on each read."""
+        return tuple((z, Fraction(n, self.den)) for z, n in self.nums)
+
+
+@dataclass(frozen=True)
+class AdmissibleSeries(_IntegerForm):
+    """Finitely supported admissible coefficient series: c_k = n / den for
+    each (k, n) in ``nums``, zero coefficients absent.  ``declared_mass``
+    is the exact total mass (<= 1)."""
+
+    @property
+    def declared_mass(self) -> Fraction:
+        return Fraction(sum(n for _, n in self.nums), self.den)
 
     @property
     def max_exponent(self) -> int:
-        return self.coeffs[-1][0]
+        return self.nums[-1][0]
 
     def renormalized(self) -> "AdmissibleSeries":
         """The conditional distribution: coefficients divided by total mass."""
-        if self.declared_mass == 1:
-            return self
-        scaled = tuple((k, v / self.declared_mass) for k, v in self.coeffs)
-        return AdmissibleSeries(scaled, Fraction(1))
+        total = sum(n for _, n in self.nums)
+        return self if total == self.den else AdmissibleSeries(total, self.nums)
 
     def __str__(self) -> str:
         return " + ".join(f"{v}*T^{k}" for k, v in self.coeffs)
@@ -121,9 +145,7 @@ def make_admissible(coeffs: Mapping[int, object]) -> AdmissibleSeries:
     violations = validate_coeffs(coeffs)
     if violations:
         raise SeriesValidationError(violations)
-    frac = sorted((k, _to_fraction(v)) for k, v in coeffs.items() if _to_fraction(v) != 0)
-    mass = sum((v for _, v in frac), Fraction(0))
-    return AdmissibleSeries(tuple(frac), mass)
+    return AdmissibleSeries(*_integer_form(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -152,69 +174,49 @@ def _render_word(fact: Factorization | None, fallback: str) -> str:
 
 
 @dataclass(frozen=True)
-class FormalElement:
-    """A semigroup element as a finitely supported map z -> coefficient.
+class FormalElement(_IntegerForm):
+    """A semigroup element: the map z -> n / den for each (z, n) in ``nums``;
+    the zero element has no pairs.  ``word`` is a symbolic factorization
+    kept for reports; equality and hashing see only the map (the weak
+    topology only sees coefficients)."""
 
-    ``coeffs`` is a sorted tuple of (z, Fraction) with strictly positive
-    entries; the empty tuple is the zero element.  ``word`` is a symbolic
-    factorization kept for reports; two elements are equal iff their
-    coefficient maps are equal (the weak topology only sees coefficients).
-    """
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-    word: str = "?"
+    word: str = field(default="?", compare=False)
     factorization: Factorization | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(sorted(self.coeffs)))
-
-    # equality / hashing on coefficients only
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[int, object], word: str = "?",
                     factorization: Factorization | None = None) -> "FormalElement":
-        items = tuple(sorted((int(z), _to_fraction(v)) for z, v in coeffs.items()
-                             if _to_fraction(v) != 0))
-        if any(v < 0 for _, v in items):
-            raise ValueError("formal elements have nonnegative coefficients")
-        return cls(items, word, factorization)
+        return cls(*_integer_form(coeffs), word, factorization)
 
     @classmethod
     def zero(cls) -> "FormalElement":
-        return cls((), "0", None)
+        return cls(1, (), "0", None)
 
     @classmethod
     def identity(cls) -> "FormalElement":
-        return cls(((0, Fraction(1)),), "I", (0, ()))
+        return cls(1, ((0, 1),), "I", (0, ()))
 
     @classmethod
     def t_power(cls, z: int) -> "FormalElement":
         fact = (z, ())
-        return cls(((z, Fraction(1)),), _render_word(fact, ""), fact)
+        return cls(1, ((z, 1),), _render_word(fact, ""), fact)
 
     @classmethod
     def from_series(cls, series: AdmissibleSeries, gen_index: int = 0) -> "FormalElement":
         fact = (0, ((gen_index, 1, 0),))
-        return cls(tuple(series.coeffs), _render_word(fact, ""), fact)
+        return cls(series.den, series.nums, _render_word(fact, ""), fact)
 
     @property
     def mass(self) -> Fraction:
-        return sum((v for _, v in self.coeffs), Fraction(0))
+        return Fraction(sum(n for _, n in self.nums), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def max_abs_exponent(self) -> int:
-        return max((abs(z) for z, _ in self.coeffs), default=0)
+        return max((abs(z) for z, _ in self.nums), default=0)
 
     def __str__(self) -> str:
         return self.word
@@ -234,10 +236,12 @@ def _merge_factorizations(a: Factorization | None, b: Factorization | None) -> F
     return (ta + tb, merged)
 
 
-def _numerators(coeffs) -> tuple[list[tuple[int, int]], int]:
-    """``coeffs`` as (z, numerator) pairs over d = lcm of the denominators, and d."""
-    d = math.lcm(*(v.denominator for _, v in coeffs))
-    return [(z, v.numerator * (d // v.denominator)) for z, v in coeffs], d
+def _integer_form(coeffs: Mapping[int, object]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """d, the lcm of the denominators of ``coeffs`` (each value read by
+    :func:`_to_fraction`), and ``coeffs`` as (z, numerator) pairs over d."""
+    fracs = [(int(z), _to_fraction(v)) for z, v in coeffs.items()]
+    d = math.lcm(*(v.denominator for _, v in fracs))
+    return d, tuple((z, v.numerator * (d // v.denominator)) for z, v in fracs)
 
 
 def _product(a: Iterable[tuple[int, int]], b: Sequence[tuple[int, int]]) -> dict[int, int]:
@@ -253,11 +257,9 @@ def convolve(a: FormalElement, b: FormalElement) -> FormalElement:
     """Semigroup product: coefficient convolution, words concatenated."""
     if a.is_zero or b.is_zero:
         return FormalElement.zero()
-    (na, da), (nb, db) = _numerators(a.coeffs), _numerators(b.coeffs)
-    d = da * db
-    coeffs = tuple((z, Fraction(n, d)) for z, n in _product(na, nb).items())
     fact = _merge_factorizations(a.factorization, b.factorization)
-    return FormalElement(coeffs, _render_word(fact, f"({a.word})*({b.word})"), fact)
+    return FormalElement(a.den * b.den, tuple(_product(a.nums, b.nums).items()),
+                         _render_word(fact, f"({a.word})*({b.word})"), fact)
 
 
 def adjoint(a: FormalElement) -> FormalElement:
@@ -269,7 +271,7 @@ def adjoint(a: FormalElement) -> FormalElement:
         t_exp, powers = a.factorization
         fact = (-t_exp, tuple((g, s, d) for g, d, s in powers))
     word = _render_word(fact, f"({a.word})*adj")
-    return FormalElement(tuple((-z, v) for z, v in a.coeffs), word, fact)
+    return FormalElement(a.den, tuple((-z, n) for z, n in a.nums), word, fact)
 
 
 def power(a: FormalElement, n: int) -> FormalElement:
@@ -298,7 +300,7 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
     if max_total_degree < 0 or z_range < 0:
         raise ValueError("bounds must be nonnegative")
     k = len(generators)
-    factors = [_numerators(g.coeffs) for g in generators]
+    factors = [(g.nums, g.den) for g in generators]
     factors += [([(-z, n) for z, n in nums], d) for nums, d in factors]
 
     # A product is kept as its lowest exponent lo and a form (d, offsets,
@@ -337,9 +339,8 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
                     best[key] = (cx, (z, powers))
         parents = products
 
-    return [FormalElement.zero() if fact is None else
-            FormalElement(tuple((lo + u, Fraction(n, d)) for u, n in zip(offsets, nums)),
-                          _render_word(fact, ""), fact)
+    return [FormalElement(d, tuple((lo + u, n) for u, n in zip(offsets, nums)),
+                          _render_word(fact, "0"), fact)
             for (lo, (d, offsets, nums)), (_, fact) in best.items()]
 
 

@@ -254,19 +254,11 @@ class DiscrepancyReport:
                           self.denominator)
 
 
-def _integer_coeffs(elements: Sequence[FormalElement]):
-    """L, the lcm of the elements' coefficient denominators, and each
-    element's coefficients times L as (z, integer) pairs."""
-    L = math.lcm(*(q.denominator for Q in elements for _, q in Q.coeffs))
-    return L, [[(z, q.numerator * (L // q.denominator)) for z, q in Q.coeffs]
-               for Q in elements]
-
-
 @dataclass(frozen=True)
 class PanelModels:
     """The panel models of a list of elements, as integers over one denominator.
 
-    With L the lcm of the elements' coefficient denominators, LA the lcm of
+    With L the lcm of the elements' denominators, LA the lcm of
     the panel's |A| and n the copies per label, ``values[e, i]`` is
     sum_z Q_e(z) corr(z; A_i, B_i)/mu(A_i) times ``denominator`` D = L*LA*n,
     and a shift's profile entry corr(m; A_i, B_i)/mu(A_i) is its count times
@@ -285,17 +277,17 @@ def _panel_models(occ: LevelOccupancy, elements: Sequence[FormalElement],
     """Every element's model on every panel pair, and corr(m; A, B) for every
     shift m in ``ms`` and pair: one query for the elements' exponents and
     the shifts."""
-    L, scaled = _integer_coeffs(elements)
+    L = math.lcm(*(Q.den for Q in elements))
     LA = math.lcm(*(len(A) for A, _ in panel.pairs))
     weights = tuple(L * (LA // len(A)) for A, _ in panel.pairs)
-    zs = sorted({z for Q in elements for z, _ in Q.coeffs})
+    zs = sorted({z for Q in elements for z, _ in Q.nums})
     counts = pair_counts(occ, zs + list(ms), panel.pairs)
     # (elements x zs) coefficients times L, and (zs x pairs) counts times LA/|A|
     col = {z: k for k, z in enumerate(zs)}
     coeffs = [[0] * len(zs) for _ in elements]
-    for row, qs in zip(coeffs, scaled):
-        for z, q in qs:
-            row[col[z]] = q
+    for row, Q in zip(coeffs, elements):
+        for z, q in Q.nums:
+            row[col[z]] = q * (L // Q.den)
     at_z = [[c * (LA // len(A)) for c, (A, _) in zip(row, panel.pairs)]
             for row in counts[:len(zs)]]
     values = np.array(coeffs, dtype=object) @ np.array(
@@ -377,12 +369,11 @@ def strong_norm_sq(occ: LevelOccupancy, Q: FormalElement, A) -> Fraction:
     """
     _check_support(occ, Q)
     A = _label_set(A)
-    L, [qs] = _integer_coeffs([Q])
     # corr(-d; A, A) = corr(d; A, A), so only the distinct |z - w| are counted
-    ds = sorted({abs(z - w) for z, _ in qs for w, _ in qs})
+    ds = sorted({abs(z - w) for z, _ in Q.nums for w, _ in Q.nums})
     count = {d: c for d, [c] in zip(ds, pair_counts(occ, ds, [(A, A)]))}
-    total = sum(qz * qw * count[abs(z - w)] for z, qz in qs for w, qw in qs)
-    return Fraction(total, L * L * len(A) * occ.n_copies)
+    total = sum(qz * qw * count[abs(z - w)] for z, qz in Q.nums for w, qw in Q.nums)
+    return Fraction(total, Q.den * Q.den * len(A) * occ.n_copies)
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,17 @@ DROP = object()  # a meta field a verify case removes
      {"p": ["1/2,1/2"], "stages": 3, "starts": {"a": 1}},
      "starts must be an object, each key a decimal integer"),
     (["build", "--p", "1/2,1/2", "--stages", "3", "--cap", "-5", "--out", "bad.json"],
-     None, "cap must be >= 0"),
+     None, 'code=config detail="cap must be >= 0, got -5"'),
     (["build", "--p", "1/2,1/2", "--stages", "3", "--seed", "-1", "--out", "bad.json"],
-     None, "seed must be >= 0"),
+     None, 'code=config detail="seed must be >= 0, got -1"'),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "cap": -1},
+     'code=config detail="cap must be >= 0, got -1"'),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "starts": {"2": 2}},
+     'code=config detail="starts 2 = 2: need a stage in 1..2 and a start above min(stage, 4)"'),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 6, "starts": {"9": 3}},
+     'code=config detail="starts 9 = 3: need a stage in 1..5'),
+    (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "starts": {"0": 16}},
+     'code=config detail="starts 0 = 16: need a stage in 1..2'),
     (["build", "--out", "bad.json"], {"p": "1/2,1/2", "stages": 3}, "p must be a list"),
     (["semigroup"], {"p": "1/2,1/2"}, "p must be a list"),
     (["verify"], {"q": 7}, "meta stage 1 q = 7: must be in 0..0"),
@@ -282,7 +290,8 @@ DROP = object()  # a meta field a verify case removes
         "scan-union-type", "scan-expect-all-pass-type", "scan-shift-bool",
         "build-cap-type", "build-seed-type", "build-seed-float",
         "build-starts-type", "build-starts-key", "build-cap-negative",
-        "build-seed-negative", "build-p-string", "semigroup-p-string",
+        "build-seed-negative", "build-cap-config-negative", "build-starts-small",
+        "build-starts-stage-above", "build-starts-stage-zero", "build-p-string", "semigroup-p-string",
         "verify-meta-q", "verify-meta-pre-sidon", "verify-meta-lengths",
         "verify-meta-index", "build-out-empty", "build-out-missing-dir",
         "scan-out-missing-dir", "semigroup-out-missing-dir", "scan-gap-hi-window",

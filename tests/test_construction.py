@@ -435,7 +435,7 @@ def test_sample_spacers_point_mass():
     # a pure point mass is not admissible as a generator, but the sampler
     # only needs a unit-mass distribution
     from rankone.construction import AdmissibleSeries
-    point = AdmissibleSeries(((0, F(1)),), F(1))
+    point = AdmissibleSeries(1, ((0, 1),))
     assert sample_spacers(point, 5, 3).tolist() == [0, 0, 0, 0, 0]
 
 

@@ -1,14 +1,17 @@
 """Property test: the integer series algebra against its Fraction forms.
 
-``convolve`` multiplies integer numerators over one denominator per operand,
-``enumerate_semigroup`` builds each product from its parent exponent vector
-and shifts exponents for T^z, and ``verify_frequencies`` counts its clamped
-window sums by binary search over their sorted prefix-sum differences.  The
-oracles here are the direct Fraction versions: a cell-by-cell Fraction
-convolution, every exponent vector re-multiplied from the identity with T^z
-applied as a convolution, and a running window sum of the unclamped spacers
-updated one element at a time.  Outputs must be equal: coefficients, words,
+Series and elements hold one denominator and integer numerators.
+``convolve`` multiplies numerators and denominators, ``enumerate_semigroup``
+builds each product from its parent exponent vector and shifts exponents
+for T^z, and ``verify_frequencies`` counts its clamped window sums by binary
+search over their sorted prefix-sum differences.  The oracles here are the
+direct Fraction versions: a cell-by-cell Fraction convolution, every
+exponent vector re-multiplied from the identity with T^z applied as a
+convolution, and a running window sum of the unclamped spacers updated one
+element at a time.  Outputs must be equal: coefficients, words,
 factorizations, order, and the gate's verdict with every frequency row.
+Every constructor must also leave its result in the one canonical form,
+so that equal coefficient maps are equal values with equal hashes.
 Kept in its own module so that an environment without hypothesis still
 collects the other tests.
 """
@@ -265,3 +268,84 @@ def test_verify_frequencies_int64_array_matches_list(args):
     want = verify_frequencies(spacers, P, max_m, eps)
     got = verify_frequencies(np.array(spacers, dtype=np.int64), P, max_m, eps)
     assert (got.passed, got.cells) == (want.passed, want.cells)
+
+
+# --- the canonical integer form ------------------------------------------------------
+
+def assert_canonical(x):
+    """Lowest terms, increasing exponents, positive integer numerators."""
+    zs = [z for z, _ in x.nums]
+    assert type(x.den) is int and x.den >= 1
+    assert all(type(z) is int and type(n) is int and n > 0 for z, n in x.nums)
+    assert zs == sorted(set(zs))
+    assert math.gcd(x.den, *(n for _, n in x.nums)) == 1
+
+
+@st.composite
+def built(draw):
+    """An element from one constructor, and its coefficients by a Fraction oracle."""
+    kind = draw(st.sampled_from(["from_coeffs", "from_series", "zero", "identity",
+                                 "t_power", "convolve", "adjoint", "power", "enumerate"]))
+    if kind == "from_coeffs":
+        coeffs = draw(st.dictionaries(st.integers(-6, 6), fractions() | st.just(Fraction(0)),
+                                      max_size=5))
+        return FormalElement.from_coeffs(coeffs), tuple(sorted(
+            (z, v) for z, v in coeffs.items() if v))
+    if kind == "from_series":
+        P = draw(generators)
+        return FormalElement.from_series(P, draw(st.integers(0, 2))), P.coeffs
+    if kind == "zero":
+        return FormalElement.zero(), ()
+    if kind == "identity":
+        return FormalElement.identity(), ((0, Fraction(1)),)
+    if kind == "t_power":
+        z = draw(st.integers(-3, 3))
+        return FormalElement.t_power(z), ((z, Fraction(1)),)
+    if kind == "enumerate":
+        gens = draw(st.lists(generators, min_size=1, max_size=2))
+        got, want = enumerate_semigroup(gens, 2, 1), oracle_enumerate(gens, 2, 1)
+        i = draw(st.integers(0, len(got) - 1))
+        return got[i], want[i].coeffs
+    a = draw(elements())
+    if kind == "convolve":
+        b = draw(elements())
+        return convolve(a, b), oracle_convolve(a, b).coeffs
+    if kind == "adjoint":
+        return adjoint(a), tuple(sorted((-z, v) for z, v in a.coeffs))
+    n = draw(st.integers(0, 3))
+    return power(a, n), oracle_power(a, n).coeffs
+
+
+@SETTINGS
+@given(case=built())
+def test_every_constructor_holds_the_canonical_form(case):
+    el, want = case
+    assert_canonical(el)
+    assert el.coeffs == want
+
+
+@SETTINGS
+@given(a=built(), b=built(), scale=st.integers(1, 2 ** 64), data=st.data())
+def test_equality_is_coefficient_equality(a, b, scale, data):
+    """Equal maps are equal elements with equal hashes, whatever their words,
+    and the constructor brings any scaled, shuffled, zero-padded form of a
+    map to the same one."""
+    (a, _), (b, _) = a, b
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+    pairs = [(z, n * scale) for z, n in a.nums] + [(z, 0) for z in range(7, 9)]
+    twin = FormalElement(a.den * scale, tuple(data.draw(st.permutations(pairs))), "twin")
+    assert (twin.den, twin.nums) == (a.den, a.nums)
+    assert twin == a and hash(twin) == hash(a)
+
+
+@SETTINGS
+@given(P=generators)
+def test_series_round_trips_through_its_coefficients(P):
+    assert_canonical(P)
+    assert make_admissible(dict(P.coeffs)) == P
+    R = P.renormalized()
+    assert_canonical(R)
+    assert R.declared_mass == 1
+    assert R.coeffs == tuple((k, v / P.declared_mass) for k, v in P.coeffs)

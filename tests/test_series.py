@@ -60,6 +60,24 @@ def test_make_admissible_rejects_negative_and_pure_constant():
         make_admissible({0: F(1)})
 
 
+def test_make_admissible_rejects_bool_exponents():
+    """True is not the exponent 1: a build would record it as ``true`` in its
+    meta series, which the artifact reader rejects."""
+    with pytest.raises(SeriesValidationError, match="exponent True"):
+        make_admissible({0: F(1, 2), True: F(1, 2)})
+
+
+@pytest.mark.parametrize("den, nums", [
+    (0, ((0, 1),)),  # no positive denominator
+    (2, ((0, -1), (1, 3))),  # a negative numerator
+    (4, ((1, 1), (1, 3))),  # a repeated exponent
+])
+def test_integer_form_rejects_what_it_cannot_hold(den, nums):
+    for cls in (AdmissibleSeries, FormalElement):
+        with pytest.raises(ValueError, match="need a positive denominator"):
+            cls(den, nums)
+
+
 def test_renormalized_divides_by_mass():
     s = make_admissible({0: F(1, 4), 1: F(1, 4)})
     r = s.renormalized()

@@ -719,17 +719,31 @@ def test_scan_csv_shape(tmp_path, small_build):
     assert lines2[1:] == lines
 
 
-def test_demo_scan_csv_is_byte_identical(tmp_path):
-    """Demo 03 writes the scan CSV checked in as tests/data/scan_demo.csv."""
+def _run_demo(name: str, cwd: Path) -> str:
+    """The stdout of ``demos/<name>.py`` run in ``cwd``, which must exit 0."""
     src = Path(weaktop.__file__).resolve().parent.parent
-    demo = Path(__file__).resolve().parent.parent / "demos" / "03_weak_limit_scan.py"
+    demo = Path(__file__).resolve().parent.parent / "demos" / f"{name}.py"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    res = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_demo_scan_csv_is_byte_identical(tmp_path):
+    """Demo 03 writes the scan CSV checked in as tests/data/scan_demo.csv."""
+    _run_demo("03_weak_limit_scan", tmp_path)
     want = Path(__file__).resolve().parent / "data" / "scan_demo.csv"
     assert (tmp_path / "scan_demo.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["01_build_and_heights", "02_frequency_gate",
+                                  "03_weak_limit_scan", "04_semigroup_table"])
+def test_demo_stdout_is_byte_identical(tmp_path, name):
+    """Each demo prints the text checked in as tests/data/<demo>.stdout."""
+    want = Path(__file__).resolve().parent / "data" / f"{name}.stdout"
+    assert _run_demo(name, tmp_path).encode() == want.read_bytes()
 
 
 def test_boundary_loss_saturates():

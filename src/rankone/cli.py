@@ -317,7 +317,7 @@ def cmd_build(args) -> int:
     # build reads its base stage and output path from flags only
     base = _option({}, "base_stage", int, max(1, stages - 2),
                    flag=args.base_stage)
-    with _rejected_as("usage"):
+    with _rejected_as("config"):
         occ = expand_occupancy(params, base, stages)
     out = _option({}, "out", str, "params.json", flag=args.out)
     header = timestamp_header(not args.no_timestamp)

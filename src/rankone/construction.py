@@ -72,6 +72,7 @@ __all__ = [
 # Positions are kept in numpy int64 while every coordinate stays below this;
 # beyond it the code switches to exact Python integers.
 _INT64_SAFE_WINDOW = 1 << 62
+_INT64_MAX = (1 << 63) - 1
 # Elements of the (clusters x offsets) arrays one wide-level search step
 # holds, and the candidate differences one narrow-level block holds (a
 # block of whole clusters may run over by one cluster's candidates).
@@ -677,6 +678,21 @@ class FrequencyReport:
                 f"worst m={worst.m} k={worst.k} dev={float(worst.relative_deviation):.4f}")
 
 
+@lru_cache(maxsize=64)
+def _power_tables(P: AdmissibleSeries, max_m: int, dtype) -> tuple:
+    """P^m for m = 1..max_m as (exponents in a read-only ``dtype`` array,
+    (exponent, numerator) pairs, P.den**m).  Cached by series value, as
+    :func:`_inverse_cdf` is: every gate attempt of a stage reads the same
+    powers."""
+    power, tables = [(0, 1)], []
+    for m in range(1, max_m + 1):
+        power = sorted(_product(power, P.nums).items())  # every numerator > 0
+        ks = np.array([k for k, _ in power], dtype=dtype)
+        ks.flags.writeable = False
+        tables.append((ks, tuple(power), P.den ** m))
+    return tuple(tables)
+
+
 def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
                        max_m: int, eps) -> FrequencyReport:
     """Exact window-sum frequency check against the powers of ``P``.
@@ -685,15 +701,18 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     ``spacers`` are tallied, and for every k in the support of P^m the
     empirical frequency (denominator r-m+1, windows i = 1..r-m+1 inclusive)
     must satisfy |c_k - freq_k| < eps * c_k, with eps > 0.  P^m's
-    coefficients are integer numerators over P.den**m.  Each spacer is first
-    clamped to K + 1, K = max_m * P.max_exponent: spacers are nonnegative,
-    so a window holding a clamped spacer sums past every k read, before and
-    after the clamp.  The window sums are differences of prefix sums, int64
-    while r * (K + 1) < 2**62 and Python ints beyond; each m's are sorted
-    once and counted at each k by two binary searches.  The test is
-    cross-multiplied in integers, so the verdict has no floating-point fuzz
-    at any spacer size.  An int64 array (as :func:`sample_spacers` returns)
-    is clamped in int64; any other sequence is read as Python ints first.
+    coefficients are integer numerators over P.den**m, from tables built
+    once per (series, max_m, dtype) (:func:`_power_tables`).  Each spacer is
+    first clamped to K + 1, K = max_m * P.max_exponent: spacers are
+    nonnegative, so a window holding a clamped spacer sums past every k
+    read, before and after the clamp.  The window sums are differences of
+    prefix sums held in one array, int64 while r * (K + 1) < 2**62 and
+    Python ints beyond; each m's are sorted once and counted at each k by
+    two binary searches.  Each cell is tested as it is built, by
+    :func:`_cell_fails` in integers, so the verdict has no floating-point
+    fuzz at any spacer size.  An int64 array (as :func:`sample_spacers`
+    returns) is clamped in int64; any other sequence is read as Python
+    ints first.
     """
     if sum(n for _, n in P.nums) != P.den:
         raise ValueError("frequency check is against a mass-1 distribution; "
@@ -708,22 +727,27 @@ def verify_frequencies(spacers: Sequence[int], P: AdmissibleSeries,
     dtype = np.int64 if r * top < _INT64_SAFE_WINDOW else object
     if isinstance(spacers, np.ndarray) and spacers.dtype == np.int64:
         # no int64 spacer exceeds the int64 maximum, so clamping there is a no-op
-        values = np.minimum(spacers, min(top, np.iinfo(np.int64).max))
+        values = np.minimum(spacers, min(top, _INT64_MAX))
     else:
         values = np.minimum(np.array(spacers, dtype=object), top)
     if values.min() < 0:
         raise ValueError(f"spacers must be nonnegative, got {values.min()}")
     # window i of length m sums to prefix[i + m] - prefix[i]
-    prefix = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(values.astype(dtype))))
-    power, cells = [(0, 1)], []
-    for m in range(1, max_m + 1):
-        power = sorted(_product(power, P.nums).items())  # every numerator > 0
-        sums = np.sort(prefix[m:] - prefix[:-m])
-        ks = np.array([k for k, _ in power], dtype=dtype)
-        counts = (np.searchsorted(sums, ks, side="right")
-                  - np.searchsorted(sums, ks, side="left")).tolist()
-        cells += [(m, k, n, P.den ** m, c, r - m + 1) for (k, n), c in zip(power, counts)]
-    passed = not any(_cell_fails(cell, eps) for cell in cells)
+    prefix = np.zeros(r + 1, dtype=dtype)
+    np.cumsum(values.astype(dtype, copy=False), out=prefix[1:])
+    sums = np.empty(r, dtype=dtype)
+    cells, passed = [], True
+    for m, (ks, power, d) in enumerate(_power_tables(P, max_m, dtype), 1):
+        w = r - m + 1
+        window = sums[:w]
+        np.subtract(prefix[m:], prefix[:-m], out=window)
+        window.sort()
+        counts = (window.searchsorted(ks, side="right")
+                  - window.searchsorted(ks, side="left")).tolist()
+        for (k, n), c in zip(power, counts):
+            cell = (m, k, n, d, c, w)
+            passed = passed and not _cell_fails(cell, eps)
+            cells.append(cell)
     return FrequencyReport(passed, max_m, eps, tuple(cells))
 
 

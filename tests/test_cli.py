@@ -218,7 +218,7 @@ DROP = object()  # a meta field a verify case removes
     (["scan"], {"base_stage": 2, "panel": {"span": 500}}, "span must be in"),
     (["scan"], {"gaps": {"lo": 50, "hi": 10}}, "empty sampling range"),
     (["build", "--example", "two-column", "--stages", "5", "--base-stage", "9",
-      "--out", "bad.json"], None, "stage indices out of range"),
+      "--out", "bad.json"], None, 'code=config detail="stage indices out of range'),
     (["semigroup", "--degree", "-1"], None, "bounds must be nonnegative"),
     (["scan"], {"panel": {"span": "x"}}, "panel span must be an integer"),
     (["build", "--example", "two-column", "--out", "bad.json"], {"stages": "5"},
@@ -319,12 +319,16 @@ def test_bad_input_is_a_single_line_config_error(built, args, cfg, detail):
         (built / "cli_cfg.json").write_text(json.dumps(cfg))
         args = [*args, "--config", "cli_cfg.json"]
     res = run_cli(*args, cwd=built)
-    assert res.returncode == 2
-    lines = res.stderr.strip().split("\n")
-    assert len(lines) == 1 and lines[0].startswith("error code="), res.stderr
-    assert detail in lines[0]
-    assert "Traceback" not in res.stderr
-    assert not (built / "bad.json").exists()
+    try:
+        assert res.returncode == 2
+        lines = res.stderr.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error code="), res.stderr
+        assert detail in lines[0]
+        assert "Traceback" not in res.stderr
+        assert not (built / "bad.json").exists()
+    finally:
+        # the cases share ``built``: a stray file must not fail the later ones
+        (built / "bad.json").unlink(missing_ok=True)
 
 
 @pytest.mark.parametrize("args, cfg, key", [

@@ -709,6 +709,18 @@ def test_gen_p_construction_failure_carries_report():
     assert not exc.value.report.passed
 
 
+def test_gen_p_construction_failure_text_is_pinned():
+    """The message names the stage, the last column count and the report's
+    summary: its cell count, tolerance and worst cell."""
+    with pytest.raises(GenerationError) as exc:
+        gen_p_construction([P()], J=3, seed=0, eps_schedule=lambda j: F(1, 1000))
+    assert str(exc.value) == (
+        "stage 2: frequency gate failed up to r=262144 (FAIL: 5 (m,k) cells, "
+        "eps=1/1000, worst m=2 k=2 dev=0.0063)")
+    assert (exc.value.stage_j, exc.value.r_final) == (2, 262144)
+    assert len(exc.value.report.failures()) == 5
+
+
 def test_generator_series_roundtrip():
     gens = [P(), P({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)})]
     params = gen_p_construction(gens, 4, seed=2)

@@ -7,9 +7,11 @@ for T^z, and ``verify_frequencies`` counts its clamped window sums by binary
 search over their sorted prefix-sum differences.  The oracles here are the
 direct Fraction versions: a cell-by-cell Fraction convolution, every
 exponent vector re-multiplied from the identity with T^z applied as a
-convolution, and a running window sum of the unclamped spacers updated one
-element at a time.  Outputs must be equal: coefficients, words,
-factorizations, order, and the gate's verdict with every frequency row.
+convolution, and for the gate both a running window sum of the unclamped
+spacers updated one element at a time and a ``Counter`` of window sums
+against P^m from ``series.power``.  Outputs must be equal: coefficients,
+words, factorizations, order, and the gate's verdict with every frequency
+row, also when the gate reads its cached P^m tables a second time.
 Every constructor must also leave its result in the one canonical form,
 so that equal coefficient maps are equal values with equal hashes.
 Kept in its own module so that an environment without hypothesis still
@@ -17,6 +19,7 @@ collects the other tests.
 """
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +29,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rankone.construction import FrequencyRow, _inverse_cdf, verify_frequencies  # noqa: E402
+from rankone.construction import (  # noqa: E402
+    FrequencyRow,
+    _inverse_cdf,
+    _power_tables,
+    sample_spacers,
+    verify_frequencies,
+)
 from rankone.series import (  # noqa: E402
     FormalElement,
     _merge_factorizations,
@@ -256,6 +265,69 @@ def test_inverse_cdf_matches_fraction_cdf_at_each_edge(P):
     uniforms = sorted({U for t in edges for U in (t - 1, t) if 0 <= U < 2 ** 53})
     want = [P.coeffs[sum(1 for a in cdf if a <= Fraction(U, 2 ** 53))][0] for U in uniforms]
     assert _inverse_cdf(P)(np.array(uniforms, dtype=np.int64)).tolist() == want
+
+
+def counter_oracle(spacers, P, max_m, eps):
+    """(passed, rows): each order's window sums tallied by a Counter, and
+    P^m's coefficients from ``series.power`` as Fractions."""
+    values = [int(s) for s in spacers]
+    gen = FormalElement.from_series(P)
+    rows = []
+    for m in range(1, max_m + 1):
+        windows = len(values) - m + 1
+        tally = Counter(sum(values[i:i + m]) for i in range(windows))
+        rows += [FrequencyRow(m, k, c, Fraction(tally[k], windows))
+                 for k, c in power(gen, m).coeffs]
+    return all(row.relative_deviation < eps for row in rows), tuple(rows)
+
+
+@st.composite
+def gate_calls(draw):
+    """Gate inputs as an int64 array, a list or a tuple.  Exponents may pass
+    2**62 (the prefix sums become Python ints); list and tuple spacers may
+    pass 2**63, and an array's exponents and spacers stay below it."""
+    kind = draw(st.sampled_from(["array", "list", "tuple"]))
+    exponents = st.integers(1, 4)
+    if draw(st.booleans()):
+        exponents |= (st.integers(2 ** 62, 2 ** 63 - 1) if kind == "array"
+                      else st.integers(2 ** 62, 2 ** 70))
+    P = draw(series(exponents) | st.sampled_from(SMALL)).renormalized()
+    # draws from P itself, so that order 1 often passes; sorted, they keep
+    # their order-1 cells and fail the longer windows.  A few entries are
+    # rewritten to exponents or to large spacers.
+    spacers = sample_spacers(P, draw(st.integers(2, 200)), draw(st.integers(0, 2 ** 32))).tolist()
+    if draw(st.booleans()):
+        spacers.sort()
+    big = st.integers(2 ** 62, 2 ** 63 - 1) if kind == "array" else st.integers(2 ** 63, 2 ** 80)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, len(spacers) - 1),
+                                        st.sampled_from([k for k, _ in P.nums]) | big),
+                              max_size=4)):
+        spacers[i] = v
+    if kind == "array":
+        spacers = np.array(spacers, dtype=np.int64)
+    elif kind == "tuple":
+        spacers = tuple(spacers)
+    max_m = draw(st.integers(1, min(4, len(spacers) - 1)))
+    eps = Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+    return spacers, P, max_m, eps
+
+
+@SETTINGS
+@given(args=gate_calls())
+def test_verify_frequencies_matches_counter_oracle(args):
+    """Every row, the verdict and the failing rows match the oracle; the
+    verdict is "no cell fails"; and a second call with an equal series
+    reads the cached P^m tables and gives an equal report."""
+    spacers, P, max_m, eps = args
+    report = verify_frequencies(*args)
+    passed, rows = counter_oracle(*args)
+    assert (report.passed, report.rows) == (passed, rows)
+    assert report.passed == (not report.failures())
+    assert report.failures() == [row for row in rows if row.relative_deviation >= eps]
+    hits = _power_tables.cache_info().hits
+    again = verify_frequencies(spacers, make_admissible(dict(P.coeffs)), max_m, eps)
+    assert _power_tables.cache_info().hits == hits + 1
+    assert again == report and again.rows == report.rows
 
 
 @SETTINGS

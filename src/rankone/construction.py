@@ -361,7 +361,17 @@ class LevelOccupancy:
     # of only the lags whose band meets its range; a gap shift leaves most
     # base-level clusters between bands, where they cost nothing.  Wide
     # levels search keys instead: their override chains make the bands
-    # cover the range.
+    # cover the range.  A wide level does not search a cluster whose range
+    # lies strictly inside (-g, g), g the level's smallest offset gap: every
+    # other offset difference is at least g from 0, so that cluster reaches
+    # only the r pairs of an offset with itself, at difference 0 (nothing
+    # if its range misses 0).  On the uncapped coin build over stages 4..6,
+    # whose two levels are wide, a probe at +-a*h_j (+1) searches only one
+    # of them, and a probe at 0 neither.  A narrow level searches such a
+    # cluster anyway: only its lag-0 band [0, 0] meets the range, so the
+    # lag search compares just the r differences at lag 0, and testing
+    # each query's clusters first cost more than it saved (measured on
+    # the compound-lattice benchmark workload).
     # Every level returns only its nonzero counts, as (row, column, count)
     # hits: level 0 has at most one per row (column -c, if in [0, width)),
     # and level L joins each residual's hits to the (row, multiplicity) pairs
@@ -452,6 +462,14 @@ class LevelOccupancy:
                           np.concatenate((zero, np.cumsum(gaps[::-1])))))
         return tuple(bands)
 
+    @cached_property
+    def _min_gaps(self) -> tuple:
+        """Per level, the smallest gap between consecutive offsets (0 at a
+        level of one offset): every nonzero offset difference is at least
+        this far from 0."""
+        return tuple(int(np.diff(offs).min()) if offs.size > 1 else 0
+                     for offs in self.stage_offsets)
+
     def _window_hits(self, level: int, starts: np.ndarray, width: int):
         """The nonzero count_level(starts[row] + col), col in [0, width), exact.
 
@@ -460,9 +478,9 @@ class LevelOccupancy:
         unique, and each row meets [-reach_level, reach_level].  Row c needs
         the offset differences in [row_lo[c], row_hi[c]]; both bounds are
         nondecreasing in c, so rows whose ranges overlap or touch merge into
-        clusters with disjoint union ranges.  Each cluster is searched once,
-        and each difference it finds goes to the one contiguous run of rows
-        whose range holds it.
+        clusters with disjoint union ranges.  Each cluster is searched at
+        most once, and each difference it finds goes to the one contiguous
+        run of rows whose range holds it.
         """
         if level == 0:
             col = -starts
@@ -480,10 +498,20 @@ class LevelOccupancy:
         span_lo = row_lo[np.concatenate(([0], split))]
         span_hi = row_hi[np.concatenate((split - 1, [starts.size - 1]))]
         bands = self._lag_bands[level - 1]
-        if bands is None:
-            found = _wrapped_pairs(offs, span_lo, span_hi)
-        else:
+        if bands is not None:
             found = _lag_pairs(offs, bands, span_lo, span_hi)
+        else:
+            # a cluster inside (-gap, gap) reaches only the r pairs of an
+            # offset with itself, at difference 0, so only the others are
+            # searched
+            gap = self._min_gaps[level - 1]
+            inside = (span_lo > -gap) & (span_hi < gap)
+            found = []
+            if (inside & (span_lo <= 0) & (span_hi >= 0)).any():
+                found.append((np.zeros(1, dtype=offs.dtype),
+                              np.full(1, offs.size, dtype=np.int64)))
+            if not inside.all():
+                found += _wrapped_pairs(offs, span_lo[~inside], span_hi[~inside])
         row_idx, residual, mult = [], [], []
         # clusters' union ranges are disjoint, so each distinct delta belongs
         # to one cluster and leaves one residual in each of its rows

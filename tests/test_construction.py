@@ -324,6 +324,43 @@ def test_lag_band_edges_are_counted():
     assert occ.pair_shift_window(103, 200) == [0] * 98
 
 
+@pytest.mark.parametrize("window, top", [
+    (1000, 40), (2 ** 61, 2 ** 60), (2 ** 62, 40), (2 ** 64, 2 ** 63),
+], ids=["int64-narrow", "int64-wide", "object-narrow", "object-wide"])
+def test_self_pair_clusters_end_at_the_smallest_gap(monkeypatch, window, top):
+    """Level 2's offsets 0, 13, ``top`` have smallest gap g = 13, and level
+    1 (offsets 0, 2) widens each query row by 2 on both sides.  A row whose
+    range lies inside (-g, g) reaches only difference 0, and a wide top
+    level does not search it; a range that ends at +-g needs the search,
+    and the pairs at +-13 reach its outermost column.  Every count equals
+    the all-pairs tally, at a narrow and a wide top level, int64 and
+    object."""
+    occ = LevelOccupancy(1, 3, 1, window, ([0, 2], [0, 13, top]))
+    wide = occ._lag_bands[1] is None
+    assert occ.uses_int64 is (window < 2 ** 62)
+    assert wide is (top > 40) and occ._min_gaps == (2, 13)
+    top_offs, searched = occ.stage_offsets[1], []
+    for name in ("_lag_pairs", "_wrapped_pairs"):
+        def recording(offs, *args, search=getattr(construction, name)):
+            searched.append(offs is top_offs)
+            return search(offs, *args)
+        monkeypatch.setattr(construction, name, recording)
+    diffs = _all_pairs(occ)
+    # (lo, width): the row's top-level range is [lo - 2, lo + width + 1]
+    for lo, width, skips in ((-10, 21, True),   # [-12, 12], holds 0
+                             (-10, 22, False),  # [-12, 13]
+                             (-11, 22, False),  # [-13, 12]
+                             (3, 8, True),      # [1, 12], misses 0
+                             (3, 9, False),     # [1, 13]
+                             (-11, 8, False)):  # [-13, -2]
+        searched.clear()
+        got = occ.pair_shift_window(lo, lo + width - 1)
+        assert got == [diffs.get(lo + t, 0) for t in range(width)]
+        assert (True not in searched) is (skips and wide)
+        if not skips:
+            assert max(got[0], got[-1]) > 0
+
+
 def test_narrow_levels_of_an_object_occupancy_are_filtered():
     """h1 = 2**52 puts the two-column window past 2**62 (object offsets)
     while levels 1-4 stay narrow, so their spans are cast to int64 before

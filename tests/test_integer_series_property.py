@@ -219,12 +219,25 @@ def gate_inputs(draw):
     exponents = st.integers(1, 4)
     if draw(st.booleans()):
         exponents |= st.integers(2 ** 60, 2 ** 70)
-    P = draw(series(exponents)).renormalized()
-    support = [k for k, _ in P.coeffs]
-    # spacers from the support, some past 2**63 (a window holding one sums
-    # past every exponent, unless the exponents are that large too)
-    spacer = st.sampled_from(support) | st.integers(2 ** 63, 2 ** 80)
-    spacers = draw(st.lists(spacer, min_size=2, max_size=60))
+    if draw(st.booleans()):
+        P = draw(series(exponents)).renormalized()
+        support = [k for k, _ in P.coeffs]
+        # spacers from the support, some past 2**63 (a window holding one
+        # sums past every exponent, unless the exponents are that large too)
+        spacer = st.sampled_from(support) | st.integers(2 ** 63, 2 ** 80)
+        spacers = draw(st.lists(spacer, min_size=2, max_size=60))
+    else:
+        # repeats of one block that holds exponent k exactly w_k times, for
+        # P = w / sum(w): order 1 matches P exactly, and swaps keep it so,
+        # so the longer windows decide the verdict
+        exps = [0] + draw(st.lists(exponents, min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(exps), max_size=len(exps)))
+        P = make_admissible({k: Fraction(w, sum(weights)) for k, w in zip(exps, weights)})
+        block = draw(st.permutations([k for k, w in zip(exps, weights) for _ in range(w)]))
+        spacers = block * draw(st.integers(1, 60 // len(block)))
+        for i, j in draw(st.lists(st.tuples(*[st.integers(0, len(spacers) - 1)] * 2),
+                                  max_size=3)):
+            spacers[i], spacers[j] = spacers[j], spacers[i]
     max_m = draw(st.integers(1, min(4, len(spacers) - 1)))
     eps = Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
     return spacers, P, max_m, eps

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankone import weaktop
+from rankone import construction, weaktop
 from rankone.construction import (
     ConstructionParams,
     LevelOccupancy,
@@ -23,6 +23,8 @@ from rankone.construction import (
 from rankone.series import (
     FormalElement,
     _to_fraction,
+    adjoint,
+    convolve,
     enumerate_semigroup,
     make_admissible,
     power,
@@ -160,6 +162,34 @@ def test_weak_discrepancy_rows_match_corr(small_build):
         assert (row.normalized, row.model) == (F(row.count, mu), model), row.name
         assert row.delta == abs(row.normalized - row.model)
     assert max(row.delta for row in rep.rows) == rep.delta
+
+
+def test_uncapped_probes_search_one_level(monkeypatch):
+    """The uncapped coin build over stages 4..6 has two wide levels.  A
+    probe at +-a*h_j (+1) searches the offset pairs of one level; at the
+    other its clusters lie inside the smallest offset gap and reach only
+    each offset's pair with itself.  The probe at m = 0 searches neither."""
+    params = gen_p_construction([coin()], J=6, seed=0, eps_schedule=lambda j: F(2, j + 1))
+    hs = heights(params)
+    occ = expand_occupancy(params, 4, 6)
+    assert occ._lag_bands == (None, None)
+    panel = default_panel(occ)
+    gen = FormalElement.from_series(generator_series(params)[0])
+    searches = []
+    search = construction._wrapped_pairs
+
+    def counting(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(construction, "_wrapped_pairs", counting)
+    star = power(adjoint(gen), 2)
+    for m, Q, n in ((0, FormalElement.identity(), 0),
+                    (-hs[3], gen, 1), (2 * hs[3] + 1, convolve(FormalElement.t_power(1), star), 1),
+                    (-hs[4], gen, 1), (2 * hs[4], star, 1)):
+        searches.clear()
+        weak_discrepancy(occ, m, Q, panel)
+        assert len(searches) == n, m
 
 
 def test_support_too_wide_raises():

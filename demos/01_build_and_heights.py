@@ -27,7 +27,8 @@ for kind in ("mix-identity", "two-column", "all-limits"):
     p = gen_example(kind, 5)
     print(f"\n{kind}: heights {heights(p)}")
     for j, st in enumerate(p.stages, 1):
-        shown = st.spacers if len(st.spacers) <= 6 else st.spacers[:6] + ("...",)
+        spacers = tuple(st.spacers.tolist())
+        shown = spacers if len(spacers) <= 6 else spacers[:6] + ("...",)
         print(f"  stage {j}: r={st.r} spacers={shown}")
 
 # --- where the base levels live inside a taller tower --------------------------

@@ -42,7 +42,7 @@ print("sample_spacers(P, 8, seed=0):", sample_spacers(P, 8, 0).tolist(), "(same)
 
 out = apply_sidon([5] * 9, stage_j=3, h_j=12, policy=SidonPolicy())
 print("\noverride chain at indices", out.indices, "->",
-      [out.spacers[i - 1] for i in out.indices])
+      [out.spacers.tolist()[i - 1] for i in out.indices])
 
 # --- a full generated construction ----------------------------------------------
 

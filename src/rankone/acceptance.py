@@ -161,19 +161,16 @@ def check_height_recurrence() -> tuple[bool, str]:
     for _ in range(n_sets):
         h1 = int(rng.integers(1, 50))
         n_stages = int(rng.integers(1, 6))
-        stages = []
+        drawn = []
         for _ in range(n_stages):
             r = int(rng.integers(2, 9))
-            spacers = tuple(int(x) for x in rng.integers(0, 100, size=r))
-            stages.append(StageParams(r, spacers))
-        params = ConstructionParams(h1, tuple(stages))
-        got = heights(params)
-        h = h1
-        expect = [h]
-        for st in stages:
-            h = h * st.r + sum(st.spacers)
-            expect.append(h)
-        if got != expect:
+            drawn.append((r, rng.integers(0, 100, size=r)))
+        params = ConstructionParams(h1, tuple(StageParams(r, s) for r, s in drawn))
+        # the expected heights come from the draws, not from the params
+        expect = [h1]
+        for r, spacers in drawn:
+            expect.append(expect[-1] * r + sum(spacers.tolist()))
+        if heights(params) != expect:
             bad += 1
     return bad == 0, (f"{n_sets - bad}/{n_sets} random parameter sets satisfy "
                       f"h_next = h*r + sum(spacers) exactly")

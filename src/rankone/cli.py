@@ -324,7 +324,7 @@ def cmd_build(args) -> int:
     _write(out, header + params_to_json(params) + "\n")
     csv_path = Path(out).with_name(Path(out).stem + "_heights.csv")
     lines = [header + "j,height,columns,spacer_sum"]
-    lines += [f"{j},{h},{st.r},{sum(st.spacers)}"
+    lines += [f"{j},{h},{st.r},{st.spacer_sum}"
               for j, (h, st) in enumerate(zip(hs, params.stages), start=1)]
     lines.append(f"{len(hs)},{hs[-1]},,")
     _write(csv_path, "\n".join(lines) + "\n")

@@ -84,19 +84,63 @@ _KEY_MOD = 1 << 61
 _JSON_INT_LIMIT = 1 << 53
 
 
-@dataclass(frozen=True)
+def _spacer_array(values) -> tuple[np.ndarray, int]:
+    """``values`` as one read-only array, and their exact sum.
+
+    The array is int64 while every value is below 2**62, else an object
+    array of Python ints.  An int64 array is copied; any other input passes
+    ``operator.index`` once, so numpy integers convert and a float raises
+    TypeError instead of being truncated.  The sum is taken in int64 only
+    where len * max|s| < 2**63.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        arr = values.copy()
+    else:
+        ints = list(map(operator.index, values.tolist() if isinstance(values, np.ndarray)
+                        else values))
+        arr = np.fromiter(ints, dtype=object, count=len(ints))
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError:  # some value lies past the int64 range
+            arr.flags.writeable = False
+            return arr, sum(ints)
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+    if hi >= _INT64_SAFE_WINDOW:
+        arr = arr.astype(object)
+    # an object array sums exactly either way
+    total = int(arr.sum()) if arr.size * max(hi, -lo) <= _INT64_MAX else sum(arr.tolist())
+    arr.flags.writeable = False
+    return arr, total
+
+
+@dataclass(frozen=True, eq=False)
 class StageParams:
     """One cutting stage: r columns, one spacer count per column.
 
-    The spacers are kept as Python ints; numpy integers convert, and a
-    float raises TypeError instead of being truncated.
+    ``spacers`` is one read-only array, int64 while every spacer is below
+    2**62 and an object array of Python ints beyond (the dtype follows
+    the values, as in :func:`sample_spacers` and :func:`expand_occupancy`).
+    Any integer sequence converts once; a float raises TypeError.
+    ``spacer_sum`` is sum(spacers), exact.  Equality and hashing compare r
+    and the spacer values.
     """
 
     r: int
-    spacers: tuple[int, ...]
+    spacers: np.ndarray
+    spacer_sum: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "spacers", tuple(map(operator.index, self.spacers)))
+        spacers, total = _spacer_array(self.spacers)
+        object.__setattr__(self, "spacers", spacers)
+        object.__setattr__(self, "spacer_sum", total)
+
+    def __eq__(self, other):
+        if not isinstance(other, StageParams):
+            return NotImplemented
+        return self.r == other.r and self.spacers.tolist() == other.spacers.tolist()
+
+    def __hash__(self):
+        return hash((self.r, tuple(self.spacers.tolist())))
 
 
 @dataclass(frozen=True)
@@ -125,7 +169,7 @@ class ConstructionParams:
             raise ValueError("invalid parameters: " + "; ".join(violations))
         hs = [self.h1]
         for st in self.stages:
-            hs.append(hs[-1] * st.r + sum(st.spacers))
+            hs.append(hs[-1] * st.r + st.spacer_sum)
         return tuple(hs)
 
 
@@ -137,12 +181,12 @@ def validate_params(params: ConstructionParams) -> list[str]:
     for idx, st in enumerate(params.stages, start=1):
         if st.r < 2:
             violations.append(f"stage {idx}: r = {st.r}, but r >= 2 is required")
-        if len(st.spacers) != st.r:
+        if st.spacers.size != st.r:
             violations.append(
-                f"stage {idx}: {len(st.spacers)} spacer entries for r = {st.r}")
-        if st.spacers and min(st.spacers) < 0:
+                f"stage {idx}: {st.spacers.size} spacer entries for r = {st.r}")
+        if st.spacers.size and st.spacers.min() < 0:
             violations.extend(f"stage {idx}: spacer s({i}) = {s} is negative"
-                              for i, s in enumerate(st.spacers, start=1) if s < 0)
+                              for i, s in enumerate(st.spacers.tolist(), start=1) if s < 0)
     return violations
 
 
@@ -327,10 +371,6 @@ class LevelOccupancy:
         if self.uses_int64:
             return self.copy_starts + label
         return tuple(s + label for s in self.copy_starts)
-
-    def measure(self, labels: Sequence[int]) -> int:
-        """Total number of positions carrying any label in ``labels``."""
-        return len(set(labels)) * self.n_copies
 
     # -- structural pair counts -------------------------------------------
     #
@@ -567,7 +607,9 @@ def expand_occupancy(params: ConstructionParams, base_stage: int,
     dtype = np.int64 if window < _INT64_SAFE_WINDOW else object
     stage_offsets = []
     for j in range(base_stage, top_stage):
-        steps = np.array((0, *params.stages[j - 1].spacers[:-1]), dtype=dtype)
+        spacers = params.stages[j - 1].spacers
+        steps = np.zeros(spacers.size, dtype=dtype)
+        steps[1:] = spacers[:-1]
         steps[1:] += hs[j - 1]
         stage_offsets.append(np.cumsum(steps))
     return LevelOccupancy(base_stage, top_stage, hs[base_stage - 1], window,
@@ -801,7 +843,7 @@ class SidonPolicy:
 
 @dataclass(frozen=True)
 class SidonResult:
-    spacers: tuple[int, ...]
+    spacers: np.ndarray  # int64, or object past 2**62
     indices: tuple[int, ...]  # 1-based positions that were overridden
     conforming: bool
     tail_from: int | None = None  # first low-mass tail index, None at mass 1
@@ -816,28 +858,35 @@ def apply_sidon(spacers: Sequence[int], stage_j: int, h_j: int,
     the sorted union of both index sets.  The chain values are the minimal
     ones keeping each overridden entry more than j times the previous scale
     (first value past j*h_j, then j*previous + 1), so sums involving an
-    overridden column are separated from all small spacer sums.
+    overridden column are separated from all small spacer sums.  The draws
+    are copied once, into int64 while the draws are int64 and the chain
+    stays below 2**62, else into an object array of Python ints, and the
+    chain is written with one indexed assignment.
     """
     if stage_j < 1:
         raise ValueError("stage_j >= 1 required")
     policy = policy or SidonPolicy()
-    out = np.asarray(spacers).tolist()
-    r = len(out)
-    override = set(range(stage_j, r + 1, stage_j))
+    draws = np.asarray(spacers)
+    r = draws.size
     tail_from = None
     if mass < 1:
         tail_from = math.floor(mass * r) + 1
-        override.update(range(tail_from, r + 1))
-    indices = sorted(override)
-    conforming = True
-    v = stage_j * h_j + 1
-    for i in indices:
+        # multiples of j inside the tail are tail indices already
+        indices = [*range(stage_j, tail_from, stage_j), *range(tail_from, r + 1)]
+    else:
+        indices = list(range(stage_j, r + 1, stage_j))
+    chain, v = [], stage_j * h_j + 1
+    for _ in indices:
         if policy.cap is not None and v > policy.cap:
-            v = policy.cap
-            conforming = False
-        out[i - 1] = v
+            break  # j * cap + 1 > cap, so every later value is the cap too
+        chain.append(v)
         v = stage_j * v + 1
-    return SidonResult(tuple(out), tuple(indices), conforming, tail_from)
+    conforming = len(chain) == len(indices)
+    chain += [policy.cap] * (len(indices) - len(chain))
+    int64 = draws.dtype == np.int64 and (not chain or chain[-1] < _INT64_SAFE_WINDOW)
+    out = draws.astype(np.int64 if int64 else object)
+    out[np.array(indices, dtype=np.intp) - 1] = np.array(chain, dtype=out.dtype)
+    return SidonResult(out, tuple(indices), conforming, tail_from)
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +986,7 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
             "pre_sidon": draws[np.array(over.indices, dtype=np.intp) - 1].tolist(),
             "tail_from": over.tail_from, "conforming": over.conforming,
         })
-        h = h * r + sum(over.spacers)
+        h = h * r + stages[-1].spacer_sum
 
     meta = {
         "generator": "p-construction",
@@ -993,7 +1042,7 @@ def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport
         if len(indices) != len(pre):
             raise ValueError(f"{where}: {len(indices)} sidon_indices but "
                              f"{len(pre)} pre_sidon entries")
-        draws = list(st.spacers)
+        draws = st.spacers.tolist()
         if not all(1 <= i <= len(draws) for i in indices):
             raise ValueError(f"{where} sidon_indices: each must be in 1..{len(draws)}")
         if min(pre, default=0) < 0:
@@ -1006,6 +1055,10 @@ def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport
             raise ValueError(f"{where} eps must be a fraction > 0, got {rec['eps']!r}")
         for i, v in zip(indices, pre):
             draws[i - 1] = v
+        try:  # the gate counts an int64 array in int64, as at build time
+            draws = np.array(draws, dtype=np.int64)
+        except OverflowError:
+            pass
         report = verify_frequencies(draws, series[q].renormalized(),
                                     _dec_int(rec["max_m"], f"{where} max_m"), eps)
         out.append((_dec_int(rec["j"], f"{where} j"), report))
@@ -1069,7 +1122,7 @@ def _enc_meta(obj):
 def params_to_json(params: ConstructionParams) -> str:
     doc = {
         "h1": _enc_int(params.h1),
-        "stages": [{"r": st.r, "spacers": [_enc_int(s) for s in st.spacers]}
+        "stages": [{"r": st.r, "spacers": [_enc_int(s) for s in st.spacers.tolist()]}
                    for st in params.stages],
         "meta": _enc_meta(params.meta),
     }
@@ -1113,6 +1166,6 @@ def params_from_json(text: str) -> ConstructionParams:
     return ConstructionParams(
         _dec_int(doc["h1"], "h1"),
         tuple(StageParams(_dec_int(st["r"], f"stage {j} r"),
-                          tuple(_dec_ints(st["spacers"], f"stage {j} spacers")))
+                          _dec_ints(st["spacers"], f"stage {j} spacers"))
               for j, st in enumerate(stages, 1)),
         _dec_meta(doc.get("meta", {})))

@@ -306,42 +306,51 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
     # A product is kept as its lowest exponent lo and a form (d, offsets,
     # numerators): its coefficients are the numerators over d, divided by
     # their gcd with d, at exponents lo + offset.  Equal coefficient maps have
-    # equal (lo, form), and T^z only moves lo.  ``best`` maps each (lo, form),
-    # in first-seen order, to its simplest word so far; (0, (1, (), ())) is
-    # the zero element.
-    best: dict[tuple, tuple[tuple[int, int], Factorization | None]] = {
-        (0, (1, (), ())): ((0, 0), None)}
-    parents: dict[tuple[int, ...], tuple] = {}
+    # equal (lo, form), and T^z only moves lo.  Each form is interned once,
+    # and ``best`` maps each (lo, form id), in first-seen order, to its
+    # simplest word so far; (0, 0) is the zero element.
+    forms: dict[tuple, int] = {(1, (), ()): 0}
+    best: dict[tuple[int, int], tuple[tuple[int, int], Factorization | None]] = {
+        (0, 0): ((0, 0), None)}
+    # ``level`` maps the exponent vectors (b_1..b_k, c_1..c_k) of one total
+    # degree, in itertools.product's order, to (lo, form) of their
+    # products.  A vector's parent is the vector with its first nonzero
+    # entry lowered by one, so raising each parent's entries at or before
+    # its first nonzero one makes every vector of the next degree once.
+    level = {(0,) * (2 * k): (0, (1, (0,), (1,)))}
     for total in range(max_total_degree + 1):
-        products = {}
-        # exponent vectors (b_1..b_k, c_1..c_k) by total degree
-        for exps in itertools.product(range(total + 1), repeat=2 * k):
-            if sum(exps) != total:
-                continue
-            if total == 0:
-                plo, nums, d = 0, {0: 1}, 1
-            else:  # the parent vector times one generator
-                i = next(i for i, e in enumerate(exps) if e)
-                plo, (pd, offsets, pnums) = parents[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+        if total:
+            children = []
+            for exps, parent in level.items():
+                first = next((i for i, e in enumerate(exps) if e), 2 * k - 1)
+                children += [(exps[:i] + (exps[i] + 1,) + exps[i + 1:], i, parent)
+                             for i in range(first + 1)]
+            level = {}
+            # each child is the parent's product times generator i
+            for exps, i, (plo, (pd, offsets, pnums)) in sorted(children):
                 nums, d = _product(zip(offsets, pnums), factors[i][0]), pd * factors[i][1]
-            g = math.gcd(d, *nums.values())
-            items = sorted(nums.items())  # every numerator is positive
-            low = items[0][0]
-            form = (d // g, tuple(z - low for z, _ in items), tuple(n // g for _, n in items))
-            lo = plo + low
-            products[exps] = (lo, form)
+                g = math.gcd(d, *nums.values())
+                items = sorted(nums.items())  # every numerator is positive
+                low = items[0][0]
+                level[exps] = (plo + low, (d // g, tuple(z - low for z, _ in items),
+                                           tuple(n // g for _, n in items)))
+        for exps, (lo, form) in level.items():
+            fid = forms.setdefault(form, len(forms))
             powers = tuple((i, exps[i], exps[k + i]) for i in range(k)
                            if exps[i] or exps[k + i])
             for z in range(-z_range, z_range + 1):
-                key = (lo + z, form)
+                key = (lo + z, fid)
                 cx = (total + abs(z), abs(z))  # fewest factors, then |z|
                 if key not in best or cx < best[key][0]:
                     best[key] = (cx, (z, powers))
-        parents = products
 
-    return [FormalElement(d, tuple((lo + u, n) for u, n in zip(offsets, nums)),
-                          _render_word(fact, "0"), fact)
-            for (lo, (d, offsets, nums)), (_, fact) in best.items()]
+    table = list(forms)  # form id -> form
+    elements = []
+    for (lo, fid), (_, fact) in best.items():
+        d, offsets, nums = table[fid]
+        elements.append(FormalElement(d, tuple((lo + u, n) for u, n in zip(offsets, nums)),
+                                      _render_word(fact, "0"), fact))
+    return elements
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,6 @@ class CorrCount:
     mu_a: int
     mu_b: int
 
-    @property
-    def normalized_exact(self) -> Fraction:
-        return Fraction(self.count, self.mu_a)
-
 
 def pair_counts(occ: LevelOccupancy, ms: Sequence[int],
                 pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[list[int]]:

@@ -60,6 +60,13 @@ def _half_mass_build():
     return gen_p_construction([half], J=5, seed=0)
 
 
+def _uncapped_build():
+    """The benchmark's uncapped coin build: stages 3 to 5 hold spacers past
+    2**62, so their spacers are object arrays of Python ints."""
+    coin = make_admissible({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    return gen_p_construction([coin], J=6, seed=0, eps_schedule=lambda j: Fraction(2, j + 1))
+
+
 @pytest.mark.parametrize("build, digest", [
     (lambda: capped_build()[0],
      "6f3e59a8d453e91930605ec2b06fa2fae89e7c2f5bd33bf8706de5f2545dc1ba"),
@@ -67,10 +74,13 @@ def _half_mass_build():
      "5797d61662b8b236219f6bb137620cbcbdafb936552519f049f6987b615af614"),
     (_half_mass_build,
      "920180c1b507d583307e59ff1813c4ca5ef82ef23ed85bf145dde590dee747d2"),
-], ids=["capped", "twogen", "half-mass"])
+    (_uncapped_build,
+     "972ce21902e690863ff6ba9aae951b026d15cd7cfbb6fbcfc97272d710656050"),
+], ids=["capped", "twogen", "half-mass", "uncapped"])
 def test_pinned_builds_params_hash(build, digest):
-    """The builds checks 4 to 6 and 9 read, and a low-mass build with tail
-    overrides, serialize to the same bytes on every run."""
+    """The builds checks 4 to 6 and 9 read, a low-mass build with tail
+    overrides and an uncapped build serialize to the same bytes on every
+    run."""
     assert hashlib.sha256(params_to_json(build()).encode()).hexdigest() == digest
 
 

@@ -70,9 +70,66 @@ def test_heights_single_stage():
 
 def test_stage_params_keep_python_ints():
     st = StageParams(3, np.array([2, 0, 7], dtype=np.int64))
-    assert st.spacers == (2, 0, 7) and all(type(v) is int for v in st.spacers)
+    assert st.spacers.tolist() == [2, 0, 7] and all(type(v) is int for v in st.spacers.tolist())
     with pytest.raises(TypeError):
         StageParams(2, (1, 2.5))
+
+
+SPACER_FORMS = {
+    "list": lambda v: list(v),
+    "tuple": lambda v: tuple(v),
+    "int64": lambda v: np.array(v, dtype=np.int64),
+    "numpy-ints": lambda v: [np.int64(x) for x in v],
+    "object": lambda v: np.array(v, dtype=object),
+}
+
+
+@pytest.mark.parametrize("form", SPACER_FORMS)
+@pytest.mark.parametrize("top, dtype", [(2 ** 62 - 1, np.int64), (2 ** 62, object)],
+                         ids=["below-2**62", "at-2**62"])
+def test_stage_params_hold_one_read_only_array(form, top, dtype):
+    """Every integer input becomes one read-only array, int64 while every
+    spacer is below 2**62 and object (Python ints) from 2**62 on; stages
+    and params built from any input form compare and hash equal."""
+    values = [3, 0, top]
+    st = StageParams(3, SPACER_FORMS[form](values))
+    assert st.spacers.dtype == dtype
+    assert st.spacers.tolist() == values and all(type(v) is int for v in st.spacers.tolist())
+    assert st.spacer_sum == sum(values)
+    with pytest.raises(ValueError, match="read-only"):
+        st.spacers[0] = 1
+    ref = StageParams(3, tuple(values))
+    assert st == ref and hash(st) == hash(ref)
+    params, ref_params = (ConstructionParams(2, (x,)) for x in (st, ref))
+    assert params == ref_params and hash(params) == hash(ref_params)
+    assert heights(params) == [2, 6 + sum(values)]
+    text = params_to_json(params)
+    assert params_to_json(params_from_json(text)) == text
+    assert params_from_json(text) == params
+
+
+def test_stage_params_copy_an_int64_input():
+    draws = np.array([2, 0, 7], dtype=np.int64)
+    st = StageParams(3, draws)
+    draws[0] = 5
+    assert st.spacers.tolist() == [2, 0, 7] and draws.flags.writeable
+
+
+@pytest.mark.parametrize("values", [
+    (1, 2.5), [1.0, 2.0], np.array([1.0, 2.0]), np.array([1, 2.5], dtype=object),
+    [[1, 2], [3, 4]], np.array([[1, 2], [3, 4]], dtype=np.int64)])
+def test_stage_params_reject_non_integer_spacers(values):
+    with pytest.raises(TypeError):
+        StageParams(2, values)
+
+
+@pytest.mark.parametrize("values", [(2, -1), np.array([2, -1]), (2, -2 ** 70)],
+                         ids=["tuple", "int64", "object"])
+def test_negative_spacer_is_reported_not_raised(values):
+    params = ConstructionParams(2, (StageParams(2, values),))
+    assert validate_params(params) == [f"stage 1: spacer s(2) = {int(values[1])} is negative"]
+    with pytest.raises(ValueError, match="is negative"):
+        heights(params)
 
 
 def test_heights_are_summed_once_and_returned_fresh(monkeypatch):
@@ -110,19 +167,19 @@ def test_heights_prefix_stable():
 
 def test_two_column_stage_parameters():
     params = gen_example("two-column", 4)
-    assert [(st.r, st.spacers) for st in params.stages] == [
+    assert [(st.r, tuple(st.spacers.tolist())) for st in params.stages] == [
         (2, (0, 1)), (2, (0, 6)), (2, (0, 36))]
 
 
 def test_mix_identity_stage_parameters():
     params = gen_example("mix-identity", 3, h1=2)
-    assert [(st.r, st.spacers) for st in params.stages] == [
+    assert [(st.r, tuple(st.spacers.tolist())) for st in params.stages] == [
         (3, (2, 2, 2)), (4, (12, 12, 12, 12))]
 
 
 def test_all_limits_stage_parameters():
     params = gen_example("all-limits", 3)
-    assert [(st.r, st.spacers) for st in params.stages] == [
+    assert [(st.r, tuple(st.spacers.tolist())) for st in params.stages] == [
         (3, (1, 2, 1)), (3, (7, 8, 7))]
     assert heights(params) == [1, 7, 43]
 
@@ -585,7 +642,7 @@ def test_sampled_draws_pass_gate_statistically():
 
 def test_apply_sidon_pinned_chain():
     out = apply_sidon([5] * 9, 3, 12, SidonPolicy())
-    assert out.spacers == (5, 5, 37, 5, 5, 112, 5, 5, 337)
+    assert tuple(out.spacers.tolist()) == (5, 5, 37, 5, 5, 112, 5, 5, 337)
     assert out.indices == (3, 6, 9)
     assert out.conforming
 
@@ -593,8 +650,11 @@ def test_apply_sidon_pinned_chain():
 def test_apply_sidon_reads_an_int64_array_as_python_ints():
     draws = np.array([5] * 9, dtype=np.int64)
     out = apply_sidon(draws, 3, 12, SidonPolicy())
-    assert out == apply_sidon([5] * 9, 3, 12, SidonPolicy())
-    assert all(type(v) is int for v in out.spacers)
+    want = apply_sidon([5] * 9, 3, 12, SidonPolicy())
+    assert out.spacers.tolist() == want.spacers.tolist()
+    assert (out.indices, out.conforming, out.tail_from) == (
+        want.indices, want.conforming, want.tail_from)
+    assert all(type(v) is int for v in out.spacers.tolist())
 
 
 def test_apply_sidon_growth_inequalities():
@@ -613,13 +673,13 @@ def test_apply_sidon_stage_one_overrides_everything():
 
 def test_apply_sidon_stage_beyond_length_is_noop():
     out = apply_sidon([4, 4], 3, 10, SidonPolicy())
-    assert out.spacers == (4, 4)
+    assert tuple(out.spacers.tolist()) == (4, 4)
     assert out.indices == ()
 
 
 def test_apply_sidon_cap_clamps_and_flags():
     out = apply_sidon([5] * 9, 3, 12, SidonPolicy(cap=100))
-    assert out.spacers == (5, 5, 37, 5, 5, 100, 5, 5, 100)
+    assert tuple(out.spacers.tolist()) == (5, 5, 37, 5, 5, 100, 5, 5, 100)
     assert not out.conforming
 
 
@@ -627,7 +687,7 @@ def test_apply_sidon_low_mass_tail_joins_the_chain():
     out = apply_sidon([0] * 8, 3, 5, mass=F(1, 2))
     assert out.tail_from == 5
     assert out.indices == (3, 5, 6, 7, 8)
-    assert out.spacers == (0, 0, 16, 0, 49, 148, 445, 1336)
+    assert tuple(out.spacers.tolist()) == (0, 0, 16, 0, 49, 148, 445, 1336)
     assert apply_sidon([0] * 8, 3, 5).tail_from is None
 
 
@@ -698,6 +758,22 @@ def test_recheck_gates_on_generated_and_example_builds():
     assert [j for j, _ in checks] == [1, 2, 3]
     assert all(rep.passed for _, rep in checks)
     assert recheck_gates(gen_example("two-column", 4)) == []
+
+
+def test_recheck_gates_reads_restored_draws_past_int64():
+    """Restored draws are gated in int64 when they fit, as at build time, and
+    as Python ints when a recorded draw passes 2**63: both give the report
+    of the same draws handed over as a list."""
+    params = gen_p_construction([P()], 5, seed=7)  # uncapped
+    doc = json.loads(params_to_json(params))
+    doc["meta"]["stages"][3]["pre_sidon"][0] = str(2 ** 70)
+    edited = params_from_json(json.dumps(doc))
+    for (j, got), rec, st in zip(recheck_gates(edited), edited.meta["stages"], params.stages):
+        draws = st.spacers.tolist()
+        for i, v in zip(rec["sidon_indices"], rec["pre_sidon"]):
+            draws[i - 1] = v
+        assert got == verify_frequencies(draws, P(), rec["max_m"], F(rec["eps"])), j
+    assert [rep.passed for _, rep in recheck_gates(params)] == [True] * 4
 
 
 def test_float_eps_schedule_records_the_gate_it_ran():
@@ -829,4 +905,4 @@ def test_params_from_json_reads_decimal_digit_strings():
 def test_sidon_policy_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="cap must be >= 0"):
         SidonPolicy(cap=-1)
-    assert apply_sidon([5, 5], 1, 3, SidonPolicy(cap=0)).spacers == (0, 0)
+    assert tuple(apply_sidon([5, 5], 1, 3, SidonPolicy(cap=0)).spacers.tolist()) == (0, 0)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from rankone.series import (
     AdmissibleSeries,
     FormalElement,
     SeriesValidationError,
+    _render_word,
     _to_fraction,
     adjoint,
     convolve,
@@ -231,6 +233,60 @@ def test_enumerate_two_generators_pinned_order():
                      for e in sg)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7de549fbc9014e6d2e6f4467bcdd6ad7c9cfed1812cb7e5b513b249566928dc4")
+
+
+def product_filter_walk(generators, max_total_degree, z_range):
+    """Reference walk: every exponent vector of each total degree, found by
+    filtering itertools.product, each built from its parent vector (the
+    first nonzero entry lowered by one) and deduplicated by (lo, form)."""
+    k = len(generators)
+    factors = [(g.nums, g.den) for g in generators]
+    factors += [([(-z, n) for z, n in nums], d) for nums, d in factors]
+    best = {(0, (1, (), ())): ((0, 0), None)}
+    parents = {}
+    for total in range(max_total_degree + 1):
+        products = {}
+        for exps in product(range(total + 1), repeat=2 * k):
+            if sum(exps) != total:
+                continue
+            if total == 0:
+                plo, nums, d = 0, {0: 1}, 1
+            else:
+                i = next(i for i, e in enumerate(exps) if e)
+                plo, (pd, offsets, pnums) = parents[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+                nums, d = {}, pd * factors[i][1]
+                for u, x in zip(offsets, pnums):
+                    for v, y in factors[i][0]:
+                        nums[u + v] = nums.get(u + v, 0) + x * y
+            g = math.gcd(d, *nums.values())
+            items = sorted(nums.items())
+            low = items[0][0]
+            form = (d // g, tuple(z - low for z, _ in items), tuple(n // g for _, n in items))
+            lo = plo + low
+            products[exps] = (lo, form)
+            powers = tuple((i, exps[i], exps[k + i]) for i in range(k)
+                           if exps[i] or exps[k + i])
+            for z in range(-z_range, z_range + 1):
+                key = (lo + z, form)
+                cx = (total + abs(z), abs(z))
+                if key not in best or cx < best[key][0]:
+                    best[key] = (cx, (z, powers))
+        parents = products
+    return [(d, tuple((lo + u, n) for u, n in zip(offsets, nums)), _render_word(fact, "0"), fact)
+            for (lo, (d, offsets, nums)), (_, fact) in best.items()]
+
+
+@pytest.mark.parametrize("n_gens", [1, 2, 3])
+def test_enumerate_matches_the_product_filter_walk(n_gens):
+    """Each exponent vector made once from its parent gives the same
+    elements, in the same order, with the same words and factorizations."""
+    gens = [make_admissible(HALF), make_admissible({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}),
+            make_admissible({0: F(1, 4), 3: F(1, 2)})][:n_gens]
+    for degree in range(5):
+        for z_range in range(3):
+            got = enumerate_semigroup(gens, degree, z_range)
+            want = product_filter_walk(gens, degree, z_range)
+            assert [(e.den, e.nums, e.word, e.factorization) for e in got] == want
 
 
 def test_enumerate_prefers_short_canonical_words():

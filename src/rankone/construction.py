@@ -172,6 +172,17 @@ class ConstructionParams:
             hs.append(hs[-1] * st.r + st.spacer_sum)
         return tuple(hs)
 
+    @cached_property
+    def _series(self) -> tuple[AdmissibleSeries, ...]:
+        blobs = self.meta.get("series")
+        if not blobs:
+            raise ValueError("params carry no generator series metadata")
+        for term in itertools.chain.from_iterable(blobs):
+            if len(term) != 3 or term[2] == 0:
+                raise ValueError(f"meta series term {term!r}: must be [k, num, den], den != 0")
+        return tuple(make_admissible({kk: Fraction(num, den) for kk, num, den in blob})
+                     for blob in blobs)
+
 
 def validate_params(params: ConstructionParams) -> list[str]:
     """Every invariant violation, with stage index; empty list iff valid."""
@@ -656,7 +667,7 @@ def gen_example(kind: str, J: int, h1: int | None = None) -> ConstructionParams:
 # Randomized spacers and the frequency gate
 # ---------------------------------------------------------------------------
 
-# rng.random() returns exact multiples of 2**-53: u = U / 2**53, U an integer
+# a uniform is u = U / 2**53, U the top 53 bits of a raw 64-bit Philox word
 _UNIFORM_BITS = 53
 
 
@@ -684,19 +695,22 @@ def sample_spacers(P: AdmissibleSeries, r: int, rng_seed) -> np.ndarray:
     """r i.i.d. draws from the distribution (c_k); deterministic in the seed.
 
     ``P`` must have total mass exactly 1.  Sampling is inverse-CDF over the
-    exact cumulative distribution: each uniform from a counter-based Philox
-    generator is a multiple of 2**-53 and is compared, as an integer, with
-    integer thresholds (:func:`_inverse_cdf`), so the draw is reproducible
-    across platforms and has no rounding edge.  ``rng_seed`` is an integer
-    or a sequence of integers.  Returns an int64 array, or an object array
-    of Python ints when an exponent reaches 2**62.
+    exact cumulative distribution: each uniform is the top 53 bits of a raw
+    word of a counter-based Philox generator, read as the integer U of
+    u = U / 2**53 and compared with integer thresholds
+    (:func:`_inverse_cdf`), so the draw is reproducible across platforms
+    and has no rounding edge.  These are the uniforms
+    ``Generator(Philox(seed)).random`` returns, bit for bit, without the
+    float round trip.  ``rng_seed`` is an integer or a sequence of
+    integers.  Returns an int64 array, or an object array of Python ints
+    when an exponent reaches 2**62.
     """
     if sum(n for _, n in P.nums) != P.den:
         raise ValueError(f"sampling needs total mass 1, got {P.declared_mass}")
     if r < 1:
         raise ValueError("r >= 1 required")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(rng_seed)))
-    return _inverse_cdf(P)((rng.random(r) * float(1 << _UNIFORM_BITS)).astype(np.int64))
+    raw = np.random.Philox(np.random.SeedSequence(rng_seed)).random_raw(r)
+    return _inverse_cdf(P)((raw >> (64 - _UNIFORM_BITS)).view(np.int64))
 
 
 @dataclass(frozen=True)
@@ -1004,15 +1018,11 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
 
 
 def generator_series(params: ConstructionParams) -> list[AdmissibleSeries]:
-    """Reconstruct the admissible series recorded in a generated params meta."""
-    blobs = params.meta.get("series")
-    if not blobs:
-        raise ValueError("params carry no generator series metadata")
-    for term in itertools.chain.from_iterable(blobs):
-        if len(term) != 3 or term[2] == 0:
-            raise ValueError(f"meta series term {term!r}: must be [k, num, den], den != 0")
-    return [make_admissible({kk: Fraction(num, den) for kk, num, den in blob})
-            for blob in blobs]
+    """Reconstruct the admissible series recorded in a generated params meta.
+
+    Each instance parses its meta once; every call returns a fresh list.
+    """
+    return list(params._series)
 
 
 def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport]]:

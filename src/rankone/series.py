@@ -189,6 +189,20 @@ class FormalElement(_IntegerForm):
         return cls(*_integer_form(coeffs), word, factorization)
 
     @classmethod
+    def _reduced(cls, den: int, nums: tuple[tuple[int, int], ...], word: str,
+                 factorization: Factorization | None) -> "FormalElement":
+        """An element whose ``nums`` are already in lowest terms over ``den``,
+        with increasing exponents and positive numerators, kept as given.
+
+        It skips ``__post_init__``, so only :func:`enumerate_semigroup`,
+        whose walk reduces every form it keeps, calls it; every other input
+        is normalized by the dataclass constructor.
+        """
+        el = object.__new__(cls)
+        el.__dict__.update(den=den, nums=nums, word=word, factorization=factorization)
+        return el
+
+    @classmethod
     def zero(cls) -> "FormalElement":
         return cls(1, (), "0", None)
 
@@ -294,6 +308,10 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
     equal; among coefficient-equal words the one with the fewest factors
     (then the smallest bare shift) is kept, so e.g. T*P1*P1* displays as
     P1^2.
+
+    The walk makes each product of a form with a generator or its adjoint
+    once, however many exponent vectors reach it, and the elements keep
+    the lowest-terms forms the walk made, so none is normalized again.
     """
     if not generators:
         raise ValueError("at least one generator required")
@@ -303,21 +321,26 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
     factors = [(g.nums, g.den) for g in generators]
     factors += [([(-z, n) for z, n in nums], d) for nums, d in factors]
 
-    # A product is kept as its lowest exponent lo and a form (d, offsets,
-    # numerators): its coefficients are the numerators over d, divided by
-    # their gcd with d, at exponents lo + offset.  Equal coefficient maps have
-    # equal (lo, form), and T^z only moves lo.  Each form is interned once,
-    # and ``best`` maps each (lo, form id), in first-seen order, to its
-    # simplest word so far; (0, 0) is the zero element.
-    forms: dict[tuple, int] = {(1, (), ()): 0}
+    # A product is kept as its lowest exponent lo and the id of its form
+    # (d, pairs), in lowest terms: its coefficients are n / d at exponents
+    # lo + u for each (u, n) in pairs, whose first u is 0.  Equal
+    # coefficient maps have equal (lo, form), and T^z only moves lo.  Each
+    # form is interned once: ``forms`` maps it to its id, ``table`` the id
+    # back to it.  ``best`` maps each (lo, form id), in first-seen order, to
+    # its simplest word so far; (0, 0) is the zero element.
+    table = [(1, ()), (1, ((0, 1),))]
+    forms = {form: fid for fid, form in enumerate(table)}
     best: dict[tuple[int, int], tuple[tuple[int, int], Factorization | None]] = {
         (0, 0): ((0, 0), None)}
+    # (parent form id, factor index) -> (shift of lo, child form id): the
+    # first vector to reach a pair makes its product, later ones reuse it
+    made: dict[tuple[int, int], tuple[int, int]] = {}
     # ``level`` maps the exponent vectors (b_1..b_k, c_1..c_k) of one total
-    # degree, in itertools.product's order, to (lo, form) of their
+    # degree, in itertools.product's order, to (lo, form id) of their
     # products.  A vector's parent is the vector with its first nonzero
     # entry lowered by one, so raising each parent's entries at or before
     # its first nonzero one makes every vector of the next degree once.
-    level = {(0,) * (2 * k): (0, (1, (0,), (1,)))}
+    level = {(0,) * (2 * k): (0, 1)}
     for total in range(max_total_degree + 1):
         if total:
             children = []
@@ -326,16 +349,23 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
                 children += [(exps[:i] + (exps[i] + 1,) + exps[i + 1:], i, parent)
                              for i in range(first + 1)]
             level = {}
-            # each child is the parent's product times generator i
-            for exps, i, (plo, (pd, offsets, pnums)) in sorted(children):
-                nums, d = _product(zip(offsets, pnums), factors[i][0]), pd * factors[i][1]
-                g = math.gcd(d, *nums.values())
-                items = sorted(nums.items())  # every numerator is positive
-                low = items[0][0]
-                level[exps] = (plo + low, (d // g, tuple(z - low for z, _ in items),
-                                           tuple(n // g for _, n in items)))
-        for exps, (lo, form) in level.items():
-            fid = forms.setdefault(form, len(forms))
+            # each child is the parent's product times factor i
+            for exps, i, (plo, pfid) in sorted(children):
+                child = made.get((pfid, i))
+                if child is None:
+                    d, pairs = table[pfid]
+                    nums, d = _product(pairs, factors[i][0]), d * factors[i][1]
+                    g = math.gcd(d, *nums.values())
+                    items = sorted(nums.items())  # every numerator is positive
+                    low = items[0][0]
+                    form = (d // g, tuple((z - low, n // g) for z, n in items))
+                    fid = forms.get(form)
+                    if fid is None:
+                        fid = forms[form] = len(table)
+                        table.append(form)
+                    child = made[pfid, i] = (low, fid)
+                level[exps] = (plo + child[0], child[1])
+        for exps, (lo, fid) in level.items():
             powers = tuple((i, exps[i], exps[k + i]) for i in range(k)
                            if exps[i] or exps[k + i])
             for z in range(-z_range, z_range + 1):
@@ -344,12 +374,12 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
                 if key not in best or cx < best[key][0]:
                     best[key] = (cx, (z, powers))
 
-    table = list(forms)  # form id -> form
     elements = []
     for (lo, fid), (_, fact) in best.items():
-        d, offsets, nums = table[fid]
-        elements.append(FormalElement(d, tuple((lo + u, n) for u, n in zip(offsets, nums)),
-                                      _render_word(fact, "0"), fact))
+        d, pairs = table[fid]
+        if lo:
+            pairs = tuple((lo + u, n) for u, n in pairs)
+        elements.append(FormalElement._reduced(d, pairs, _render_word(fact, "0"), fact))
     return elements
 
 

@@ -639,6 +639,11 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
     # tol + 3 * min(|m|, W)/W = (tn * W + 3 * td * min(|m|, W)) / (td * W)
     W = occ.window
     tn, td = tol_exact.numerator, tol_exact.denominator
+    predicts = params is not None and bool(params.meta.get("series"))
+    first_index: dict[FormalElement, int] = {}  # each element's first place
+    if predicts:
+        for e, el in enumerate(semigroup):
+            first_index.setdefault(el, e)
     entries = []
     for m, counts, dec, factor, cor, raw, (best, *runner) in zip(
             m_set, profiles, decs, factors, cors, raws, ranked):
@@ -648,11 +653,11 @@ def scan_limits(occ: LevelOccupancy, heights: Sequence[int],
         predicted = None
         predicted_delta = None
         predicted_is_best = None
-        if dec is not None and params is not None and params.meta.get("series"):
+        if dec is not None and predicts:
             predicted = predicted_element(dec, params)
-            hits = [e for e, el in enumerate(semigroup) if el == predicted]
-            if hits:
-                predicted_delta = Fraction(int(raw[hits[0]]), D)
+            hit = first_index.get(predicted)
+            if hit is not None:
+                predicted_delta = Fraction(int(raw[hit]), D)
             predicted_is_best = semigroup[best] == predicted
 
         edge = min(abs(int(m)), W)

@@ -551,6 +551,25 @@ def test_sample_spacers_past_int64_are_python_ints():
     assert draws.tolist() == [big * s for s in sample_spacers(P(), 8, 0).tolist()]
 
 
+@pytest.mark.parametrize("seed", [0, [0, 4, 1], [7, 5, 3]])
+@pytest.mark.parametrize("coeffs", [COIN, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)},
+                                    {0: F(1, 4), 5: F(1, 2), 2 ** 62 + 3: F(1, 4)}])
+def test_sample_spacers_match_the_float_uniforms(seed, coeffs):
+    """The raw-word uniforms are the ones Generator.random returns: each
+    draw is the exponent the float formula's integer U picks, found by
+    comparing U * den with each cumulative numerator times 2**53."""
+    series = P(coeffs)
+    cums = list(itertools.accumulate(n for _, n in series.nums))
+    for r in (1, 2, 3, 5, 17, 4096):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        uniforms = (rng.random(r) * 2.0 ** 53).astype(np.int64).tolist()
+        want = [next(k for (k, _), a in zip(series.nums, cums) if u * series.den < a << 53)
+                for u in uniforms]
+        draws = sample_spacers(series, r, seed)
+        assert draws.dtype == (object if max(coeffs) >= 2 ** 62 else np.int64)
+        assert draws.tolist() == want, r
+
+
 def test_inverse_cdf_is_exact_at_the_float_edge():
     """float(1/3) + float(1/3) lies below 2/3, so a float cumulative sum
     draws exponent 2 at the uniform 6004799503160661 / 2**53; the exact
@@ -832,6 +851,22 @@ def test_gen_p_construction_failure_text_is_pinned():
         "eps=1/1000, worst m=2 k=2 dev=0.0063)")
     assert (exc.value.stage_j, exc.value.r_final) == (2, 262144)
     assert len(exc.value.report.failures()) == 5
+
+
+def test_generator_series_are_parsed_once_and_returned_fresh(monkeypatch):
+    params = gen_p_construction([P(), P({0: F(1, 4), 2: F(3, 4)})], 3, seed=2)
+    calls = []
+    monkeypatch.setattr(construction, "make_admissible",
+                        lambda coeffs: calls.append(1) or make_admissible(coeffs))
+    gens = generator_series(params)
+    want = list(gens)
+    gens.reverse()
+    gens.append(P())
+    assert generator_series(params) == want and len(calls) == 2
+    bare = gen_example("two-column", 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no generator series"):
+            generator_series(bare)
 
 
 def test_generator_series_roundtrip():

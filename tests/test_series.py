@@ -276,17 +276,30 @@ def product_filter_walk(generators, max_total_degree, z_range):
             for (lo, (d, offsets, nums)), (_, fact) in best.items()]
 
 
-@pytest.mark.parametrize("n_gens", [1, 2, 3])
-def test_enumerate_matches_the_product_filter_walk(n_gens):
-    """Each exponent vector made once from its parent gives the same
-    elements, in the same order, with the same words and factorizations."""
-    gens = [make_admissible(HALF), make_admissible({0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}),
-            make_admissible({0: F(1, 4), 3: F(1, 2)})][:n_gens]
+SKEWED_PAIR = [{0: F(1, 5), 3: F(2, 5), 7: F(1, 5)}, {0: F(1, 2), 2: F(1, 4)}]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [HALF], [HALF, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}],
+    [HALF, {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}, {0: F(1, 4), 3: F(1, 2)}],
+    # no two products of this pair share a form, so the walk reuses none
+    SKEWED_PAIR], ids=["1", "2", "3", "skewed-pair"])
+def test_enumerate_matches_the_product_filter_walk(coeffs):
+    """Each exponent vector made once from its parent, and each (form,
+    generator) product made once, gives the same elements, in the same
+    order, with the same words and factorizations.  Every element is a
+    FormalElement already in the form its constructor would normalize to."""
+    gens = [make_admissible(c) for c in coeffs]
     for degree in range(5):
         for z_range in range(3):
             got = enumerate_semigroup(gens, degree, z_range)
             want = product_filter_walk(gens, degree, z_range)
             assert [(e.den, e.nums, e.word, e.factorization) for e in got] == want
+            for el in got:
+                rebuilt = FormalElement(el.den, el.nums)
+                assert type(el) is FormalElement
+                assert (el.den, el.nums) == (rebuilt.den, rebuilt.nums)
+                assert hash(el) == hash(rebuilt)
 
 
 def test_enumerate_prefers_short_canonical_words():

@@ -726,6 +726,29 @@ def test_predicted_delta_is_the_predicted_elements_discrepancy(small_build):
     assert n_predicted >= 6
 
 
+def test_predicted_delta_reads_the_first_equal_element(small_build, monkeypatch):
+    """Among coefficient-equal candidates under different words, the
+    prediction reads the first one's score.  Equal elements score alike, so
+    the raw scores are offset by each element's place to tell them apart."""
+    params, hs, occ = small_build
+    m = hs[-2]
+    dec = hadic_decompose(m, [h for h in hs if h < occ.window], 3, 4)
+    pred = predicted_element(dec, params)
+    candidates = [FormalElement.zero(), FormalElement(pred.den, pred.nums, "twin"), pred]
+    plain = scan_limits(occ, hs, candidates, [m], tol=F(1, 3), params=params).entries[0]
+    score, denominators = weaktop.score_elements, []
+
+    def offset(models, counts, factors):
+        denominators.append(models.denominator)
+        c, r = score(models, counts, factors)
+        return c, r + np.arange(r.shape[1])
+
+    monkeypatch.setattr(weaktop, "score_elements", offset)
+    e = scan_limits(occ, hs, candidates, [m], tol=F(1, 3), params=params).entries[0]
+    assert e.decomposition == dec and e.predicted_word == pred.word != "twin"
+    assert e.predicted_delta == plain.predicted_delta + F(1, denominators[0])
+
+
 def test_scan_csv_shape(tmp_path, small_build):
     params, hs, occ = small_build
     sg = enumerate_semigroup(generator_series(params), 2, 1)

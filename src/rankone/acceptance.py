@@ -117,12 +117,10 @@ def twogen_build():
     candidates.  Expanded over stages 4..6 (8388608 copies, int64).
     Built once per process; every caller shares the result.
     """
-    growth = ColumnGrowthPolicy(
-        start=lambda j: {4: 2048, 5: 4096}.get(j, max(2 * j, 16)))
     params = gen_p_construction(
         [_coin(), _thirds()], J=6, seed=0,
         eps_schedule=lambda j: Fraction(1, 3),
-        r_policy=growth,
+        r_policy=ColumnGrowthPolicy(start={4: 2048, 5: 4096}.get),
         sidon_policy=SidonPolicy(cap=65537),
     )
     return params, tuple(heights(params)), expand_occupancy(params, 4, 6)
@@ -271,8 +269,7 @@ def check_single_power_limits() -> tuple[bool, str]:
     ok = True
     for j in (4, 5):
         hj = hs[j - 1]
-        eps = Fraction(next(rec["eps"] for rec in params.meta["stages"]
-                            if rec["j"] == j))
+        eps = Fraction(params.meta["stages"][j - 1]["eps"])
         for m_abs in (1, 2):
             for sign in (+1, -1):
                 m = sign * m_abs * hj

@@ -911,18 +911,19 @@ def apply_sidon(spacers: Sequence[int], stage_j: int, h_j: int,
 # orders up to min(j, _MAX_M).
 _MAX_DOUBLINGS = 14
 _MAX_M = 4
+_H1 = 4  # the base tower height of every generated construction
 
 
 @dataclass(frozen=True)
 class ColumnGrowthPolicy:
-    """Where the column count r_j starts before it doubles until the gate passes."""
+    """Where the column count r_j starts before it doubles until the gate
+    passes: ``start(j)``, or max(2j, 16) where ``start`` is or returns None."""
 
-    start: Callable[[int], int] | None = None  # default max(2j, 16)
+    start: Callable[[int], int | None] | None = None
 
     def start_columns(self, stage_j: int) -> int:
-        if self.start is None:
-            return max(2 * stage_j, 16)
-        return int(self.start(stage_j))
+        r = None if self.start is None else self.start(stage_j)
+        return max(2 * stage_j, 16) if r is None else int(r)
 
 
 class GenerationError(RuntimeError):
@@ -943,12 +944,12 @@ def _default_eps(stage_j: int) -> Fraction:
 def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
                        eps_schedule: Callable[[int], object] | None = None,
                        r_policy: ColumnGrowthPolicy | None = None,
-                       sidon_policy: SidonPolicy | None = None,
-                       h1: int = 4) -> ConstructionParams:
+                       sidon_policy: SidonPolicy | None = None) -> ConstructionParams:
     """Generate a randomized construction from one or more admissible series.
 
-    Stage j uses the series of index j mod k.  Spacers are sampled from the
-    renormalized distribution; the column count starts at max(2j, 16) and
+    The base tower has height 4, and stage j uses the series of index
+    j mod k.  Spacers are sampled from the renormalized distribution; the
+    column count starts at max(2j, 16) (or where ``r_policy`` sets it) and
     doubles (with a fresh draw) until :func:`verify_frequencies` passes at
     tolerance ``eps_schedule(j)`` (default 1/(j+1); a float converts as in
     ``series._to_fraction``, and that fraction is recorded) with window order
@@ -973,7 +974,7 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
 
     stages: list[StageParams] = []
     stage_meta: list[dict] = []
-    h = h1
+    h = _H1
     for j in range(1, J):
         q = j % k
         P = P_list[q]
@@ -1005,7 +1006,7 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
     meta = {
         "generator": "p-construction",
         "seed": seed,
-        "h1": h1,
+        "h1": _H1,
         "k": k,
         "series": [[[kk, v.numerator, v.denominator] for kk, v in P.coeffs]
                    for P in P_list],
@@ -1014,7 +1015,7 @@ def gen_p_construction(P_list: Sequence[AdmissibleSeries], J: int, seed: int,
                          "cap": sidon_policy.cap},
         "stages": stage_meta,
     }
-    return ConstructionParams(h1, tuple(stages), meta)
+    return ConstructionParams(_H1, tuple(stages), meta)
 
 
 def generator_series(params: ConstructionParams) -> list[AdmissibleSeries]:
@@ -1030,48 +1031,22 @@ def recheck_gates(params: ConstructionParams) -> list[tuple[int, FrequencyReport
 
     Returns one (stage j, report) pair per stage record in ``params.meta``;
     the list is empty for params without stage records (hand-written or
-    example builds), which have no gate to re-check.  A record that lacks a
-    field, or whose series index or override indices do not fit the params,
-    raises ValueError naming the field.
+    example builds).  The records are trusted: :func:`params_from_json`
+    checks an artifact's, and :func:`gen_p_construction` writes them to fit.
     """
-    recs = params.meta.get("stages") if isinstance(params.meta, dict) else None
-    if not recs:
+    recs = params.meta.get("stages")
+    if recs is None:
         return []
     series = generator_series(params)
-    if len(recs) != params.n_stages:
-        raise ValueError(f"meta stages holds {len(recs)} records for "
-                         f"{params.n_stages} stages")
     out = []
-    for n, (rec, st) in enumerate(zip(recs, params.stages), 1):
-        where = f"meta stage {n}"
-        _dec(rec, dict, where, ("j", "q", "max_m", "eps", "sidon_indices", "pre_sidon"))
-        q = _dec_int(rec["q"], f"{where} q")
-        if not 0 <= q < len(series):
-            raise ValueError(f"{where} q = {q}: must be in 0..{len(series) - 1}")
-        indices, pre = rec["sidon_indices"], rec["pre_sidon"]
-        if len(indices) != len(pre):
-            raise ValueError(f"{where}: {len(indices)} sidon_indices but "
-                             f"{len(pre)} pre_sidon entries")
+    for rec, st in zip(recs, params.stages):
         draws = st.spacers.tolist()
-        if not all(1 <= i <= len(draws) for i in indices):
-            raise ValueError(f"{where} sidon_indices: each must be in 1..{len(draws)}")
-        if min(pre, default=0) < 0:
-            raise ValueError(f"{where} pre_sidon: each must be >= 0")
-        try:
-            eps = Fraction(rec["eps"])
-        except (TypeError, ValueError, ZeroDivisionError):
-            eps = 0
-        if eps <= 0:
-            raise ValueError(f"{where} eps must be a fraction > 0, got {rec['eps']!r}")
-        for i, v in zip(indices, pre):
+        for i, v in zip(rec["sidon_indices"], rec["pre_sidon"]):
             draws[i - 1] = v
-        try:  # the gate counts an int64 array in int64, as at build time
-            draws = np.array(draws, dtype=np.int64)
-        except OverflowError:
-            pass
-        report = verify_frequencies(draws, series[q].renormalized(),
-                                    _dec_int(rec["max_m"], f"{where} max_m"), eps)
-        out.append((_dec_int(rec["j"], f"{where} j"), report))
+        # int64 where every draw fits, as the build's draws were
+        report = verify_frequencies(_spacer_array(draws)[0], series[rec["q"]].renormalized(),
+                                    rec["max_m"], Fraction(rec["eps"]))
+        out.append((rec["j"], report))
     return out
 
 
@@ -1168,14 +1143,55 @@ def _dec_meta(meta) -> dict:
     return out
 
 
+def _check_artifact(params: ConstructionParams) -> None:
+    """Check decoded params in full, so that no later reader checks again:
+    the parameters, the series and each stage record against its stage.
+    Record n names stage n and holds a series index q, a window order
+    max_m in 1..r - 1, eps > 0, and one draw >= 0 per override index."""
+    heights(params)
+    if "series" not in params.meta and "stages" not in params.meta:
+        return  # a hand-written or example build
+    # a generated build's series and stage records come together
+    recs = _dec(params.meta, dict, "meta", ("series", "stages"))["stages"]
+    series = generator_series(params)
+    if len(recs) != params.n_stages:
+        raise ValueError(f"meta stages holds {len(recs)} records for "
+                         f"{params.n_stages} stages")
+    for n, (rec, st) in enumerate(zip(recs, params.stages), 1):
+        where = f"meta stage {n}"
+        _dec(rec, dict, where, ("j", "q", "max_m", "eps", "sidon_indices", "pre_sidon"))
+        for key, lo, hi in (("j", n, n), ("q", 0, len(series) - 1), ("max_m", 1, st.r - 1)):
+            value = _dec_int(rec[key], f"{where} {key}")
+            if not lo <= value <= hi:
+                raise ValueError(f"{where} {key} = {value}: must be in {lo}..{hi}")
+        indices, pre = rec["sidon_indices"], rec["pre_sidon"]
+        if len(indices) != len(pre):
+            raise ValueError(f"{where}: {len(indices)} sidon_indices but "
+                             f"{len(pre)} pre_sidon entries")
+        if not all(1 <= i <= st.r for i in indices):
+            raise ValueError(f"{where} sidon_indices: each must be in 1..{st.r}")
+        if min(pre, default=0) < 0:
+            raise ValueError(f"{where} pre_sidon: each must be >= 0")
+        try:
+            eps = Fraction(rec["eps"])
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            eps = 0
+        if eps <= 0:
+            raise ValueError(f"{where} eps must be a fraction > 0, got {rec['eps']!r}")
+
+
 def params_from_json(text: str) -> ConstructionParams:
-    """Decode an artifact; a missing or malformed field raises ValueError."""
+    """Decode an artifact and check it (:func:`_check_artifact`): a missing
+    or malformed field, invalid parameters ("invalid parameters: ..."), a
+    bad series or a record that does not fit its stage raises ValueError."""
     doc = _dec(json.loads(text), dict, "params", ("h1", "stages"))
     stages = [_dec(st, dict, f"stage {j}", ("r", "spacers"))
               for j, st in enumerate(_dec(doc["stages"], list, "stages"), 1)]
-    return ConstructionParams(
+    params = ConstructionParams(
         _dec_int(doc["h1"], "h1"),
         tuple(StageParams(_dec_int(st["r"], f"stage {j} r"),
                           _dec_ints(st["spacers"], f"stage {j} spacers"))
               for j, st in enumerate(stages, 1)),
         _dec_meta(doc.get("meta", {})))
+    _check_artifact(params)
+    return params

@@ -459,13 +459,6 @@ def predicted_element(dec: HadicDecomposition,
 # Exact override (excision) bookkeeping
 # ---------------------------------------------------------------------------
 
-def _stage_record(params: ConstructionParams, stage_j: int) -> dict | None:
-    for rec in params.meta.get("stages", ()):
-        if rec.get("j") == stage_j:
-            return rec
-    return None
-
-
 def _clean_window_count(r: int, width: int, overridden: Sequence[int]) -> int:
     """#windows [i, i+width-1], 1 <= i <= r-width, avoiding overridden indices.
 
@@ -487,15 +480,17 @@ def excision_factor(params: ConstructionParams,
     the window [i, i + |a_j| - 1] contains no overridden spacer index.  The
     product of the surviving fractions (denominator r_j per stage: the pair
     count relative to all columns) is the deterministic damping the override
-    policy applies to the correlation profile.
+    policy applies to the correlation profile.  Stage j's overrides are its
+    record's ``sidon_indices`` (none without records), trusted as in
+    :func:`recheck_gates`.
     """
+    recs = params.meta.get("stages")
     factor = Fraction(1)
     for j, a in terms:
         if a == 0:
             continue
         st = params.stages[j - 1]
-        rec = _stage_record(params, j)
-        overridden = rec.get("sidon_indices", ()) if rec else ()
+        overridden = () if recs is None else recs[j - 1]["sidon_indices"]
         factor *= Fraction(_clean_window_count(st.r, abs(a), overridden), st.r)
     return factor
 

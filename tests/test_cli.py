@@ -455,8 +455,42 @@ def test_verify_rejects_a_negative_recorded_draw(built):
     (built / "neg_draw.json").write_text(json.dumps(doc))
     res = run_cli("verify", "--params", "neg_draw.json", "--only", "1", cwd=built)
     assert res.returncode == 2
-    assert res.stderr == 'error code=config detail="meta stage 1 pre_sidon: each must be >= 0"\n'
+    assert res.stderr == ('error code=config detail="corrupt params file neg_draw.json: '
+                          'meta stage 1 pre_sidon: each must be >= 0"\n')
     assert "PASS" not in res.stdout
+
+
+@pytest.fixture(scope="module")
+def readme_capped(tmp_path_factory):
+    """The README's capped 6-stage artifact, written without a timestamp."""
+    d = tmp_path_factory.mktemp("readme")
+    res = run_cli("build", "--p", "1/2,1/2", "--stages", "6", "--seed", "0",
+                  "--cap", "65537", "--eps", "2/7", "--out", "p.json",
+                  "--no-timestamp", cwd=d)
+    assert res.returncode == 0, res.stderr
+    return d
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda recs: recs[4].pop("sidon_indices"), "missing field sidon_indices in meta stage 5"),
+    (lambda recs: recs.pop(), "meta stages holds 4 records for 5 stages"),
+    (lambda recs: recs[2].update(j=7), "meta stage 3 j = 7: must be in 3..3"),
+    (lambda recs: recs[2].update(max_m=0), "meta stage 3 max_m = 0: must be in 1..255"),
+], ids=["no-sidon-indices", "no-last-record", "j-7", "max-m-0"])
+def test_scan_and_verify_reject_a_bad_record_alike(readme_capped, edit, detail):
+    """Every command that loads an artifact rejects a stage record that does
+    not fit its stage, with one identical line.  A scan that read such a
+    record leniently would rank by a guessed excision correction instead."""
+    doc = json.loads((readme_capped / "p.json").read_text())
+    edit(doc["meta"]["stages"])
+    (readme_capped / "bad.json").write_text(json.dumps(doc))
+    (readme_capped / "scan_bad.json").write_text(
+        json.dumps({"params": "bad.json", "m": [0, "h5", "-h5", "2*h5+h4"]}))
+    for argv in (("scan", "--config", "scan_bad.json", "--out", "bad.csv"),
+                 ("verify", "--params", "bad.json", "--only", "1")):
+        res = run_cli(*argv, cwd=readme_capped)
+        assert res.returncode == 2, argv
+        assert res.stderr == f'error code=config detail="corrupt params file bad.json: {detail}"\n'
 
 
 def test_verify_artifact_recheck(built):

@@ -136,7 +136,12 @@ def artifacts(draw, tiny_doc):
 @SETTINGS
 @given(data=st.data())
 def test_verify_artifacts_exit_cleanly(tiny, data):
+    """verify --params and a scan that decomposes its shifts over the
+    artifact's stages (so excision_factor reads the records) both exit
+    cleanly on every drawn artifact."""
     doc = data.draw(artifacts(json.loads((tiny / "tiny.json").read_text())))
     path = tiny / "artifact.json"
     path.write_text(json.dumps(doc))
     assert_clean_exit(*run("verify", "--params", str(path), "--only", "1"))
+    run_config(tiny, "scan", {"params": str(path), "m": ["h3", "-h3", "h3+h2"]},
+               "--out", str(tiny / "artifact_scan.csv"))

@@ -10,6 +10,7 @@ import pytest
 
 from rankone import construction
 from rankone.construction import (
+    ColumnGrowthPolicy,
     ConstructionParams,
     GenerationError,
     LevelOccupancy,
@@ -822,14 +823,32 @@ def test_float_eps_schedule_records_the_gate_it_ran():
      "meta stage 1 pre_sidon: each must be >= 0"),
     (lambda m: m["stages"].pop(), "meta stages holds 2 records for 3 stages"),
     (lambda m: m.update(series=[[[0, 1, 2], [1, 1, 0]]]), "meta series term [1, 1, 0]"),
+    (lambda m: m["stages"][2].update(j=7), "meta stage 3 j = 7: must be in 3..3"),
+    (lambda m: m["stages"][1].update(max_m=0), "meta stage 2 max_m = 0: must be in 1..63"),
+    (lambda m: m["stages"][1].update(max_m=64), "meta stage 2 max_m = 64: must be in 1..63"),
+    (lambda m: m.pop("stages"), "missing field stages in meta"),
+    (lambda m: m.pop("series"), "missing field series in meta"),
 ])
 def test_recheck_gates_names_a_bad_stage_record(edit, field):
-    """An artifact's stage records are outside input: a record that does not
-    fit its params raises ValueError naming the field, not an IndexError."""
+    """An artifact's stage records are outside input, checked where the
+    artifact is decoded: a record that does not fit its stage makes
+    params_from_json raise ValueError naming the field, so recheck_gates and
+    excision_factor only ever read records that fit."""
     doc = json.loads(params_to_json(gen_p_construction([P()], 4, seed=1)))
     edit(doc["meta"])
     with pytest.raises(ValueError, match=re.escape(field)):
-        recheck_gates(params_from_json(json.dumps(doc)))
+        params_from_json(json.dumps(doc))
+
+
+def test_column_growth_start_returning_none_takes_the_default():
+    """A start that returns None for a stage leaves that stage at max(2j, 16),
+    so a dict's get sets some stages and keeps the default elsewhere."""
+    policy = ColumnGrowthPolicy(start={3: 40}.get)
+    assert [policy.start_columns(j) for j in (1, 3, 9, 10)] == [16, 40, 18, 20]
+    built = gen_p_construction([P()], 4, seed=0, r_policy=ColumnGrowthPolicy(start={2: 64}.get))
+    assert built == gen_p_construction([P()], 4, seed=0, r_policy=ColumnGrowthPolicy(
+        start=lambda j: 64 if j == 2 else max(2 * j, 16)))
+    assert built.stages[1].r >= 64
 
 
 def test_gen_p_construction_failure_carries_report():
@@ -924,6 +943,10 @@ ONE_STAGE = [{"r": 2, "spacers": [0, 1]}]
     ({"h1": 1, "stages": ONE_STAGE, "meta": {"series": 3}}, "series must be a list"),
     ({"h1": 1, "stages": ONE_STAGE, "meta": {"stages": [7]}},
      "meta stage must be an object"),
+    ({"h1": 1, "stages": [{"r": 1, "spacers": [0]}]},
+     "invalid parameters: stage 1: r = 1, but r >= 2 is required"),
+    ({"h1": 0, "stages": [{"r": 2, "spacers": [0]}]},
+     "invalid parameters: h1 = 0: must be a positive integer; stage 1: 1 spacer entries"),
 ])
 def test_params_from_json_names_the_bad_field(doc, field):
     """No field is truncated or guessed: each malformed one raises ValueError."""

@@ -36,8 +36,6 @@ from .series import (
     SeriesValidationError,
     adjoint,
     convolve,
-    element_from_json,
-    element_to_json,
     enumerate_semigroup,
     make_admissible,
     power,

@@ -1,27 +1,31 @@
 """Batch front-end: build constructions, scan shifts, verify, dump tables.
 
 Each input is its flag if given, else its --config key if present (even 0,
-"" or null), else its default.  A config value of the wrong type (a bool is
-not an int), and a key the subcommand does not read, are config errors.
-The keys (type, default) of each subcommand, a fraction being a string
-like "1/3" or a number (a tolerance, eps or tol, must be above 0):
+"" or null), else its default.  A config is checked in full when it is
+loaded, keys the run does not read included: a value of the wrong kind (a
+bool is not an int) and a key the subcommand does not declare are config
+errors.  Each subcommand's keys follow "Keys:", each with its kind and,
+in parentheses, its default and range.  A fraction is a string like "1/3"
+or a number; a tolerance (eps, tol) must be above 0.
 
 build      generate a construction (example family or sampled from series),
-           write the parameter artifact plus a heights CSV.  stages int,
-           example str, p [str], seed int (0, >= 0), cap int|null (>= 0),
-           eps fraction, starts {stage in 1..stages-1: int above
-           min(stage, 4)}.
+           write the parameter artifact plus a heights CSV.  Keys: stages
+           int (>= 2), example str, p [str], seed int (0, >= 0), cap
+           int|null (>= 0), eps fraction, starts {stage: int} (each stage
+           in 1..stages-1, each start above min(stage, 4)).
 scan       run the weak-limit scanner over a shift list, write the report
-           CSV, check optional expectations.  params str, base_stage int,
-           top_stage int, panel {span int (6), controls [int] ([97]),
-           include_union bool (true)}, m [int|str], gaps {n int (8), seed int
-           (1), lo int|null, hi int|null (both inside the window),
-           extra_lattice [int]}, expect {shift: word}, tol fraction ("1/4"),
-           semigroup {degree int (2), z int (1)}, a_bound int (3), z_bound
-           int (4), out str, expect_all_pass bool.
+           CSV, check optional expectations.  Keys: params str, base_stage
+           int (J-2), top_stage int (J), panel {span int (6), controls
+           [int] ([97]), include_union bool (true)}, m [int|str], gaps {n
+           int (8), seed int (1), lo int|null, hi int|null (both inside the
+           window), extra_lattice [int]}, expect {shift: word}, tol
+           fraction ("1/4"), semigroup {degree int (2), z int (1)}, a_bound
+           int (3), z_bound int (4), out str ("scan.csv"), expect_all_pass
+           bool (false).
 verify     run the acceptance suite (optionally a subset / on an artifact).
-semigroup  dump the enumerated semigroup as a table.  p [str], degree int
-           (2), z int (1).
+           No keys.
+semigroup  dump the enumerated semigroup as a table.  Keys: p [str], degree
+           int (2), z int (1).
 
 Exit codes: 0 ok, 1 assertion failure, 2 usage or config error (an
 output path that cannot be written is one), 3 generation failure.  Every
@@ -58,7 +62,7 @@ from .construction import (
     params_to_json,
     recheck_gates,
 )
-from .series import _to_fraction, enumerate_semigroup, make_admissible
+from .series import Fields, _to_fraction, enumerate_semigroup, make_admissible, read
 from .weaktop import (
     default_panel,
     sample_gap_shifts,
@@ -131,84 +135,54 @@ def _read_json(path: str, what: str, decode=json.loads):
         raise CliError("config", f"corrupt {what} file {path}: {exc}")
 
 
-# The config keys each subcommand reads, named as _option names them.
-# ``expect`` and ``starts`` are objects whose keys are data, not names.
-_CONFIG_KEYS = {
-    "build": {"stages", "example", "p", "seed", "cap", "eps", "starts"},
-    "scan": {"params", "base_stage", "top_stage", "panel span", "panel controls",
-             "panel include_union", "m", "gaps n", "gaps seed", "gaps lo", "gaps hi",
-             "gaps extra_lattice", "expect", "tol", "semigroup degree", "semigroup z",
-             "a_bound", "z_bound", "out", "expect_all_pass"},
-    "verify": set(),
-    "semigroup": {"p", "degree", "z"},
+def _keys(command: str, **named) -> Fields:
+    """A config object of ``command`` that holds only the keys in ``named``."""
+    return Fields(named, closed=command)
+
+
+# Each subcommand's config keys and their kinds (``series.read``
+# declarations); the module docstring gives their defaults and ranges.
+# ``stages`` is any value: build's usage line covers a missing, mistyped or
+# small count.
+_TOLERANCE = (str, int, float)
+_CONFIG = {
+    "build": _keys("build", stages=object, example=str, p=[str], seed=int,
+                   cap=(int, None), eps=_TOLERANCE, starts={int: int}),
+    "scan": _keys(
+        "scan", params=str, base_stage=int, top_stage=int,
+        panel=_keys("scan", span=int, controls=[int], include_union=bool),
+        m=[(int, str)],
+        gaps=_keys("scan", n=int, seed=int, lo=(int, None), hi=(int, None),
+                   extra_lattice=[int]),
+        expect={str: str}, tol=_TOLERANCE,
+        semigroup=_keys("scan", degree=int, z=int),
+        a_bound=int, z_bound=int, out=str, expect_all_pass=bool),
+    "verify": _keys("verify"),
+    "semigroup": _keys("semigroup", p=[str], degree=int, z=int),
 }
 
 
 def _load_config(path: str | None, command: str) -> dict:
-    """The --config object; a key ``command`` does not read is a config error."""
+    """The --config object, every value checked against ``command``'s
+    declaration, read or not; a value of the wrong kind, or a key that
+    ``command`` does not declare, is a config error."""
     cfg = {} if path is None else _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise CliError("config", f"config root must be an object: {path}")
-    known = _CONFIG_KEYS[command]
-    sections = {name.split()[0] for name in known if " " in name}
-    for key, value in cfg.items():
-        if key not in sections:
-            names = [key]
-        elif isinstance(value, dict):
-            names = [f"{key} {name}" for name in value]
-        else:  # not an object: _option reports the type error
-            names = []
-        for name in names:
-            if name not in known:
-                raise CliError("config", f"unknown config key '{name}' for {command}")
-    return cfg
+    with _rejected_as("config"):
+        return read(cfg, _CONFIG[command], "config")
 
 
-_KIND_NAMES = {int: "an integer", float: "a float", str: "a string",
-               bool: "true or false", dict: "an object", type(None): "null"}
-
-
-def _is(value, kind) -> bool:
-    """Whether ``value`` is of ``kind``: a type or tuple of types (a bool is
-    not an int), ``[k]`` (a list of k) or ``{str: k}`` (an object of k values;
-    ``{int: k}`` also needs decimal keys)."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
-    if isinstance(kind, dict):
-        [(key, item)] = kind.items()
-        return isinstance(value, dict) and all(
-            (key is str or k.isdecimal()) and _is(v, item)
-            for k, v in value.items())
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    return isinstance(value, kinds) and not (isinstance(value, bool)
-                                             and int in kinds)
-
-
-def _describe(kind) -> str:
-    if isinstance(kind, list):
-        return f"a list, each entry {_describe(kind[0])}"
-    if isinstance(kind, dict):
-        [(key, item)] = kind.items()
-        keys = "key a decimal integer and each " if key is int else ""
-        return f"an object, each {keys}value {_describe(item)}"
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    return " or ".join(_KIND_NAMES[k] for k in kinds)
-
-
-def _option(cfg: dict, key: str, kind, default=None, flag=None):
-    """``flag`` if given, else ``cfg[key]`` if present, else ``default``; a
-    config value not of ``kind`` is a config error.  Every flag and config
-    value is read here; ``key`` may be "<section> <key>" ("panel span")."""
+def _option(cfg: dict, key: str, default=None, flag=None):
+    """``flag`` if given, else ``cfg[key]`` if present, else ``default``.
+    Every flag and config value is read here; ``key`` may be "<section>
+    <key>" ("panel span"), and ``cfg`` is checked by :func:`_load_config`."""
     if flag is not None:
         return flag
     section, _, name = key.rpartition(" ")
     if section:
-        cfg = _option(cfg, section, dict, {})
-    if name not in cfg:
-        return default
-    if not _is(cfg[name], kind):
-        raise CliError("config", f"{key} must be {_describe(kind)}, got {cfg[name]!r}")
-    return cfg[name]
+        cfg = cfg.get(section, {})
+    return cfg.get(name, default)
 
 
 def _parse_series_text(text: str):
@@ -254,7 +228,7 @@ def _tolerance(cfg: dict, key: str, default=None, flag=None) -> Fraction | None:
     and a config error from the config; one that reads but is not positive
     is a config error, like any other out-of-range value.
     """
-    value = _option(cfg, key, (str, int, float), default, flag=flag)
+    value = _option(cfg, key, default, flag=flag)
     if value is None:
         return None
     try:
@@ -273,12 +247,11 @@ def _tolerance(cfg: dict, key: str, default=None, flag=None) -> Fraction | None:
 
 def cmd_build(args) -> int:
     cfg = _load_config(args.config, "build")
-    # read untyped: the usage line covers a missing, mistyped or small count
-    stages = _option(cfg, "stages", object, flag=args.stages)
-    if not _is(stages, int) or stages < 2:
+    stages = _option(cfg, "stages", flag=args.stages)
+    if type(stages) is not int or stages < 2:
         raise CliError("usage", f"--stages N (an integer >= 2) is required, got {stages!r}")
-    example = _option(cfg, "example", str, flag=args.example)
-    p_texts = _option(cfg, "p", [str], [], flag=args.p)
+    example = _option(cfg, "example", flag=args.example)
+    p_texts = _option(cfg, "p", [], flag=args.p)
 
     if example is not None and p_texts:
         raise CliError("usage", "choose either --example or --p, not both")
@@ -288,13 +261,13 @@ def cmd_build(args) -> int:
     elif p_texts:
         series = [_parse_series_text(t) for t in p_texts]
         eps = _tolerance(cfg, "eps", flag=args.eps)
-        starts = {int(j): r for j, r in _option(cfg, "starts", {int: int}, {}).items()}
+        starts = _option(cfg, "starts", {})
         for j, r in starts.items():  # stage j's gate reads windows of min(j, _MAX_M)
             if not 1 <= j < stages or r <= min(j, _MAX_M):
                 raise CliError("config", f"starts {j} = {r}: need a stage in 1..{stages - 1}"
                                f" and a start above min(stage, {_MAX_M})")
-        cap = _option(cfg, "cap", (int, type(None)), flag=args.cap)
-        seed = _option(cfg, "seed", int, 0, flag=args.seed)
+        cap = _option(cfg, "cap", flag=args.cap)
+        seed = _option(cfg, "seed", 0, flag=args.seed)
         for key, value in (("cap", cap), ("seed", seed)):
             if value is not None and value < 0:
                 raise CliError("config", f"{key} must be >= 0, got {value}")
@@ -309,11 +282,11 @@ def cmd_build(args) -> int:
 
     hs = heights(params)
     # build reads its base stage and output path from flags only
-    base = _option({}, "base_stage", int, max(1, stages - 2),
+    base = _option({}, "base_stage", max(1, stages - 2),
                    flag=args.base_stage)
     with _rejected_as("config"):
         occ = expand_occupancy(params, base, stages)
-    out = _option({}, "out", str, "params.json", flag=args.out)
+    out = _option({}, "out", "params.json", flag=args.out)
     header = timestamp_header(not args.no_timestamp)
     _write(out, header + params_to_json(params) + "\n")
     csv_path = Path(out).with_name(Path(out).stem + "_heights.csv")
@@ -334,26 +307,26 @@ def cmd_build(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _load_config(args.config, "scan")
-    params_path = _option(cfg, "params", str, flag=args.params)
+    params_path = _option(cfg, "params", flag=args.params)
     if params_path is None:
         raise CliError("usage", "scan needs --params PATH (or config key)")
     params = _load_params_file(params_path)
     hs = heights(params)
-    base = _option(cfg, "base_stage", int, max(1, len(hs) - 2),
+    base = _option(cfg, "base_stage", max(1, len(hs) - 2),
                    flag=args.base_stage)
-    top = _option(cfg, "top_stage", int, len(hs))
+    top = _option(cfg, "top_stage", len(hs))
     with _rejected_as("config"):
         occ = expand_occupancy(params, base, top)
         panel = default_panel(
-            occ, span=_option(cfg, "panel span", int, 6),
-            controls=_option(cfg, "panel controls", [int], (97,)),
-            include_union=_option(cfg, "panel include_union", bool, True))
+            occ, span=_option(cfg, "panel span", 6),
+            controls=_option(cfg, "panel controls", (97,)),
+            include_union=_option(cfg, "panel include_union", True))
 
-    shifts = [_parse_shift_expr(e, hs) for e in _option(cfg, "m", [(int, str)], [])]
+    shifts = [_parse_shift_expr(e, hs) for e in _option(cfg, "m", [])]
     m_set = [m for m in shifts if abs(m) < occ.window]
     skipped = len(shifts) - len(m_set)
-    if _option(cfg, "gaps", dict, {}):
-        bounds = {key: _option(cfg, f"gaps {key}", (int, type(None)))
+    if _option(cfg, "gaps", {}):
+        bounds = {key: _option(cfg, f"gaps {key}")
                   for key in ("lo", "hi")}
         for key, bound in bounds.items():
             if bound is not None and abs(bound) >= occ.window:
@@ -362,30 +335,30 @@ def cmd_scan(args) -> int:
         with _rejected_as("config"):
             # the default range [h_{top-1}, h_top // 4] lies inside the window
             m_set += sample_gap_shifts(
-                hs[:top], _option(cfg, "gaps n", int, 8),
-                rng_seed=_option(cfg, "gaps seed", int, 1),
-                extra_lattice=_option(cfg, "gaps extra_lattice", [int], ()),
+                hs[:top], _option(cfg, "gaps n", 8),
+                rng_seed=_option(cfg, "gaps seed", 1),
+                extra_lattice=_option(cfg, "gaps extra_lattice", ()),
                 **bounds)
     if not m_set:
         raise CliError("config", "no feasible shifts configured")
     expect = [(expr, _parse_shift_expr(expr, hs), want)
-              for expr, want in _option(cfg, "expect", {str: str}, {}).items()]
+              for expr, want in _option(cfg, "expect", {}).items()]
     unscanned = [expr for expr, m, _ in expect if m not in m_set]
     if unscanned:
         raise CliError("config", f"expect names shifts that are not scanned: "
                        f"{', '.join(unscanned)}")
 
     tol = _tolerance(cfg, "tol", "1/4", flag=args.tol)
-    out = _option(cfg, "out", str, "scan.csv", flag=args.out)
-    expect_all_pass = _option(cfg, "expect_all_pass", bool, False)
+    out = _option(cfg, "out", "scan.csv", flag=args.out)
+    expect_all_pass = _option(cfg, "expect_all_pass", False)
     with _rejected_as("config"):
         sg = enumerate_semigroup(generator_series(params),
-                                 _option(cfg, "semigroup degree", int, 2),
-                                 _option(cfg, "semigroup z", int, 1))
+                                 _option(cfg, "semigroup degree", 2),
+                                 _option(cfg, "semigroup z", 1))
         report = scan_limits(occ, hs, sg, m_set, tol=tol, panel=panel,
                              params=params,
-                             a_bound=_option(cfg, "a_bound", int, 3),
-                             z_bound=_option(cfg, "z_bound", int, 4))
+                             a_bound=_option(cfg, "a_bound", 3),
+                             z_bound=_option(cfg, "z_bound", 4))
 
     _write(out, write_scan_csv(report, include_timestamp=not args.no_timestamp))
 
@@ -444,9 +417,9 @@ def cmd_verify(args) -> int:
 
 def cmd_semigroup(args) -> int:
     cfg = _load_config(args.config, "semigroup")
-    p_texts = _option(cfg, "p", [str], ["1/2,1/2"], flag=args.p)
-    degree = _option(cfg, "degree", int, 2, flag=args.degree)
-    z_range = _option(cfg, "z", int, 1, flag=args.z)
+    p_texts = _option(cfg, "p", ["1/2,1/2"], flag=args.p)
+    degree = _option(cfg, "degree", 2, flag=args.degree)
+    z_range = _option(cfg, "z", 1, flag=args.z)
     series = [_parse_series_text(t) for t in p_texts]
     with _rejected_as("usage"):
         elems = enumerate_semigroup(series, degree, z_range)

@@ -38,12 +38,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .series import (
+    DEC_INT,
+    FRACTION,
     AdmissibleSeries,
-    _dec,
-    _dec_int,
+    Fields,
     _product,
     _to_fraction,
     make_admissible,
+    read,
 )
 
 __all__ = [
@@ -1090,10 +1092,6 @@ def _enc_int(x: int):
     return x if abs(x) <= _JSON_INT_LIMIT else str(x)
 
 
-def _dec_ints(x, field: str) -> list[int]:
-    return [_dec_int(v, field) for v in _dec(x, list, field)]
-
-
 def _enc_meta(obj):
     if isinstance(obj, dict):
         return {k: _enc_meta(v) for k, v in obj.items()}
@@ -1114,33 +1112,23 @@ def params_to_json(params: ConstructionParams) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _dec_fields(rec, name: str, scalars: Sequence[str] = (),
-                lists: Sequence[str] = ()) -> dict:
-    out = dict(_dec(rec, dict, name))
-    for key in scalars:
-        if out.get(key) is not None:
-            out[key] = _dec_int(out[key], key)
-    for key in lists:
-        if key in out:
-            out[key] = _dec_ints(out[key], key)
-    return out
-
-
-def _dec_meta(meta) -> dict:
-    """Restore the integer fields the generators write; all else is kept as is."""
-    out = _dec_fields(meta, "meta", ("seed", "h1", "k"))
-    if isinstance(out.get("sidon_policy"), dict):
-        out["sidon_policy"] = _dec_fields(out["sidon_policy"], "sidon_policy",
-                                          ("cap", "increment"))
-    if "series" in out:
-        out["series"] = [[_dec_ints(t, "series") for t in _dec(blob, list, "series")]
-                         for blob in _dec(out["series"], list, "series")]
-    if "stages" in out:
-        out["stages"] = [
-            _dec_fields(rec, "meta stage", ("j", "q", "r", "attempts", "max_m",
-                        "tail_from"), ("sidon_indices", "pre_sidon"))
-            for rec in _dec(out["stages"], list, "meta stages")]
-    return out
+# What an artifact holds, as ``series.read`` declares it.  Meta fields the
+# generators write are declared; any other meta field is kept as it is.
+_OPT_INT = (DEC_INT, None)
+_ARTIFACT = Fields({
+    "h1": DEC_INT,
+    "stages": [Fields({"r": DEC_INT, "spacers": [DEC_INT]}, ("r", "spacers"))],
+    "meta": Fields({
+        "seed": _OPT_INT, "h1": _OPT_INT, "k": _OPT_INT,
+        "sidon_policy": Fields({"cap": _OPT_INT, "increment": _OPT_INT}),
+        "series": [[[DEC_INT]]],
+        "stages": [Fields({
+            "j": DEC_INT, "q": DEC_INT, "max_m": DEC_INT, "eps": FRACTION,
+            "sidon_indices": [DEC_INT], "pre_sidon": [DEC_INT],
+            "r": _OPT_INT, "attempts": _OPT_INT, "tail_from": _OPT_INT,
+        }, ("j", "q", "max_m", "eps", "sidon_indices", "pre_sidon"))],
+    }),
+}, ("h1", "stages"))
 
 
 def _check_artifact(params: ConstructionParams) -> None:
@@ -1152,18 +1140,19 @@ def _check_artifact(params: ConstructionParams) -> None:
     if "series" not in params.meta and "stages" not in params.meta:
         return  # a hand-written or example build
     # a generated build's series and stage records come together
-    recs = _dec(params.meta, dict, "meta", ("series", "stages"))["stages"]
+    for key in ("series", "stages"):
+        if key not in params.meta:
+            raise ValueError(f"missing field {key} in meta")
+    recs = params.meta["stages"]
     series = generator_series(params)
     if len(recs) != params.n_stages:
         raise ValueError(f"meta stages holds {len(recs)} records for "
                          f"{params.n_stages} stages")
     for n, (rec, st) in enumerate(zip(recs, params.stages), 1):
         where = f"meta stage {n}"
-        _dec(rec, dict, where, ("j", "q", "max_m", "eps", "sidon_indices", "pre_sidon"))
         for key, lo, hi in (("j", n, n), ("q", 0, len(series) - 1), ("max_m", 1, st.r - 1)):
-            value = _dec_int(rec[key], f"{where} {key}")
-            if not lo <= value <= hi:
-                raise ValueError(f"{where} {key} = {value}: must be in {lo}..{hi}")
+            if not lo <= rec[key] <= hi:
+                raise ValueError(f"{where} {key} = {rec[key]}: must be in {lo}..{hi}")
         indices, pre = rec["sidon_indices"], rec["pre_sidon"]
         if len(indices) != len(pre):
             raise ValueError(f"{where}: {len(indices)} sidon_indices but "
@@ -1172,26 +1161,18 @@ def _check_artifact(params: ConstructionParams) -> None:
             raise ValueError(f"{where} sidon_indices: each must be in 1..{st.r}")
         if min(pre, default=0) < 0:
             raise ValueError(f"{where} pre_sidon: each must be >= 0")
-        try:
-            eps = Fraction(rec["eps"])
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            eps = 0
-        if eps <= 0:
+        if Fraction(rec["eps"]) <= 0:
             raise ValueError(f"{where} eps must be a fraction > 0, got {rec['eps']!r}")
 
 
 def params_from_json(text: str) -> ConstructionParams:
-    """Decode an artifact and check it (:func:`_check_artifact`): a missing
-    or malformed field, invalid parameters ("invalid parameters: ..."), a
-    bad series or a record that does not fit its stage raises ValueError."""
-    doc = _dec(json.loads(text), dict, "params", ("h1", "stages"))
-    stages = [_dec(st, dict, f"stage {j}", ("r", "spacers"))
-              for j, st in enumerate(_dec(doc["stages"], list, "stages"), 1)]
+    """Decode an artifact by its declaration and check it
+    (:func:`_check_artifact`): a missing or malformed field, invalid
+    parameters ("invalid parameters: ..."), a bad series or a record that
+    does not fit its stage raises ValueError."""
+    doc = read(json.loads(text), _ARTIFACT, "params")
     params = ConstructionParams(
-        _dec_int(doc["h1"], "h1"),
-        tuple(StageParams(_dec_int(st["r"], f"stage {j} r"),
-                          _dec_ints(st["spacers"], f"stage {j} spacers"))
-              for j, st in enumerate(stages, 1)),
-        _dec_meta(doc.get("meta", {})))
+        doc["h1"], tuple(StageParams(st["r"], st["spacers"]) for st in doc["stages"]),
+        doc.get("meta", {}))
     _check_artifact(params)
     return params

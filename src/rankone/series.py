@@ -23,7 +23,6 @@ multiplies numerators and denominators.  ``coeffs`` and the masses are
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -31,16 +30,18 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "DEC_INT",
+    "FRACTION",
     "AdmissibleSeries",
+    "Fields",
     "FormalElement",
     "SeriesValidationError",
     "adjoint",
     "convolve",
-    "element_from_json",
-    "element_to_json",
     "enumerate_semigroup",
     "make_admissible",
     "power",
+    "read",
     "validate_coeffs",
 ]
 
@@ -384,48 +385,93 @@ def enumerate_semigroup(generators: Sequence[AdmissibleSeries],
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Declared input: one reader for artifacts and configs
 # ---------------------------------------------------------------------------
 
-def element_to_json(el: FormalElement) -> str:
-    """Serialize as {"word": ..., "coeffs": [[z, num, den], ...]} (z-sorted)."""
-    rows = [[z, v.numerator, v.denominator] for z, v in el.coeffs]
-    return json.dumps({"word": el.word, "coeffs": rows})
+# Kinds checked by a rule, not by type: DEC_INT is a JSON integer or a
+# decimal digit string, read as an int; FRACTION is a string that Fraction
+# reads, kept as the string so that a round trip keeps its bytes.
+DEC_INT, FRACTION = object(), object()
+_KIND_NAMES = {int: "an integer", float: "a float", str: "a string",
+               bool: "true or false", None: "null", DEC_INT: "an integer",
+               FRACTION: "a fraction string"}
 
 
-def _dec_int(x, field: str) -> int:
-    """A JSON integer (not a bool) or a decimal digit string, else ValueError."""
-    if type(x) is int or isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        return int(x)
-    raise ValueError(f"{field} must be an integer, got {x!r}")
+@dataclass(frozen=True)
+class Fields:
+    """An object declared field by field: ``named`` maps each key to its
+    declaration and the ``required`` keys must be present.  An undeclared
+    key is kept as it is, unless ``closed`` names the reader that rejects
+    it (``unknown config key '<path>' for <closed>``)."""
+
+    named: Mapping[str, object]
+    required: tuple[str, ...] = ()
+    closed: str = ""
 
 
-def _dec(x, kind: type, field: str, keys: Sequence[str] = ()):
-    """``x`` if it is a JSON list or object (``kind``) holding ``keys``."""
-    if not isinstance(x, kind):
-        name = "a list" if kind is list else "an object"
-        raise ValueError(f"{field} must be {name}, got {x!r}")
-    for key in keys:
-        if key not in x:
-            raise ValueError(f"missing field {key} in {field}")
-    return x
+def _matches(value, kind) -> bool:
+    if kind is DEC_INT:
+        return type(value) is int or isinstance(value, str) and bool(
+            re.fullmatch(r"-?[0-9]+", value))
+    if kind is FRACTION:
+        if not isinstance(value, str):
+            return False
+        try:
+            Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    if kind is None:
+        return value is None
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def element_from_json(text: str) -> FormalElement:
-    """Decode :func:`element_to_json`; a missing or malformed field raises ValueError."""
-    blob = _dec(json.loads(text), dict, "element", ("coeffs",))
-    coeffs = {}
-    for row in _dec(blob["coeffs"], list, "element coeffs"):
-        if len(_dec(row, list, "element coeff")) != 3:
-            raise ValueError(f"element coeff must be [z, num, den], got {row!r}")
-        z, num, den = (_dec_int(x, f"element {name}") for x, name in
-                       zip(row, ("exponent", "numerator", "denominator")))
-        if den < 1:
-            raise ValueError(f"element denominator must be positive, got {den}")
-        if z in coeffs:
-            raise ValueError(f"element exponent {z} repeats")
-        coeffs[z] = Fraction(num, den)
-    word = blob.get("word", "?")
-    if not isinstance(word, str):
-        raise ValueError(f"element word must be a string, got {word!r}")
-    return FormalElement.from_coeffs(coeffs, word)
+def read(value, decl, path: str, prefix: str = ""):
+    """``value`` (parsed JSON) decoded by the declaration ``decl``: a type (a
+    bool is not an int), None (null), DEC_INT, FRACTION, a tuple of kinds
+    (any one matches), ``[d]`` (a list of d), ``{str: d}`` or ``{int: d}``
+    (an object of d whose keys are data; int keys are decimal, read as
+    ints) or :class:`Fields`.  A mismatch raises one ValueError naming its
+    path: the root is ``path``; a field or data key is named by ``prefix``
+    (its object's path and a space, "" at the root) and the key ("meta
+    seed", "starts 2"); an entry of a list of Fields by the list's singular
+    and its position ("meta stage 4 j"), any other entry by its list.
+    """
+    if isinstance(decl, (Fields, dict)) and not isinstance(value, dict):
+        raise ValueError(f"{path} must be an object, got {value!r}")
+    if isinstance(decl, Fields):
+        for key in decl.required:
+            if key not in value:
+                raise ValueError(f"missing field {key} in {path}")
+        out = {}
+        for key, item in value.items():
+            if key in decl.named:
+                item = read(item, decl.named[key], prefix + key, f"{prefix}{key} ")
+            elif decl.closed:
+                raise ValueError(f"unknown config key '{prefix}{key}' for {decl.closed}")
+            out[key] = item
+        return out
+    if isinstance(decl, dict):
+        [(key_kind, entry)] = decl.items()
+        out = {}
+        for key, item in value.items():
+            if key_kind is int and not key.isdecimal():
+                raise ValueError(f"{path} must be an object, each key a decimal "
+                                 f"integer, got key {key!r}")
+            out[key_kind(key)] = read(item, entry, f"{prefix}{key}", f"{prefix}{key} ")
+        return out
+    if isinstance(decl, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        [entry] = decl
+        if isinstance(entry, Fields):
+            one = path.removesuffix("s")
+            return [read(item, entry, f"{one} {n}", f"{one} {n} ")
+                    for n, item in enumerate(value, 1)]
+        return [read(item, entry, path, prefix) for item in value]
+    kinds = decl if isinstance(decl, tuple) else (decl,)
+    for kind in kinds:
+        if _matches(value, kind):
+            return int(value) if kind is DEC_INT else value
+    names = " or ".join(_KIND_NAMES[kind] for kind in kinds)
+    raise ValueError(f"{path} must be {names}, got {value!r}")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +11,10 @@ import pytest
 
 import rankone
 from rankone.acceptance import capped_build, twogen_build
-from rankone.cli import _tolerance, main
+from rankone import cli
+from rankone.cli import _CONFIG, _tolerance, main
 from rankone.construction import gen_p_construction, heights, params_from_json, params_to_json
-from rankone.series import make_admissible
+from rankone.series import Fields, make_admissible, read
 
 # the directory holding the imported package, so a subprocess started in any
 # working directory imports the same code
@@ -247,7 +249,7 @@ DROP = object()  # a meta field a verify case removes
     (["scan"], {"panel": {"include_union": "no"}},
      "panel include_union must be true or false"),
     (["scan"], {"expect_all_pass": "no"}, "expect_all_pass must be true or false"),
-    (["scan"], {"m": [True]}, "m must be a list, each entry an integer or a string"),
+    (["scan"], {"m": [True]}, "m must be an integer or a string, got True"),
     (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "cap": "x"},
      "cap must be an integer or null"),
     (["build", "--out", "bad.json"], {"p": ["1/2,1/2"], "stages": 3, "seed": "x"},
@@ -363,6 +365,98 @@ def test_unknown_config_key_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def _leaves(decl: Fields, prefix=""):
+    """(key path, declaration) of each config value ``decl`` declares."""
+    for key, item in decl.named.items():
+        if isinstance(item, Fields):
+            yield from _leaves(item, f"{prefix}{key} ")
+        else:
+            yield prefix + key, item
+
+
+def _wrong_kind(decl):
+    """The first of a few JSON values that ``decl`` rejects."""
+    for value in ("x", 1.5, True, None, {}, []):
+        try:
+            read(value, decl, "value")
+        except ValueError:
+            return value
+
+
+# build's stages is read untyped (case build-stages-type covers it)
+LEAVES = [(command, path, decl) for command, root in _CONFIG.items()
+          for path, decl in _leaves(root) if decl is not object]
+
+
+@pytest.mark.parametrize("command, path, decl", LEAVES,
+                         ids=[f"{c}-{p.replace(' ', '-')}" for c, p, _ in LEAVES])
+def test_every_declared_config_key_is_checked(tmp_path, monkeypatch, capsys,
+                                              command, path, decl):
+    """A config value of the wrong kind exits 2 naming its key path, whether
+    or not the run reads it.  A build of an example reads no seed or cap, so
+    ``{"example": "two-column", "stages": 4, "seed": "x"}`` used to exit 0."""
+    monkeypatch.chdir(tmp_path)
+    cfg = {"example": "two-column", "stages": 4} if command == "build" else {}
+    *sections, key = path.split()
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = _wrong_kind(decl)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", "cfg.json", "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f'error code=config detail="{path} must be ') and \
+        err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def _top_level_items(text: str) -> list[str]:
+    """``text`` split at the commas outside brackets."""
+    items, depth, item = [], 0, ""
+    for ch in text:
+        depth += (ch in "([{") - (ch in ")]}")
+        if ch == "," and not depth:
+            items.append(item)
+            item = ""
+        else:
+            item += ch
+    return [*items, item]
+
+
+def _documented(keys: str, prefix="") -> set[str]:
+    """The key paths a "Keys:" list names; ``name {key kind, ...}`` is a
+    section, and ``name {data: kind}`` an object whose keys are data."""
+    paths = set()
+    for item in _top_level_items(keys):
+        name, kind = item.split(None, 1)
+        inner = kind[1:kind.find("}")] if kind.startswith("{") else ""
+        if inner and not inner.split()[0].endswith(":"):
+            paths |= _documented(inner, f"{prefix}{name} ")
+        else:
+            paths.add(prefix + name)
+    return paths
+
+
+def test_cli_docstring_lists_every_declared_key():
+    """The module docstring is where defaults and ranges are stated: it names
+    every key each subcommand declares, and declares every key it names."""
+    blocks, command = {}, None
+    for line in cli.__doc__.splitlines():
+        head = line.split(" ", 1)[0]
+        if head in _CONFIG:
+            command = head
+            blocks[command] = line[len(head):]
+        elif command and line.startswith(" "):
+            blocks[command] += line
+        else:
+            command = None
+    assert blocks.keys() == _CONFIG.keys()
+    for command, block in blocks.items():
+        keys = re.search(r"Keys: (.*?)\.(?: |$)", " ".join(block.split()))
+        documented = _documented(keys.group(1)) if keys else set()
+        assert documented == {path for path, _ in _leaves(_CONFIG[command])}, command
+
+
 def test_float_tolerances_convert_as_the_library_converts(tmp_path, monkeypatch):
     """A JSON number tolerance converts by the series float rule, as the
     library's gate and scan convert a float: eps 0.2857142857142857 gates
@@ -476,11 +570,15 @@ def readme_capped(tmp_path_factory):
     (lambda recs: recs.pop(), "meta stages holds 4 records for 5 stages"),
     (lambda recs: recs[2].update(j=7), "meta stage 3 j = 7: must be in 3..3"),
     (lambda recs: recs[2].update(max_m=0), "meta stage 3 max_m = 0: must be in 1..255"),
-], ids=["no-sidon-indices", "no-last-record", "j-7", "max-m-0"])
+    (lambda recs: recs[2].update(eps=True), "meta stage 3 eps must be a fraction string, got True"),
+    (lambda recs: recs[3].update(j="x"), "meta stage 4 j must be an integer, got 'x'"),
+], ids=["no-sidon-indices", "no-last-record", "j-7", "max-m-0", "eps-true", "j-text"])
 def test_scan_and_verify_reject_a_bad_record_alike(readme_capped, edit, detail):
     """Every command that loads an artifact rejects a stage record that does
     not fit its stage, with one identical line.  A scan that read such a
-    record leniently would rank by a guessed excision correction instead."""
+    record leniently would rank by a guessed excision correction instead.
+    An eps of true used to pass as 1, and a bad j to be named without its
+    record."""
     doc = json.loads((readme_capped / "p.json").read_text())
     edit(doc["meta"]["stages"])
     (readme_capped / "bad.json").write_text(json.dumps(doc))

@@ -942,11 +942,17 @@ ONE_STAGE = [{"r": 2, "spacers": [0, 1]}]
     ({"h1": 1, "stages": ONE_STAGE, "meta": {"seed": 2.5}}, "seed must be an integer"),
     ({"h1": 1, "stages": ONE_STAGE, "meta": {"series": 3}}, "series must be a list"),
     ({"h1": 1, "stages": ONE_STAGE, "meta": {"stages": [7]}},
-     "meta stage must be an object"),
+     "meta stage 1 must be an object, got 7"),
     ({"h1": 1, "stages": [{"r": 1, "spacers": [0]}]},
      "invalid parameters: stage 1: r = 1, but r >= 2 is required"),
     ({"h1": 0, "stages": [{"r": 2, "spacers": [0]}]},
      "invalid parameters: h1 = 0: must be a positive integer; stage 1: 1 spacer entries"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": {"seed": "x"}},
+     "meta seed must be an integer or null, got 'x'"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": {"sidon_policy": {"cap": "y"}}},
+     "meta sidon_policy cap must be an integer or null, got 'y'"),
+    ({"h1": 1, "stages": ONE_STAGE, "meta": {"sidon_policy": 5}},
+     "meta sidon_policy must be an object, got 5"),
 ])
 def test_params_from_json_names_the_bad_field(doc, field):
     """No field is truncated or guessed: each malformed one raises ValueError."""

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 from rankone.series import (
+    DEC_INT,
+    FRACTION,
     AdmissibleSeries,
+    Fields,
     FormalElement,
     SeriesValidationError,
     _render_word,
     _to_fraction,
     adjoint,
     convolve,
-    element_from_json,
-    element_to_json,
     enumerate_semigroup,
     make_admissible,
     power,
+    read,
     validate_coeffs,
 )
 
@@ -311,23 +313,43 @@ def test_enumerate_prefers_short_canonical_words():
     assert by_coeffs[p2.coeffs] == "P1^2"
 
 
-def test_element_json_roundtrip():
-    p = elem({-2: F(1, 3), 0: F(1, 6), 7: F(1, 2)})
-    text = element_to_json(p)
-    back = element_from_json(text)
-    assert back == p
-    # canonical ordering by exponent
-    assert [t[0] for t in back.coeffs] == [-2, 0, 7]
+RECORD = Fields({"j": DEC_INT, "eps": FRACTION, "draws": [DEC_INT]}, ("j",))
+DOC = Fields({"stages": [RECORD], "cap": (DEC_INT, None),
+              "starts": {int: int}, "panel": Fields({"span": int}, closed="scan")})
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"coeffs": [[0.5, 1, 2]]}', "element exponent must be an integer"),
-    ('{"coeffs": [[0, 1.9, 2]]}', "element numerator must be an integer"),
-    ('{"coeffs": [[0, true, 2]]}', "element numerator must be an integer"),
-    ('{}', "missing field coeffs in element"),
-    ('{"coeffs": [[0, 1, 0]]}', "element denominator must be positive"),
+def test_read_decodes_by_declaration():
+    """Decimal strings become ints, a fraction string stays the string, an
+    undeclared field of an open object is kept as it is, and data keys
+    declared int become ints."""
+    doc = {"stages": [{"j": "12345678901234567890", "eps": "2/7", "draws": [3, "-4"],
+                       "note": [1.5]}], "cap": None, "starts": {"3": 40}}
+    assert read(doc, DOC, "doc") == {
+        "stages": [{"j": 12345678901234567890, "eps": "2/7", "draws": [3, -4],
+                    "note": [1.5]}], "cap": None, "starts": {3: 40}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "doc must be an object, got []"),
+    ({"stages": {}}, "stages must be a list, got {}"),
+    ({"stages": [{}]}, "missing field j in stage 1"),
+    ({"stages": [{"j": 1}, 7]}, "stage 2 must be an object, got 7"),
+    ({"stages": [{"j": True}]}, "stage 1 j must be an integer, got True"),
+    ({"stages": [{"j": "1e3"}]}, "stage 1 j must be an integer, got '1e3'"),
+    ({"stages": [{"j": 1, "eps": True}]}, "stage 1 eps must be a fraction string, got True"),
+    ({"stages": [{"j": 1, "eps": 0.5}]}, "stage 1 eps must be a fraction string, got 0.5"),
+    ({"stages": [{"j": 1, "eps": "1/0"}]}, "stage 1 eps must be a fraction string, got '1/0'"),
+    ({"stages": [{"j": 1, "draws": [0, 1.5, 2]}]},
+     "stage 1 draws must be an integer, got 1.5"),
+    ({"cap": "y"}, "cap must be an integer or null, got 'y'"),
+    ({"starts": {"a": 1}}, "starts must be an object, each key a decimal integer, got key 'a'"),
+    ({"starts": {"2": False}}, "starts 2 must be an integer, got False"),
+    ({"panel": {"span": "x"}}, "panel span must be an integer, got 'x'"),
+    ({"panel": {"spam": 3}}, "unknown config key 'panel spam' for scan"),
 ])
-def test_element_json_rejects_malformed_fields(text, message):
-    """A malformed element is one ValueError naming the field, never a guess."""
-    with pytest.raises(ValueError, match=message):
-        element_from_json(text)
+def test_read_names_the_full_path(doc, message):
+    """Each fault is one ValueError naming its full path and the kind it
+    needs; a bad list entry is shown alone, never the whole list."""
+    with pytest.raises(ValueError) as exc:
+        read(doc, DOC, "doc")
+    assert str(exc.value) == message
